@@ -29,7 +29,6 @@ from .core import (
 )
 from .enumeration import generalized_vp, generalized_vp_table, vector_partition
 from .identities import (
-    RecurrencePreconditionError,
     VerificationReport,
     partition_series,
     verify_basic_recurrence,
@@ -186,10 +185,6 @@ def _certified(spec: ProblemSpec) -> tuple[StepMatrix, ConeCertificate]:
     return matrix, certify_pointed(matrix)
 
 
-def _print_vector(v: LatticeVector) -> str:
-    return "(" + ", ".join(str(c) for c in v.coords) + ")"
-
-
 def _series_json(series) -> dict:
     return {
         "terms": [
@@ -207,7 +202,7 @@ def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
         if as_json:
             print(json.dumps({"pointed": False, "witness": list(err.witness.coords)}))
         else:
-            print(f"not pointed: witness combination {_print_vector(err.witness)}")
+            print(f"not pointed: witness combination {err.witness}")
         return 1
     if as_json:
         print(
@@ -220,7 +215,7 @@ def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
             )
         )
     else:
-        print(f"ell = {_print_vector(cert.functional)}")
+        print(f"ell = {cert.functional}")
     return 0
 
 
@@ -269,12 +264,20 @@ def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     return 0
 
 
+def _require_corner(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> None:
+    """Refuse a window that lies wholly below the column-sum corner: it compares nothing."""
+    base = cert.degree(matrix.column_sum())
+    if base > bound:
+        raise ProblemError(f"bound: empty window, the column sum has degree {base} > {bound}")
+
+
 def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
     if kind == "thm1":
         matrix, cert = _certified(spec)
-        return verify_summation_identity(
-            matrix, cert, _require(spec, "weight"), _require(spec, "c"), _require(spec, "bound")
-        )
+        weight, coeffs = _require(spec, "weight"), _require(spec, "c")
+        bound = _require(spec, "bound")
+        _require_corner(matrix, cert, bound)
+        return verify_summation_identity(matrix, cert, weight, coeffs, bound)
     if kind == "rec":
         weight = _require(spec, "weight")
         nvars = spec.nvars if spec.nvars is not None else weight.arity
@@ -285,9 +288,9 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
         return verify_basic_recurrence(weight, nvars, _require(spec, "bound"))
     if kind == "prop1":
         matrix, cert = _certified(spec)
-        return verify_partition_recurrence(
-            matrix, cert, _require(spec, "weight"), _require(spec, "bound")
-        )
+        weight, bound = _require(spec, "weight"), _require(spec, "bound")
+        _require_corner(matrix, cert, bound)
+        return verify_partition_recurrence(matrix, cert, weight, bound)
     if kind == "prop2":
         matrix, cert = _certified(spec)
         return verify_path_series(matrix, cert, _require(spec, "bound"))
@@ -309,13 +312,7 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
 
 
 def cmd_verify(kind: str, spec: ProblemSpec, as_json: bool) -> int:
-    try:
-        report = _run_verifier(kind, spec)
-    except (ValueError, RecurrencePreconditionError) as err:
-        if isinstance(err, ProblemError):
-            raise
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = _run_verifier(kind, spec)
     print(json.dumps(report.to_json_dict()) if as_json else report.to_text())
     return 0 if report.holds else 1
 
@@ -374,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "paths":
             return cmd_paths(spec, args.json)
         return cmd_verify(args.which, spec, args.json)
-    except ProblemError as err:
+    except ValueError as err:
+        # a ProblemError, or a library shape or precondition error on parsed input
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NotPointedError as err:

@@ -365,19 +365,23 @@ def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]
     Every weight must be a positive integer, which keeps the slice finite.
     Vectors come out in lexicographic order.
     """
+    return map(LatticeVector, _orthant(weights, budget))
+
+
+def _orthant(weights: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
+    """`iter_orthant` on plain int tuples, for the package's inner loops."""
     if any(w < 1 for w in weights):
         raise ValueError("weights must be positive")
-    k = len(weights)
-    coords = [0] * k
+    last = len(weights) - 1
 
-    def descend(j: int, remaining: int) -> Iterator[LatticeVector]:
-        if j == k:
-            yield LatticeVector(coords)
+    def descend(j: int, prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
+        w = weights[j]
+        if j == last:
+            for v in range(remaining // w + 1):
+                yield prefix + (v,)
             return
-        for v in range(remaining // weights[j] + 1):
-            coords[j] = v
-            yield from descend(j + 1, remaining - v * weights[j])
-        coords[j] = 0
+        for v in range(remaining // w + 1):
+            yield from descend(j + 1, prefix + (v,), remaining - v * w)
 
     if budget >= 0:
-        yield from descend(0, budget)
+        yield from descend(0, (), budget) if weights else [()]

@@ -1,17 +1,24 @@
 """Complete enumeration of nonnegative integer representations of a target.
 
-The cone certificate turns the search finite: the residual target's degree
-under the certified functional only ever shrinks, and each step costs at
-least one, so plain backtracking with a degree budget is exhaustive.
+One exact lattice kernel, `_echelon`, serves every count and the integer-span
+test.  The fiber {x >= 0 : A x = t} is scanned over the N - rank free
+multiplicities only; for each, the pivot multiplicities are the unique rational
+solution of the rest, kept when they are nonnegative integers.  The scan is
+complete: under the cone certificate every solution has total step degree
+degree(t), each step costing at least one, so its free part lies in the slice
+sum_f degree_f * x_f <= degree(t).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .cone import ConeCertificate, cone_contains
-from .core import LatticeVector, StepMatrix, WeightFunction, evaluate_weight, iter_orthant
+from .core import LatticeVector, StepMatrix, WeightFunction, _orthant, evaluate_weight
 
 
 @dataclass(frozen=True)
@@ -29,36 +36,102 @@ class SolutionSet:
         return iter(self.solutions)
 
 
+def _coordinates(basis, t: tuple[int, ...]) -> list[int] | None:
+    """Integer coordinates of ``t`` in an echelon basis, or None off its lattice."""
+    residual = list(t)
+    coords = []
+    for lead, col in basis:
+        q = residual[lead] // col[lead]  # any remainder stays: later columns are 0 here
+        if q:
+            residual = [a - q * b for a, b in zip(residual, col)]
+        coords.append(q)
+    return None if any(residual) else coords
+
+
+@lru_cache(maxsize=64)
+def _echelon(A: StepMatrix):
+    """The lattice kernel of ``A``: (basis, pivots, free, scale, solve, coupling).
+
+    Inserting the columns in order, with gcd column operations that keep the
+    lattice they generate, gives its column echelon ``basis`` as (lead row,
+    column) pairs with positive leads.  ``pivots`` are the columns that raised
+    the rank, ``free`` the others.  For a target with basis coordinates y, the
+    pivot multiplicities are (solve . y - coupling . x_free) / scale.
+    """
+    rows: dict[int, list[int]] = {}
+    pivots, free = [], []
+    for j, col in enumerate(A.columns):
+        v = list(col.coords)
+        for row in range(A.dim):
+            if v[row] == 0:
+                continue
+            b = rows.get(row)
+            if b is None:
+                rows[row] = v if v[row] > 0 else [-a for a in v]
+                pivots.append(j)
+                break
+            while v[row]:  # Euclid on the pair (b, v) in this row
+                q = b[row] // v[row]
+                b, v = v, [x - q * y for x, y in zip(b, v)]
+            rows[row] = b if b[row] > 0 else [-a for a in b]
+        else:
+            free.append(j)
+    basis = tuple((row, tuple(rows[row])) for row in sorted(rows))
+
+    # Gauss-Jordan on [T | I]; column i of T holds the basis coordinates of pivot i
+    r = len(pivots)
+    T = [_coordinates(basis, A.columns[p].coords) for p in pivots]
+    aug = [[Fraction(c[k]) for c in T] + [Fraction(i == k) for i in range(r)] for k in range(r)]
+    for c in range(r):
+        p = next(i for i in range(c, r) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [a / aug[c][c] for a in aug[c]]
+        for i in range(r):
+            if i != c and aug[i][c]:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
+    scale = math.lcm(*(a.denominator for row in aug for a in row[r:]))
+    solve = tuple(tuple(int(a * scale) for a in row[r:]) for row in aug)
+    free_coords = [_coordinates(basis, A.columns[f].coords) for f in free]
+    coupling = tuple(tuple(sum(map(mul, row, y)) for y in free_coords) for row in solve)
+    return basis, tuple(pivots), tuple(free), scale, solve, coupling
+
+
+def _fiber(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> list[tuple[int, ...]]:
+    """Every x >= 0 with column-combination x equal to ``target``, as sorted tuples."""
+    if target.dim != A.dim:
+        raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
+    basis, pivots, free, scale, solve, coupling = _echelon(A)
+    y = _coordinates(basis, target.coords)
+    if y is None:
+        return []
+    pivot_rows = [(p, sum(map(mul, row, y)), c) for p, row, c in zip(pivots, solve, coupling)]
+    found = []
+    x = [0] * A.nsteps
+    for xf in _orthant([cert.step_degrees[f] for f in free], cert.degree(target)):
+        for f, m in zip(free, xf):
+            x[f] = m
+        for p, value, c in pivot_rows:
+            m, rem = divmod(value - sum(map(mul, c, xf)), scale)
+            if rem or m < 0:
+                break
+            x[p] = m
+        else:
+            found.append(tuple(x))
+    found.sort()
+    return found
+
+
 def enumerate_solutions(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector
 ) -> SolutionSet:
     """Every x >= 0 with column-combination x equal to ``target``, in lex order."""
-    if target.dim != A.dim:
-        raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
-    found: list[LatticeVector] = []
-    coords = [0] * A.nsteps
-
-    def descend(j: int, residual: LatticeVector) -> None:
-        budget = cert.degree(residual)
-        if budget < 0:
-            return
-        if j == A.nsteps:
-            if residual.is_zero():
-                found.append(LatticeVector(coords))
-            return
-        step = A.columns[j]
-        for v in range(budget // cert.step_degrees[j] + 1):
-            coords[j] = v
-            descend(j + 1, residual - v * step)
-        coords[j] = 0
-
-    descend(0, target)
-    return SolutionSet(matrix=A, target=target, solutions=tuple(found))
+    solutions = tuple(LatticeVector(x) for x in _fiber(A, cert, target))
+    return SolutionSet(matrix=A, target=target, solutions=solutions)
 
 
 def vector_partition(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> int:
     """Number of nonnegative integer representations of ``target``."""
-    return len(enumerate_solutions(A, cert, target))
+    return len(_fiber(A, cert, target))
 
 
 def generalized_vp(
@@ -74,39 +147,10 @@ def generalized_vp(
 
 
 def integer_span_contains(A: StepMatrix, target: LatticeVector) -> bool:
-    """Whether ``target`` is an integer (possibly negative) column combination.
-
-    Triangularizes the columns by exact gcd elimination; column operations
-    preserve the generated lattice, after which membership is a greedy
-    divisibility check row by row.
-    """
+    """Whether ``target`` is an integer (possibly negative) column combination."""
     if target.dim != A.dim:
         raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
-    cols = [list(c.coords) for c in A.columns]
-    residual = list(target.coords)
-    active = list(range(len(cols)))
-    for row in range(A.dim):
-        live = [j for j in active if cols[j][row] != 0]
-        if not live:
-            if residual[row] != 0:
-                return False
-            continue
-        # gcd elimination in this row across the live columns
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(cols[j][row]))
-            small, other = live[0], live[1]
-            q = cols[other][row] // cols[small][row]
-            cols[other] = [a - q * b for a, b in zip(cols[other], cols[small])]
-            if cols[other][row] == 0:
-                live.pop(1)
-        pivot = live[0]
-        g = cols[pivot][row]
-        if residual[row] % g != 0:
-            return False
-        q = residual[row] // g
-        residual = [a - q * b for a, b in zip(residual, cols[pivot])]
-        active.remove(pivot)
-    return all(v == 0 for v in residual)
+    return _coordinates(_echelon(A)[0], target.coords) is not None
 
 
 def _weighted_sums(
@@ -119,11 +163,12 @@ def _weighted_sums(
     """
     if phi.arity is not None and phi.arity != A.nsteps:
         raise ValueError(f"weight arity {phi.arity} does not match {A.nsteps} steps")
-    sums: dict[LatticeVector, Fraction] = {}
-    for x in iter_orthant(cert.step_degrees, bound):
-        target = A.apply(x)
-        sums[target] = sums.get(target, Fraction(0)) + evaluate_weight(phi, x)
-    return sums
+    rows = list(zip(*(col.coords for col in A.columns)))
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for x in _orthant(cert.step_degrees, bound):
+        target = tuple(sum(map(mul, row, x)) for row in rows)
+        sums[target] = sums.get(target, 0) + evaluate_weight(phi, LatticeVector(x))
+    return {LatticeVector(t): v for t, v in sums.items()}
 
 
 def generalized_vp_table(

@@ -15,16 +15,18 @@ from typing import Sequence
 
 from .cone import ConeCertificate, certificate_from_functional
 from .core import (
+    ConstantOne,
     LatticeVector,
+    MultinomialMonomial,
     RuleWeight,
     StepMatrix,
     WeightFunction,
+    _orthant,
     evaluate_weight,
     exact,
-    iter_orthant,
     multinomial,
 )
-from .enumeration import generalized_vp, generalized_vp_table, vector_partition, _weighted_sums
+from .enumeration import generalized_vp_table, vector_partition, _weighted_sums
 from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial, weight_series
 
 
@@ -203,17 +205,25 @@ def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> Veri
         raise ValueError(f"weight arity {phi.arity} does not match nvars {nvars}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    ones = LatticeVector.ones(nvars)
-    units = [LatticeVector.unit(nvars, j) for j in range(1, nvars + 1)]
+
+    def value(x: tuple[int, ...], table: dict) -> Fraction:
+        if x not in table:
+            table[x] = evaluate_weight(phi, LatticeVector(x))
+        return table[x]
+
     mismatches = []
-    points = [ones + x for x in iter_orthant((1,) * nvars, bound - nvars)]
-    points.sort(key=lambda p: (sum(p.coords), p.coords))
+    points = [tuple(c + 1 for c in x) for x in _orthant((1,) * nvars, bound - nvars)]
+    points.sort(key=lambda p: (sum(p), p))
+    below, here, top = {}, {}, nvars  # weight values of degree top - 1 and top, each found once
     for x in points:
-        lhs = evaluate_weight(phi, x)
-        rhs = sum((evaluate_weight(phi, x - u) for u in units), Fraction(0))
+        if sum(x) > top:
+            below, here, top = here, {}, sum(x)
+        lhs = value(x, here)
+        lower = (x[:j] + (x[j] - 1,) + x[j + 1 :] for j in range(nvars))
+        rhs = sum((value(y, below) for y in lower), Fraction(0))
         if lhs != rhs:
-            mismatches.append((x, lhs, rhs))
-    window = f"x >= {ones}, total degree <= {bound}"
+            mismatches.append((LatticeVector(x), lhs, rhs))
+    window = f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
 
@@ -227,7 +237,8 @@ def verify_partition_recurrence(
     failure can never be mistaken for an identity violation.  The identity
     P(t) = sum_j P(t - step_j) is then checked for every target t in the
     image of the shifted orthant (the column sum plus the step semigroup)
-    with functional degree at most ``bound``.
+    with functional degree at most ``bound``; both sides read one table of
+    the weighted counts up to ``bound``.
     """
     precondition = verify_basic_recurrence(phi, A.nsteps, bound)
     if not precondition.holds:
@@ -235,14 +246,14 @@ def verify_partition_recurrence(
 
     corner = A.column_sum()
     base = cert.degree(corner)
-    targets: set[LatticeVector] = set()
-    if base <= bound:
-        for x in iter_orthant(cert.step_degrees, bound - base):
-            targets.add(corner + A.apply(x))
+    sums = _weighted_sums(A, cert, phi, bound)
+    # the window's targets are the corner plus every reachable target of degree <= bound - base
+    targets = [corner + t for t in sums if cert.degree(t) <= bound - base]
+    zero = Fraction(0)
     mismatches = []
     for t in sorted(targets, key=lambda t: (cert.degree(t), t.coords)):
-        lhs = generalized_vp(A, cert, t, phi)
-        rhs = sum((generalized_vp(A, cert, t - col, phi) for col in A.columns), Fraction(0))
+        lhs = sums.get(t, zero)
+        rhs = sum((sums.get(t - col, zero) for col in A.columns), zero)
         if lhs != rhs:
             mismatches.append((t, lhs, rhs))
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
@@ -308,7 +319,9 @@ def verify_cb_vector_partition(
     With coefficients summing to 1, the count of representations of ``mu``
     equals, over each dropped column j, the convolution of the plain counts
     of the sub-step-set with the counts weighted by the multinomial-monomial
-    weight of axis j.  All terms are evaluated by direct enumeration.
+    weight of axis j.  The left side reads one plain-count table of each
+    sub-step-set and one weighted table per axis; the right side enumerates
+    the representations of ``mu`` directly.
     """
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
@@ -318,24 +331,20 @@ def verify_cb_vector_partition(
     if mu.dim != A.dim:
         raise ValueError(f"mu has dimension {mu.dim}, matrix has {A.dim}")
 
-    from .core import MultinomialMonomial
-
     budget = cert.degree(mu)
-    lhs = Fraction(0)
+    lhs = zero = Fraction(0)
     for j in range(1, A.nsteps + 1):
-        phi_j = MultinomialMonomial(cs, axis=j)
+        weighted = _weighted_sums(A, cert, MultinomialMonomial(cs, axis=j), budget)
         if A.nsteps == 1:
             # dropping the only column leaves the empty step set, whose sole
             # representable target is the origin, once
-            lhs += generalized_vp(A, cert, mu, phi_j)
+            lhs += weighted.get(mu, zero)
             continue
         sub = A.drop_column(j)
         sub_cert = certificate_from_functional(sub, cert.functional)
-        nus = {sub.apply(y) for y in iter_orthant(sub_cert.step_degrees, budget)}
-        for nu in sorted(nus, key=lambda t: (cert.degree(t), t.coords)):
-            count = vector_partition(sub, sub_cert, nu)
-            if count:
-                lhs += count * generalized_vp(A, cert, mu - nu, phi_j)
+        counts = _weighted_sums(sub, sub_cert, ConstantOne(), budget)
+        for nu, count in counts.items():
+            lhs += count * weighted.get(mu - nu, zero)
     rhs = Fraction(vector_partition(A, cert, mu))
     window = f"mu = {mu}"
     mismatches = [] if lhs == rhs else [(mu, lhs, rhs)]

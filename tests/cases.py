@@ -25,6 +25,9 @@ DELANNOY = StepMatrix([(1, 0), (0, 1), (1, 1)])
 MIXED_SIGN = StepMatrix([(2, -1), (-1, 2)])
 TWO_ONES = StepMatrix([(1,), (1,)])
 GAPPED = StepMatrix([(2,), (3,)])
+R3 = StepMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+# rank 2 in three dimensions, with a repeated column
+REPEATED_3D = StepMatrix([(1, 0, 1), (0, 1, 1), (1, 0, 1)])
 
 
 def random_pointed_matrix(seed: int, dim: int = 2, nsteps: int = 4) -> StepMatrix:

@@ -114,3 +114,27 @@ def brute_force_positive_functional(A: StepMatrix, radius: int) -> LatticeVector
         if all(y.dot(col) >= 1 for col in A.columns):
             return y
     return None
+
+
+def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:
+    """Integer column combinations reachable from the origin by +-column moves
+    that never leave the box [-radius, radius]^dim.
+
+    Complete for every lattice point t with max(|t|, |columns|) <= m once
+    radius >= 2 * dim * m: by the Steinitz lemma (constant dim in any norm),
+    the moves of a representation, together with -t, can be ordered so that
+    every partial sum stays within dim * m of the origin, and rotating that
+    cycle to start at the origin at most doubles the distance.
+    """
+    moves = [c.coords for c in A.columns] + [tuple(-v for v in c.coords) for c in A.columns]
+    origin = (0,) * A.dim
+    seen = {origin}
+    frontier = [origin]
+    while frontier:
+        point = frontier.pop()
+        for move in moves:
+            nxt = tuple(a + b for a, b in zip(point, move))
+            if nxt not in seen and all(abs(v) <= radius for v in nxt):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen

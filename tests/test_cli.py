@@ -76,6 +76,27 @@ class TestCount:
         assert code == 1
         assert "not pointed" in err
 
+    @pytest.mark.parametrize(
+        "document,needle",
+        [
+            ({"matrix": [[1, 0], [0, 1]], "target": [1, 2, 3]}, "dimension"),
+            (
+                {
+                    "matrix": [[1, 0], [0, 1]],
+                    "target": [1, 2],
+                    "weight": {"kind": "table", "box": [1, 1, 1], "values": [1] * 8},
+                },
+                "arity",
+            ),
+        ],
+    )
+    def test_shape_errors_exit_two(self, document, needle):
+        code, out, err = run_cli(["count"], stdin_text=json.dumps(document))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+
 
 class TestSeries:
     def test_king_walk_listing(self):
@@ -101,6 +122,12 @@ class TestSeries:
         assert code == 0
         terms = json.loads(out)["terms"]
         assert {"exponent": [2, 2], "coefficient": "13/1"} in terms
+
+    def test_weight_arity_error_exits_two(self):
+        doc = {"matrix": [[1, 0], [0, 1]], "bound": 3, "weight": {"kind": "geometric", "q": [1, 2, 3]}}
+        code, out, err = run_cli(["series"], stdin_text=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "arity" in err
 
 
 class TestPaths:
@@ -154,6 +181,18 @@ class TestVerify:
         assert run_cli(["verify", "prop1"], stdin_text=doc)[0] == 0
         doc = json.dumps({"matrix": [[1, 0, 1], [0, 1, 1]], "bound": 4})
         assert run_cli(["verify", "prop2"], stdin_text=doc)[0] == 0
+
+    @pytest.mark.parametrize(
+        "which,extra", [("prop1", {}), ("thm1", {"c": [1, 1]})]
+    )
+    def test_empty_window_exits_two(self, which, extra):
+        # the column-sum corner (3, 3) has degree 6 > 4: the window compares nothing
+        doc = {"matrix": [[3, 0], [0, 3]], "weight": {"kind": "paths"}, "bound": 4, **extra}
+        code, out, err = run_cli(["verify", which], stdin_text=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "empty window" in err
+        doc["bound"] = 6
+        assert run_cli(["verify", which], stdin_text=json.dumps(doc))[0] == 0
 
     def test_precondition_failure_exits_two(self):
         doc = json.dumps(

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
@@ -44,7 +46,9 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_solutions(A, cert, LatticeVector((1,)))
 
-    @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES)
+    @pytest.mark.parametrize(
+        "matrix", cases.MAIN_MATRICES + [cases.GAPPED, cases.TWO_ONES, cases.REPEATED_3D]
+    )
     def test_matches_box_scan(self, matrix):
         A, cert = certified(matrix)
         spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
@@ -58,6 +62,14 @@ class TestEnumerate:
             seen += len(expected)
         assert seen > 0
 
+    def test_two_free_multiplicities(self):
+        A, cert = certified(StepMatrix(cases.REPEATED_3D.columns + ((1, 1, 2),)))
+        for x in _orthant_sample(A, cert, 4):
+            for offset in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
+                target = A.apply(x) + LatticeVector(offset)
+                expected = oracles.box_scan_solutions(A, cert, target)
+                assert list(enumerate_solutions(A, cert, target)) == expected
+
     @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES)
     def test_solution_count_bound(self, matrix):
         A, cert = certified(matrix)
@@ -70,9 +82,45 @@ class TestEnumerate:
             assert len(enumerate_solutions(A, cert, target)) <= limit
 
 
-def _candidate_targets(spans, bound):
-    import itertools
+@st.composite
+def _random_matrix(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    nsteps = draw(st.integers(3, 5))
+    return cases.random_pointed_matrix(draw(st.integers(0, 10**6)), dim, nsteps)
 
+
+@st.composite
+def _matrix_and_near_target(draw):
+    A = draw(_random_matrix())
+    x = draw(st.lists(st.integers(0, 1), min_size=A.nsteps, max_size=A.nsteps))
+    offset = draw(st.lists(st.integers(-1, 1), min_size=A.dim, max_size=A.dim))
+    return A, A.apply(LatticeVector(x)) + LatticeVector(offset)
+
+
+class TestFiberProperties:
+    @given(_matrix_and_near_target())
+    @settings(max_examples=60)
+    def test_enumeration_matches_box_scan(self, drawn):
+        A, target = drawn
+        cert = certify_pointed(A)
+        box = 1
+        for d in cert.step_degrees:
+            box *= max(cert.degree(target), 0) // d + 1
+        assume(box <= 5000)  # keeps the oracle's scan short
+        got = list(enumerate_solutions(A, cert, target))
+        assert got == oracles.box_scan_solutions(A, cert, target)
+        assert vector_partition(A, cert, target) == len(got)
+
+    @given(_random_matrix())
+    @settings(max_examples=20)
+    def test_integer_span_matches_combination_search(self, A):
+        # columns and targets lie in [-2, 2]^dim, so radius 2 * dim * 2 is complete
+        reachable = oracles.lattice_points_in_box(A, 4 * A.dim)
+        for t in itertools.product(range(-2, 3), repeat=A.dim):
+            assert integer_span_contains(A, LatticeVector(t)) == (t in reachable)
+
+
+def _candidate_targets(spans, bound):
     ranges = [range(-bound * s, bound * s + 1) for s in spans]
     for combo in itertools.product(*ranges):
         yield LatticeVector(combo)
@@ -208,3 +256,8 @@ class TestIntegerSpan:
         A = StepMatrix([(2,)])
         assert integer_span_contains(A, LatticeVector((-4,)))
         assert not integer_span_contains(A, LatticeVector((3,)))
+
+    def test_rank_deficient(self):
+        A = cases.REPEATED_3D  # the plane z = x + y, whole
+        assert integer_span_contains(A, LatticeVector((2, -5, -3)))
+        assert not integer_span_contains(A, LatticeVector((1, 1, 1)))

@@ -14,10 +14,12 @@ from vpart import (
     TableWeight,
     VerificationReport,
     Violation,
+    certificate_from_functional,
     certify_pointed,
     evaluate_weight,
     forward_difference_apply,
     generalized_vp,
+    iter_orthant,
     partition_series,
     shift_apply,
     vector_partition,
@@ -190,6 +192,65 @@ class TestPartitionRecurrence:
         with pytest.raises(RecurrencePreconditionError) as excinfo:
             verify_partition_recurrence(A, cert, ConstantOne(), 4)
         assert not excinfo.value.report.holds
+
+
+def _report(window, mismatches):
+    if not mismatches:
+        return VerificationReport(True, window, None, 0)
+    return VerificationReport(False, window, Violation(*mismatches[0]), len(mismatches))
+
+
+def per_target_partition_recurrence(A, cert, phi, bound):
+    """Proposition 1 with one generalized_vp call per target and per neighbour."""
+    corner = A.column_sum()
+    base = cert.degree(corner)
+    targets = {corner + A.apply(x) for x in iter_orthant(cert.step_degrees, bound - base)}
+    mismatches = []
+    for t in sorted(targets, key=lambda t: (cert.degree(t), t.coords)):
+        lhs = generalized_vp(A, cert, t, phi)
+        rhs = sum((generalized_vp(A, cert, t - col, phi) for col in A.columns), Fraction(0))
+        if lhs != rhs:
+            mismatches.append((t, lhs, rhs))
+    return _report(f"targets in column sum + step semigroup, functional degree <= {bound}", mismatches)
+
+
+def per_target_cb_vector_partition(A, cert, coeffs, mu):
+    """Proposition 3 with one count per sub-cone target and one weighted count per term."""
+    budget = cert.degree(mu)
+    lhs = Fraction(0)
+    for j in range(1, A.nsteps + 1):
+        phi_j = MultinomialMonomial(coeffs, axis=j)
+        sub = A.drop_column(j)
+        sub_cert = certificate_from_functional(sub, cert.functional)
+        for nu in {sub.apply(y) for y in iter_orthant(sub_cert.step_degrees, budget)}:
+            lhs += vector_partition(sub, sub_cert, nu) * generalized_vp(A, cert, mu - nu, phi_j)
+    rhs = Fraction(vector_partition(A, cert, mu))
+    return _report(f"mu = {mu}", [] if lhs == rhs else [(mu, lhs, rhs)])
+
+
+class TestTableRoutesMatchPerTargetRoutes:
+    @pytest.mark.parametrize("matrix,bound", [(cases.DELANNOY, 12), (cases.R3, 8)])
+    def test_partition_recurrence(self, matrix, bound):
+        A, cert = certified(matrix)
+        for b in range(1, bound + 1):
+            expected = per_target_partition_recurrence(A, cert, LatticePathCount(), b)
+            assert verify_partition_recurrence(A, cert, LatticePathCount(), b) == expected
+
+    @pytest.mark.parametrize(
+        "matrix,coeffs,mu",
+        [
+            (cases.DELANNOY, ("1/4", "1/4", "1/2"), (4, 3)),
+            (cases.DELANNOY, ("2", "-1/2", "-1/2"), (3, 5)),
+            (cases.R3, ("1/4", "1/4", "1/4", "1/4"), (3, 2, 2)),
+            (cases.R3, ("1/2", "-1/3", "1/3", "1/2"), (2, 3, 1)),
+            (cases.R3, ("1/4", "1/4", "1/4", "1/4"), (1, -1, 2)),
+        ],
+    )
+    def test_cb_vector_partition(self, matrix, coeffs, mu):
+        A, cert = certified(matrix)
+        cs = tuple(Fraction(c) for c in coeffs)
+        expected = per_target_cb_vector_partition(A, cert, cs, LatticeVector(mu))
+        assert verify_cb_vector_partition(A, cert, cs, LatticeVector(mu)) == expected
 
 
 class TestPathSeries:
