@@ -32,7 +32,6 @@ from .core import (
     LatticeVector,
     MultinomialMonomial,
     RuleWeight,
-    Scalar,
     StepMatrix,
     TableWeight,
     WeightFunction,
@@ -42,7 +41,6 @@ from .core import (
     multinomial,
 )
 from .enumeration import (
-    SolutionSet,
     enumerate_solutions,
     generalized_vp,
     generalized_vp_table,
@@ -54,7 +52,6 @@ from .identities import (
     VerificationReport,
     Violation,
     forward_difference_apply,
-    partition_series,
     shift_apply,
     verify_basic_recurrence,
     verify_cb_1d,
@@ -68,6 +65,7 @@ from .series import (
     TruncatedSeries,
     full_support_part,
     geometric_inverse,
+    partition_series,
     substitute_monomial,
     weight_series,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "NotPointedError",
     "RecurrencePreconditionError",
     "RuleWeight",
-    "Scalar",
-    "SolutionSet",
     "StepMatrix",
     "TableWeight",
     "TruncatedSeries",

@@ -30,7 +30,6 @@ from .core import (
 from .enumeration import generalized_vp, generalized_vp_table, vector_partition
 from .identities import (
     VerificationReport,
-    partition_series,
     verify_basic_recurrence,
     verify_cb_1d,
     verify_cb_multidim,
@@ -39,7 +38,7 @@ from .identities import (
     verify_path_series,
     verify_summation_identity,
 )
-from .series import geometric_inverse
+from .series import geometric_inverse, partition_series, ratio_text, render_terms
 
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
@@ -83,6 +82,12 @@ def _parse_int(value, where: str) -> int:
     return value
 
 
+def _parse_rational_list(value, where: str) -> list[Fraction]:
+    if not isinstance(value, list) or not value:
+        raise ProblemError(f"{where}: expected a nonempty array of rationals")
+    return [_parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _parse_int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ProblemError(f"{where}: expected a nonempty array of integers")
@@ -111,20 +116,10 @@ def _parse_weight(value, where: str) -> WeightFunction:
         if kind == "one":
             return ConstantOne()
         if kind == "geometric":
-            ratios = value.get("q")
-            if not isinstance(ratios, list) or not ratios:
-                raise ProblemError(f"{where}.q: expected a nonempty array of rationals")
-            return GeometricWeights(
-                [_parse_rational(v, f"{where}.q[{i}]") for i, v in enumerate(ratios)]
-            )
+            return GeometricWeights(_parse_rational_list(value.get("q"), f"{where}.q"))
         if kind == "monomial":
-            coeffs = value.get("c")
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ProblemError(f"{where}.c: expected a nonempty array of rationals")
-            axis = _parse_int(value.get("j"), f"{where}.j")
-            return MultinomialMonomial(
-                [_parse_rational(v, f"{where}.c[{i}]") for i, v in enumerate(coeffs)], axis
-            )
+            coeffs = _parse_rational_list(value.get("c"), f"{where}.c")
+            return MultinomialMonomial(coeffs, _parse_int(value.get("j"), f"{where}.j"))
         if kind == "paths":
             return LatticePathCount()
         if kind == "table":
@@ -156,10 +151,7 @@ def parse_problem(document) -> ProblemSpec:
     if "weight" in document:
         spec.weight = _parse_weight(document["weight"], "weight")
     if "c" in document:
-        raw = document["c"]
-        if not isinstance(raw, list) or not raw:
-            raise ProblemError("c: expected a nonempty array of rationals")
-        spec.coeffs = tuple(_parse_rational(v, f"c[{i}]") for i, v in enumerate(raw))
+        spec.coeffs = tuple(_parse_rational_list(document["c"], "c"))
     if "bound" in document:
         spec.bound = _parse_int(document["bound"], "bound")
         if spec.bound < 0:
@@ -185,13 +177,13 @@ def _certified(spec: ProblemSpec) -> tuple[StepMatrix, ConeCertificate]:
     return matrix, certify_pointed(matrix)
 
 
-def _series_json(series) -> dict:
-    return {
-        "terms": [
-            {"exponent": list(e.coords), "coefficient": f"{v.numerator}/{v.denominator}"}
-            for e, v in series.terms()
-        ]
-    }
+def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
+    """Print (vector, value) terms as the text listing, or as JSON objects under ``field``."""
+    terms = list(terms)
+    if as_json:
+        print(json.dumps({field: [{key: list(e.coords), value: ratio_text(v)} for e, v in terms]}))
+    elif terms:
+        print(render_terms(terms))
 
 
 def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
@@ -237,12 +229,7 @@ def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
         series = geometric_inverse(matrix, cert, bound)
     else:
         series = partition_series(matrix, cert, spec.weight, bound)
-    if as_json:
-        print(json.dumps(_series_json(series)))
-    else:
-        text = series.render()
-        if text:
-            print(text)
+    _print_terms(series.terms(), as_json, "terms", "exponent", "coefficient")
     return 0
 
 
@@ -251,16 +238,7 @@ def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     bound = _require(spec, "bound")
     weight = spec.weight if spec.weight is not None else LatticePathCount()
     table = generalized_vp_table(matrix, cert, weight, bound)
-    if as_json:
-        entries = [
-            {"target": list(t.coords), "value": f"{v.numerator}/{v.denominator}"}
-            for t, v in table.items()
-        ]
-        print(json.dumps({"entries": entries}))
-    else:
-        for t, v in table.items():
-            key = "(" + ",".join(str(c) for c in t.coords) + ")"
-            print(f"{key} : {v.numerator}/{v.denominator}")
+    _print_terms(table.items(), as_json, "entries", "target", "value")
     return 0
 
 

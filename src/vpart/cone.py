@@ -83,9 +83,7 @@ def certify_pointed(A: StepMatrix) -> ConeCertificate:
 
     if value > 0:
         witness = LatticeVector(_integerize(duals))
-        combo = LatticeVector.zero(n)
-        for mult, col in zip(witness.coords, A.columns):
-            combo = combo + mult * col
+        combo = A.apply(witness)
         if not (witness.is_nonnegative() and sum(witness.coords) > 0 and combo.is_zero()):
             raise RuntimeError("inconsistent infeasibility certificate")
         raise NotPointedError(witness)

@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
-
-Scalar = Fraction
 
 
 def exact(value: int | Fraction | str) -> Fraction:
@@ -171,10 +170,7 @@ class StepMatrix:
         return total
 
     def column_sum(self) -> LatticeVector:
-        total = self.columns[0]
-        for col in self.columns[1:]:
-            total = total + col
-        return total
+        return self.apply(LatticeVector.ones(self.nsteps))
 
     def drop_column(self, axis: int) -> "StepMatrix":
         """The submatrix without column ``axis`` (columns are numbered 1..nsteps)."""
@@ -350,6 +346,12 @@ class RuleWeight(WeightFunction):
         return f"RuleWeight(arity={self.arity})"
 
 
+def check_arity(phi: WeightFunction, nvars: int) -> None:
+    """Refuse a weight whose fixed arity is not ``nvars``."""
+    if phi.arity is not None and phi.arity != nvars:
+        raise ValueError(f"weight arity {phi.arity} does not match {nvars} variables")
+
+
 def evaluate_weight(phi: WeightFunction, x: LatticeVector) -> Fraction:
     """Exact value of ``phi`` at ``x``; zero when any coordinate is negative."""
     if phi.arity is not None and x.dim != phi.arity:
@@ -357,6 +359,21 @@ def evaluate_weight(phi: WeightFunction, x: LatticeVector) -> Fraction:
     if not x.is_nonnegative():
         return Fraction(0)
     return Fraction(phi._value(x))
+
+
+def graded(points: Iterable, grading: Iterable[int]) -> list:
+    """``points`` in graded-lex order: degree under ``grading`` first, then lex.
+
+    The one order behind every sorted listing in the package; points may be
+    lattice vectors or plain int tuples.
+    """
+    weights = tuple(grading)
+
+    def key(point) -> tuple[int, tuple[int, ...]]:
+        coords = tuple(point)
+        return sum(map(mul, weights, coords)), coords
+
+    return sorted(points, key=key)
 
 
 def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]:

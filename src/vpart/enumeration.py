@@ -12,28 +12,21 @@ sum_f degree_f * x_f <= degree(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from .cone import ConeCertificate, cone_contains
-from .core import LatticeVector, StepMatrix, WeightFunction, _orthant, evaluate_weight
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """All representations of ``target`` as nonnegative column combinations."""
-
-    matrix: StepMatrix
-    target: LatticeVector
-    solutions: tuple[LatticeVector, ...]
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
+from .core import (
+    LatticeVector,
+    StepMatrix,
+    WeightFunction,
+    _orthant,
+    check_arity,
+    evaluate_weight,
+    graded,
+)
 
 
 def _coordinates(basis, t: tuple[int, ...]) -> list[int] | None:
@@ -123,10 +116,9 @@ def _fiber(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> list[
 
 def enumerate_solutions(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector
-) -> SolutionSet:
+) -> tuple[LatticeVector, ...]:
     """Every x >= 0 with column-combination x equal to ``target``, in lex order."""
-    solutions = tuple(LatticeVector(x) for x in _fiber(A, cert, target))
-    return SolutionSet(matrix=A, target=target, solutions=solutions)
+    return tuple(LatticeVector(x) for x in _fiber(A, cert, target))
 
 
 def vector_partition(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> int:
@@ -138,8 +130,7 @@ def generalized_vp(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector, phi: WeightFunction
 ) -> Fraction:
     """Sum of ``phi`` over all representations of ``target``."""
-    if phi.arity is not None and phi.arity != A.nsteps:
-        raise ValueError(f"weight arity {phi.arity} does not match {A.nsteps} steps")
+    check_arity(phi, A.nsteps)
     total = Fraction(0)
     for x in enumerate_solutions(A, cert, target):
         total += evaluate_weight(phi, x)
@@ -161,8 +152,7 @@ def _weighted_sums(
     Complete because any representation of a target with degree at most
     ``bound`` itself has total step cost at most ``bound``.
     """
-    if phi.arity is not None and phi.arity != A.nsteps:
-        raise ValueError(f"weight arity {phi.arity} does not match {A.nsteps} steps")
+    check_arity(phi, A.nsteps)
     rows = list(zip(*(col.coords for col in A.columns)))
     sums: dict[tuple[int, ...], Fraction] = {}
     for x in _orthant(cert.step_degrees, bound):
@@ -188,23 +178,10 @@ def generalized_vp_table(
     # Any cone member of degree <= bound is a real nonnegative combination
     # with coefficient sum <= bound, which caps each coordinate.
     spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
-    ranges = [range(-bound * s, bound * s + 1) for s in spans]
-
-    def scan(i: int, partial: list[int]) -> None:
-        if i == A.dim:
-            candidate = LatticeVector(partial)
-            if candidate in table:
-                return
-            if not 0 <= cert.degree(candidate) <= bound:
-                return
-            if integer_span_contains(A, candidate) and cone_contains(A, candidate):
-                table[candidate] = Fraction(0)
-            return
-        for v in ranges[i]:
-            partial.append(v)
-            scan(i + 1, partial)
-            partial.pop()
-
-    scan(0, [])
-    ordered = sorted(table, key=lambda t: (cert.degree(t), t.coords))
-    return {t: table[t] for t in ordered}
+    for coords in product(*(range(-bound * s, bound * s + 1) for s in spans)):
+        candidate = LatticeVector(coords)
+        if candidate in table or not 0 <= cert.degree(candidate) <= bound:
+            continue
+        if integer_span_contains(A, candidate) and cone_contains(A, candidate):
+            table[candidate] = Fraction(0)
+    return {t: table[t] for t in graded(table, cert.functional)}

@@ -11,22 +11,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .cone import ConeCertificate, certificate_from_functional
 from .core import (
     ConstantOne,
+    LatticePathCount,
     LatticeVector,
     MultinomialMonomial,
     RuleWeight,
     StepMatrix,
     WeightFunction,
     _orthant,
+    check_arity,
     evaluate_weight,
     exact,
+    graded,
     multinomial,
 )
-from .enumeration import generalized_vp_table, vector_partition, _weighted_sums
+from .enumeration import _weighted_sums, generalized_vp_table, vector_partition
 from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial, weight_series
 
 
@@ -106,8 +110,7 @@ def shift_apply(phi: WeightFunction, mu: LatticeVector) -> WeightFunction:
     Arguments that land outside the nonnegative orthant weigh zero, following
     the convention applied by `evaluate_weight`.
     """
-    if phi.arity is not None and phi.arity != mu.dim:
-        raise ValueError(f"weight arity {phi.arity} does not match shift dimension {mu.dim}")
+    check_arity(phi, mu.dim)
     return RuleWeight(lambda x: evaluate_weight(phi, x + mu), arity=mu.dim)
 
 
@@ -122,8 +125,7 @@ def forward_difference_apply(
     """
     cs = tuple(exact(c) for c in coeffs)
     nvars = len(cs)
-    if phi.arity is not None and phi.arity != nvars:
-        raise ValueError(f"weight arity {phi.arity} does not match {nvars} coefficients")
+    check_arity(phi, nvars)
     ones = LatticeVector.ones(nvars)
     units = [LatticeVector.unit(nvars, j) for j in range(1, nvars + 1)]
 
@@ -135,14 +137,6 @@ def forward_difference_apply(
         return value
 
     return RuleWeight(rule, arity=nvars)
-
-
-def partition_series(
-    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> TruncatedSeries:
-    """Generating series of the phi-weighted counts over targets up to ``bound``."""
-    sums = _weighted_sums(A, cert, phi, bound)
-    return TruncatedSeries(A.dim, cert.functional, bound, {t: v for t, v in sums.items() if v})
 
 
 def verify_summation_identity(
@@ -199,10 +193,15 @@ def verify_summation_identity(
     return _report_from_mismatches(window, mismatches)
 
 
-def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
-    """Check phi(x) = sum_j phi(x - e_j) for all x >= (1,...,1), |x| <= bound."""
-    if phi.arity is not None and phi.arity != nvars:
-        raise ValueError(f"weight arity {phi.arity} does not match nvars {nvars}")
+def _recurrence_mismatches(
+    phi: WeightFunction, costs: Sequence[int], bound: int
+) -> list[tuple[LatticeVector, Fraction, Fraction]]:
+    """Failures of phi(x) = sum_j phi(x - e_j) on the x >= (1,...,1) with cost <= bound.
+
+    The cost of x is sum_j costs[j] * x[j]; points run in total-degree order.
+    """
+    nvars = len(costs)
+    check_arity(phi, nvars)
     if bound < 1:
         raise ValueError("bound must be at least 1")
 
@@ -212,10 +211,9 @@ def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> Veri
         return table[x]
 
     mismatches = []
-    points = [tuple(c + 1 for c in x) for x in _orthant((1,) * nvars, bound - nvars)]
-    points.sort(key=lambda p: (sum(p), p))
+    points = [tuple(c + 1 for c in x) for x in _orthant(costs, bound - sum(costs))]
     below, here, top = {}, {}, nvars  # weight values of degree top - 1 and top, each found once
-    for x in points:
+    for x in graded(points, (1,) * nvars):
         if sum(x) > top:
             below, here, top = here, {}, sum(x)
         lhs = value(x, here)
@@ -223,6 +221,12 @@ def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> Veri
         rhs = sum((value(y, below) for y in lower), Fraction(0))
         if lhs != rhs:
             mismatches.append((LatticeVector(x), lhs, rhs))
+    return mismatches
+
+
+def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
+    """Check phi(x) = sum_j phi(x - e_j) for all x >= (1,...,1), |x| <= bound."""
+    mismatches = _recurrence_mismatches(phi, (1,) * nvars, bound)
     window = f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
@@ -232,17 +236,19 @@ def verify_partition_recurrence(
 ) -> VerificationReport:
     """Check that the weighted counts inherit the step-difference equation.
 
-    Requires the weight itself to satisfy the basic recurrence on the needed
-    window; raises `RecurrencePreconditionError` otherwise, so a precondition
-    failure can never be mistaken for an identity violation.  The identity
-    P(t) = sum_j P(t - step_j) is then checked for every target t in the
-    image of the shifted orthant (the column sum plus the step semigroup)
-    with functional degree at most ``bound``; both sides read one table of
-    the weighted counts up to ``bound``.
+    Requires the weight itself to satisfy the basic recurrence on the window
+    the table reads, every x >= (1,...,1) whose image A x has functional
+    degree at most ``bound``; raises `RecurrencePreconditionError` otherwise,
+    so a precondition failure can never be mistaken for an identity
+    violation.  The identity P(t) = sum_j P(t - step_j) is then checked for
+    every target t in the image of the shifted orthant (the column sum plus
+    the step semigroup) with functional degree at most ``bound``; both sides
+    read one table of the weighted counts up to ``bound``.
     """
-    precondition = verify_basic_recurrence(phi, A.nsteps, bound)
-    if not precondition.holds:
-        raise RecurrencePreconditionError(precondition)
+    failures = _recurrence_mismatches(phi, cert.step_degrees, bound)
+    if failures:
+        window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
+        raise RecurrencePreconditionError(_report_from_mismatches(window, failures))
 
     corner = A.column_sum()
     base = cert.degree(corner)
@@ -251,7 +257,7 @@ def verify_partition_recurrence(
     targets = [corner + t for t in sums if cert.degree(t) <= bound - base]
     zero = Fraction(0)
     mismatches = []
-    for t in sorted(targets, key=lambda t: (cert.degree(t), t.coords)):
+    for t in graded(targets, cert.functional):
         lhs = sums.get(t, zero)
         rhs = sum((sums.get(t - col, zero) for col in A.columns), zero)
         if lhs != rhs:
@@ -263,18 +269,19 @@ def verify_partition_recurrence(
 def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[LatticeVector, int]:
     """Endpoint tally of every step walk from the origin, by brute force.
 
-    Enumerates the walks themselves (depth-first over step choices), so it
-    shares no logic with the graded recursion it is compared against.
+    Enumerates the walks themselves (depth-first over step choices, on an
+    explicit stack so long walks cannot exhaust the interpreter's recursion
+    limit), so it shares no logic with the graded recursion it is compared
+    against.
     """
     counts: dict[LatticeVector, int] = {}
-
-    def walk(position: LatticeVector, budget: int) -> None:
+    stack = [(LatticeVector.zero(A.dim), bound)]
+    while stack:
+        position, budget = stack.pop()
         counts[position] = counts.get(position, 0) + 1
         for col, d in zip(A.columns, cert.step_degrees):
             if d <= budget:
-                walk(position + col, budget - d)
-
-    walk(LatticeVector.zero(A.dim), bound)
+                stack.append((position + col, budget - d))
     return counts
 
 
@@ -286,17 +293,13 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     the graded inverse of 1 minus the step monomials (series route), and a
     brute-force tally of the walks themselves.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    from .core import LatticePathCount
-
     table = generalized_vp_table(A, cert, LatticePathCount(), bound)
     inverse = geometric_inverse(A, cert, bound)
     walks = _walk_counts(A, cert, bound)
 
     keys = set(table) | set(inverse.support()) | set(walks)
     mismatches = []
-    for t in sorted(keys, key=lambda t: (cert.degree(t), t.coords)):
+    for t in graded(keys, cert.functional):
         lhs = table.get(t, Fraction(0))
         rhs = inverse.coefficient(t)
         brute = Fraction(walks.get(t, 0))
@@ -319,9 +322,10 @@ def verify_cb_vector_partition(
     With coefficients summing to 1, the count of representations of ``mu``
     equals, over each dropped column j, the convolution of the plain counts
     of the sub-step-set with the counts weighted by the multinomial-monomial
-    weight of axis j.  The left side reads one plain-count table of each
-    sub-step-set and one weighted table per axis; the right side enumerates
-    the representations of ``mu`` directly.
+    weight of axis j.  That weight is c_j times multinomial(x) * c ** x, so
+    the left side reads one plain-count table of each sub-step-set and one
+    table of the shared weight, scaled by c_j; the right side enumerates the
+    representations of ``mu`` directly.
     """
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
@@ -332,19 +336,19 @@ def verify_cb_vector_partition(
         raise ValueError(f"mu has dimension {mu.dim}, matrix has {A.dim}")
 
     budget = cert.degree(mu)
+    shared = RuleWeight(lambda x: multinomial(x) * math.prod(map(pow, cs, x.coords)), A.nsteps)
+    weighted = _weighted_sums(A, cert, shared, budget)
     lhs = zero = Fraction(0)
-    for j in range(1, A.nsteps + 1):
-        weighted = _weighted_sums(A, cert, MultinomialMonomial(cs, axis=j), budget)
+    for j, c in enumerate(cs, start=1):
         if A.nsteps == 1:
             # dropping the only column leaves the empty step set, whose sole
             # representable target is the origin, once
-            lhs += weighted.get(mu, zero)
+            lhs += c * weighted.get(mu, zero)
             continue
         sub = A.drop_column(j)
         sub_cert = certificate_from_functional(sub, cert.functional)
         counts = _weighted_sums(sub, sub_cert, ConstantOne(), budget)
-        for nu, count in counts.items():
-            lhs += count * weighted.get(mu - nu, zero)
+        lhs += c * sum((count * weighted.get(mu - nu, zero) for nu, count in counts.items()), zero)
     rhs = Fraction(vector_partition(A, cert, mu))
     window = f"mu = {mu}"
     mismatches = [] if lhs == rhs else [(mu, lhs, rhs)]
@@ -368,26 +372,12 @@ def verify_cb_multidim(
     if not mu.is_nonnegative():
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
-    nvars = len(cs)
     total = Fraction(0)
-    for j in range(1, nvars + 1):
-        ranges = [range(0, m + 1) if k != j - 1 else range(0, 1) for k, m in enumerate(mu.coords)]
-
-        def accumulate(idx: int, nu: list[int]) -> Fraction:
-            if idx == nvars:
-                rest = mu - LatticeVector(nu)
-                term = Fraction(multinomial(rest))
-                for k, c in enumerate(cs):
-                    term *= c ** (rest.coords[k] + (1 if k == j - 1 else 0))
-                return term
-            subtotal = Fraction(0)
-            for v in ranges[idx]:
-                nu.append(v)
-                subtotal += accumulate(idx + 1, nu)
-                nu.pop()
-            return subtotal
-
-        total += accumulate(0, [])
+    for j in range(1, len(cs) + 1):
+        phi = MultinomialMonomial(cs, axis=j)
+        ranges = [range(m + 1) if k != j else (0,) for k, m in enumerate(mu.coords, start=1)]
+        for nu in product(*ranges):
+            total += evaluate_weight(phi, mu - LatticeVector(nu))
     window = f"mu = {mu}"
     mismatches = [] if total == 1 else [(mu, total, Fraction(1))]
     return _report_from_mismatches(window, mismatches)

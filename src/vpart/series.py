@@ -12,7 +12,6 @@ even on exponents with negative coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
@@ -20,10 +19,23 @@ from .core import (
     LatticeVector,
     StepMatrix,
     WeightFunction,
+    check_arity,
     evaluate_weight,
     exact,
+    graded,
     iter_orthant,
 )
+from .enumeration import _weighted_sums
+
+
+def ratio_text(value: Fraction) -> str:
+    """``value`` as 'num/den', the denominator written even when it is 1."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def render_terms(terms: Iterable[tuple[LatticeVector, Fraction]]) -> str:
+    """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term."""
+    return "\n".join(f"({','.join(map(str, e.coords))}) : {ratio_text(v)}" for e, v in terms)
 
 
 class TruncatedSeries:
@@ -110,7 +122,7 @@ class TruncatedSeries:
 
     def terms(self) -> Iterator[tuple[LatticeVector, Fraction]]:
         """Terms in graded-lex order: degree first, then lexicographic."""
-        for exp in sorted(self._coeffs, key=lambda e: (self.grading.dot(e), e.coords)):
+        for exp in graded(self._coeffs, self.grading):
             yield exp, self._coeffs[exp]
 
     def support(self) -> list[LatticeVector]:
@@ -171,10 +183,7 @@ class TruncatedSeries:
 
     def project(self, axis: int) -> "TruncatedSeries":
         """Set variable ``axis`` to zero: keep only terms with exponent 0 there."""
-        if not 1 <= axis <= self.nvars:
-            raise ValueError(f"axis {axis} out of range 1..{self.nvars}")
-        table = {e: v for e, v in self._coeffs.items() if e.coords[axis - 1] == 0}
-        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
+        return self.project_set((axis,))
 
     def project_set(self, axes: Iterable[int]) -> "TruncatedSeries":
         """Composition of projections; the empty set is the identity."""
@@ -194,11 +203,7 @@ class TruncatedSeries:
 
     def render(self) -> str:
         """Canonical listing: one '(e1,...,ek) : num/den' line per term."""
-        lines = []
-        for exp, value in self.terms():
-            key = "(" + ",".join(str(c) for c in exp.coords) + ")"
-            lines.append(f"{key} : {value.numerator}/{value.denominator}")
-        return "\n".join(lines)
+        return render_terms(self.terms())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -218,35 +223,21 @@ class TruncatedSeries:
         )
 
 
-def full_support_part(series: TruncatedSeries, method: str = "filter") -> TruncatedSeries:
+def full_support_part(series: TruncatedSeries) -> TruncatedSeries:
     """Sub-series of terms in which every variable genuinely appears.
 
-    Two interchangeable routes: ``filter`` keeps the exponents with no zero
-    coordinate directly, ``signed`` forms the alternating sum of projections
-    over all axis subsets.  On series supported in the nonnegative orthant the
-    result is exactly the part with exponents >= (1, ..., 1).
+    Keeps the exponents with no zero coordinate, which equals the alternating
+    sum of projections over all axis subsets.  On series supported in the
+    nonnegative orthant the result is exactly the part with exponents
+    >= (1, ..., 1).
     """
-    if method == "filter":
-        table = {
-            e: v
-            for e, v in series._coeffs.items()
-            if all(c != 0 for c in e.coords)
-        }
-        return TruncatedSeries._wrap(series.nvars, series.grading, series.bound, table)
-    if method == "signed":
-        total = TruncatedSeries.zero(series.nvars, series.grading, series.bound)
-        for size in range(series.nvars + 1):
-            for subset in combinations(range(1, series.nvars + 1), size):
-                piece = series.project_set(subset)
-                total = total + (piece if size % 2 == 0 else -piece)
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    table = {e: v for e, v in series._coeffs.items() if all(e.coords)}
+    return TruncatedSeries._wrap(series.nvars, series.grading, series.bound, table)
 
 
 def weight_series(phi: WeightFunction, nvars: int, bound: int) -> TruncatedSeries:
     """Generating series of ``phi`` truncated at total degree ``bound``."""
-    if phi.arity is not None and phi.arity != nvars:
-        raise ValueError(f"weight arity {phi.arity} does not match nvars {nvars}")
+    check_arity(phi, nvars)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     table: dict[LatticeVector, Fraction] = {}
@@ -255,6 +246,14 @@ def weight_series(phi: WeightFunction, nvars: int, bound: int) -> TruncatedSerie
         if value:
             table[x] = value
     return TruncatedSeries._wrap(nvars, LatticeVector.ones(nvars), bound, table)
+
+
+def partition_series(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> TruncatedSeries:
+    """Generating series of the phi-weighted counts over targets up to ``bound``."""
+    sums = _weighted_sums(A, cert, phi, bound)
+    return TruncatedSeries(A.dim, cert.functional, bound, {t: v for t, v in sums.items() if v})
 
 
 def substitute_monomial(
@@ -301,7 +300,7 @@ def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> Trunc
     reachable = {A.apply(x) for x in iter_orthant(cert.step_degrees, bound)}
     zero = LatticeVector.zero(A.dim)
     table: dict[LatticeVector, Fraction] = {zero: Fraction(1)}
-    for target in sorted(reachable, key=lambda t: (cert.degree(t), t.coords)):
+    for target in graded(reachable, cert.functional):
         if target == zero:
             continue
         total = Fraction(0)

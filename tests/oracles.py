@@ -1,8 +1,10 @@
 """Independent reference computations the library is checked against.
 
 Everything here is deliberately naive: box scans, permutation counting,
-forward depth-first walk enumeration, and textbook dynamic programming.
-None of it shares code with the implementations under test.
+forward depth-first walk enumeration, textbook dynamic programming, and
+inclusion-exclusion over series projections.  None of it shares code with the
+implementations under test beyond the series arithmetic and projections,
+which have tests of their own.
 """
 
 from __future__ import annotations
@@ -10,7 +12,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from vpart import ConeCertificate, LatticeVector, StepMatrix, WeightFunction, evaluate_weight
+from vpart import (
+    ConeCertificate,
+    LatticeVector,
+    StepMatrix,
+    TruncatedSeries,
+    WeightFunction,
+    evaluate_weight,
+)
 
 
 def box_scan_solutions(
@@ -138,3 +147,15 @@ def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def full_support_by_projections(series: TruncatedSeries) -> TruncatedSeries:
+    """The full-support part as the alternating sum of projections over all
+    axis subsets, the inclusion-exclusion form of dropping every term with a
+    zero exponent coordinate."""
+    total = TruncatedSeries.zero(series.nvars, series.grading, series.bound)
+    for size in range(series.nvars + 1):
+        for subset in itertools.combinations(range(1, series.nvars + 1), size):
+            piece = series.project_set(subset)
+            total = total + (piece if size % 2 == 0 else -piece)
+    return total

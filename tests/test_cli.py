@@ -182,6 +182,13 @@ class TestVerify:
         doc = json.dumps({"matrix": [[1, 0, 1], [0, 1, 1]], "bound": 4})
         assert run_cli(["verify", "prop2"], stdin_text=doc)[0] == 0
 
+    def test_prop2_long_walks(self):
+        # 1,200 unit steps: the walk tally must not recurse once per step
+        doc = json.dumps({"matrix": [[1]], "bound": 1200})
+        code, out, err = run_cli(["verify", "prop2"], stdin_text=doc)
+        assert code == 0 and out.startswith("holds: true")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "which,extra", [("prop1", {}), ("thm1", {"c": [1, 1]})]
     )

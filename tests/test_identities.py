@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,7 @@ from vpart import (
     LatticeVector,
     MultinomialMonomial,
     RecurrencePreconditionError,
+    RuleWeight,
     StepMatrix,
     TableWeight,
     VerificationReport,
@@ -20,6 +22,7 @@ from vpart import (
     forward_difference_apply,
     generalized_vp,
     iter_orthant,
+    multinomial,
     partition_series,
     shift_apply,
     vector_partition,
@@ -192,6 +195,22 @@ class TestPartitionRecurrence:
         with pytest.raises(RecurrencePreconditionError) as excinfo:
             verify_partition_recurrence(A, cert, ConstantOne(), 4)
         assert not excinfo.value.report.holds
+
+    def test_precondition_checked_only_where_the_table_reads(self):
+        # path counts up to step cost 6 and zero beyond: the basic recurrence
+        # fails at x = (1, 1, 3) (total degree 5, step cost 8), which no
+        # representation of a target of degree <= 6 uses
+        A, cert = certified(cases.DELANNOY)
+        assert cert.step_degrees == (1, 1, 2)
+
+        def truncated_paths(x):
+            return multinomial(x) if sum(map(mul, cert.step_degrees, x.coords)) <= 6 else 0
+
+        phi = RuleWeight(truncated_paths, arity=3)
+        assert not verify_basic_recurrence(phi, 3, 6).holds
+        report = verify_partition_recurrence(A, cert, phi, 6)
+        assert report.holds
+        assert report == verify_partition_recurrence(A, cert, LatticePathCount(), 6)
 
 
 def _report(window, mismatches):

@@ -145,7 +145,7 @@ class TestFullSupportPart:
     def test_series_without_one_variable_dies(self):
         s = weight_series(LatticePathCount(), 2, 4).project(2)
         assert full_support_part(s).is_zero()
-        assert full_support_part(s, method="signed").is_zero()
+        assert oracles.full_support_by_projections(s).is_zero()
 
     def test_fixed_point(self):
         s = xi(2, 3, (1, 1))
@@ -154,16 +154,12 @@ class TestFullSupportPart:
     @pytest.mark.parametrize("nvars", [1, 2, 3])
     def test_methods_agree(self, nvars):
         s = weight_series(cases.random_table_weight(11, nvars), nvars, 5)
-        assert full_support_part(s, "filter") == full_support_part(s, "signed")
+        assert full_support_part(s) == oracles.full_support_by_projections(s)
 
     @given(sparse_series(nvars=2, bound=4))
     @settings(max_examples=40)
     def test_methods_agree_on_random_series(self, s):
-        assert full_support_part(s, "filter") == full_support_part(s, "signed")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            full_support_part(one(1, 1), method="fast")
+        assert full_support_part(s) == oracles.full_support_by_projections(s)
 
 
 class TestWeightSeries:
@@ -287,7 +283,7 @@ class TestLemmas:
     def test_full_support_filter(self):
         phi = cases.random_table_weight(29, self.NVARS)
         s = weight_series(phi, self.NVARS, self.BOUND)
-        filtered = full_support_part(s, "signed")
+        filtered = oracles.full_support_by_projections(s)
         ones = LatticeVector.ones(self.NVARS)
         for x in iter_orthant((1,) * self.NVARS, self.BOUND):
             expected = s.coefficient(x) if x.dominates(ones) else Fraction(0)
@@ -301,7 +297,7 @@ class TestLemmas:
         for j in range(1, self.NVARS + 1):
             unit = LatticeVector.unit(self.NVARS, j)
             shifted = xi(self.NVARS, self.BOUND, unit) * s
-            lhs = full_support_part(shifted, "signed")
+            lhs = oracles.full_support_by_projections(shifted)
             # the same alternating sum skipping axis j must give the same thing
             others = [a for a in range(1, self.NVARS + 1) if a != j]
             partial = TruncatedSeries.zero(self.NVARS, ones, self.BOUND)
@@ -319,7 +315,7 @@ class TestLemmas:
     def test_annihilation_without_dependence(self):
         phi = cases.random_table_weight(37, self.NVARS)
         s = weight_series(phi, self.NVARS, self.BOUND).project(2)
-        assert full_support_part(s, "signed").is_zero()
+        assert oracles.full_support_by_projections(s).is_zero()
 
     def test_partial_fraction_split(self):
         # product form of the orthant series against its per-axis split
