@@ -1,11 +1,18 @@
-"""Pointedness certification through an exact rational phase-one simplex.
+"""Pointedness certificates and exact cone membership.
 
 A step set spans a pointed cone exactly when some integer linear functional
 is strictly positive on every column.  The functional doubles as a grading:
 it bounds every enumeration and truncation in the package, because each step
-then has degree at least one.  Feasibility of the defining inequalities is
-decided exactly over the rationals with Bland's smallest-index pivot rule,
-so the certificate returned for a fixed matrix never changes between runs.
+then has degree at least one.  `certify_pointed` decides the defining
+inequalities exactly over the rationals with a phase-one simplex and Bland's
+smallest-index pivot rule, so the certificate returned for a fixed matrix
+never changes between runs, and an infeasible system yields a witness that
+the cone contains a line.
+
+Membership in the real cone, pointed or not, reads the cone's integer
+H-representation, computed once per matrix: equalities cutting out the
+column span and one inequality per facet (double description, Motzkin et
+al. 1953).  A membership test is then a few integer dot products.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .core import LatticeVector, StepMatrix
@@ -93,21 +103,79 @@ def certify_pointed(A: StepMatrix) -> ConeCertificate:
     return certificate_from_functional(A, functional)
 
 
-def cone_contains(A: StepMatrix, target: LatticeVector) -> bool:
-    """Whether ``target`` lies in the real cone spanned by the columns of ``A``."""
-    if target.dim != A.dim:
-        raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
-    rows, rhs = [], []
-    for i in range(A.dim):
-        coeffs = [Fraction(col.coords[i]) for col in A.columns]
-        b = Fraction(target.coords[i])
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
-    value, _, _ = _phase1(rows, rhs)
-    return value == 0
+def cone_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) -> bool:
+    """Whether ``target`` lies in the real cone spanned by the columns of ``A``.
+
+    Works for any ``A``, pointed or not; ``target`` may be a lattice vector
+    or a plain int sequence.
+    """
+    t = tuple(target)
+    if len(t) != A.dim:
+        raise ValueError(f"target has dimension {len(t)}, matrix has {A.dim}")
+    equalities, inequalities = _facets(A)
+    return all(sum(map(mul, e, t)) == 0 for e in equalities) and all(
+        sum(map(mul, h, t)) >= 0 for h in inequalities
+    )
+
+
+@lru_cache(maxsize=64)
+def _facets(A: StepMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The cone's exact H-representation: (equalities, inequalities).
+
+    cone(A) is the set of t with e . t = 0 for every equality e and h . t >= 0
+    for every inequality h, all primitive integer vectors.  The equalities
+    span the orthogonal complement of the column span.  In a cone of rank r
+    every facet is spanned by r - 1 independent columns, so its normal inside
+    the span is the one such a subset of columns determines; each normal
+    with every column on one side is kept, turned towards that side.  The
+    kept normals are the facets plus possibly other valid inequalities, which
+    cut nothing off; a cone equal to its whole span keeps none.
+    """
+    columns = [col.coords for col in A.columns]
+    equalities = _nullspace(columns, A.dim)
+    rank = A.dim - len(equalities)
+    inequalities: list[tuple[int, ...]] = []
+    for subset in combinations(columns, rank - 1):
+        normal = _nullspace(list(subset) + equalities, A.dim)
+        if len(normal) != 1:
+            continue  # the subset is dependent
+        h = normal[0]
+        sides = [sum(map(mul, h, col)) for col in columns]
+        if all(s <= 0 for s in sides):
+            h = tuple(-v for v in h)
+        elif not all(s >= 0 for s in sides):
+            continue
+        if h not in inequalities:
+            inequalities.append(h)
+    return tuple(equalities), tuple(inequalities)
+
+
+def _nullspace(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """A basis of {h in Q^n : row . h = 0 for every row}, as primitive integer vectors."""
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    pending = [[Fraction(v) for v in row] for row in rows]
+    for c in range(n):  # Gauss-Jordan elimination to reduced row echelon form
+        p = next((i for i, row in enumerate(pending) if row[c]), None)
+        if p is None:
+            continue
+        lead = pending.pop(p)
+        lead = [v / lead[c] for v in lead]
+        pending = [[a - row[c] * b for a, b in zip(row, lead)] for row in pending]
+        reduced = [[a - row[c] * b for a, b in zip(row, lead)] for row in reduced]
+        reduced.append(lead)
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        h = [Fraction(int(c == f)) for c in range(n)]
+        for row, c in zip(reduced, pivots):
+            h[c] = -row[f]
+        ints = _integerize(h)
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
 
 
 def _integerize(values: Sequence[Fraction]) -> list[int]:

@@ -133,7 +133,7 @@ class StepMatrix:
     into the spanned cone and break every finiteness argument downstream.
     """
 
-    __slots__ = ("columns", "dim", "nsteps")
+    __slots__ = ("columns", "dim", "nsteps", "_hash")
 
     def __init__(self, columns: Iterable[LatticeVector | Sequence[int]]):
         cols = tuple(_as_vector(c) for c in columns)
@@ -148,6 +148,7 @@ class StepMatrix:
         self.columns = cols
         self.dim = dim
         self.nsteps = len(cols)
+        self._hash = hash(cols)  # the per-matrix kernel caches hash it on every call
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "StepMatrix":
@@ -184,7 +185,7 @@ class StepMatrix:
         return isinstance(other, StepMatrix) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"StepMatrix({[c.coords for c in self.columns]!r})"

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import Iterator, Sequence
 
 from .cone import ConeCertificate, cone_contains
 from .core import (
@@ -137,11 +138,27 @@ def generalized_vp(
     return total
 
 
-def integer_span_contains(A: StepMatrix, target: LatticeVector) -> bool:
-    """Whether ``target`` is an integer (possibly negative) column combination."""
-    if target.dim != A.dim:
-        raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
-    return _coordinates(_echelon(A)[0], target.coords) is not None
+def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) -> bool:
+    """Whether ``target`` is an integer (possibly negative) column combination.
+
+    ``target`` may be a lattice vector or a plain int sequence.
+    """
+    t = tuple(target)
+    if len(t) != A.dim:
+        raise ValueError(f"target has dimension {len(t)}, matrix has {A.dim}")
+    return _coordinates(_echelon(A)[0], t) is not None
+
+
+def orthant_images(
+    A: StepMatrix, cert: ConeCertificate, bound: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each multiplicity vector x >= 0 of step cost <= ``bound`` with its target A x.
+
+    Both come as plain int tuples, x in lexicographic order.
+    """
+    rows = list(zip(*(col.coords for col in A.columns)))
+    for x in _orthant(cert.step_degrees, bound):
+        yield x, tuple(sum(map(mul, row, x)) for row in rows)
 
 
 def _weighted_sums(
@@ -153,10 +170,8 @@ def _weighted_sums(
     ``bound`` itself has total step cost at most ``bound``.
     """
     check_arity(phi, A.nsteps)
-    rows = list(zip(*(col.coords for col in A.columns)))
     sums: dict[tuple[int, ...], Fraction] = {}
-    for x in _orthant(cert.step_degrees, bound):
-        target = tuple(sum(map(mul, row, x)) for row in rows)
+    for x, target in orthant_images(A, cert, bound):
         sums[target] = sums.get(target, 0) + evaluate_weight(phi, LatticeVector(x))
     return {LatticeVector(t): v for t, v in sums.items()}
 
@@ -174,14 +189,16 @@ def generalized_vp_table(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     table = _weighted_sums(A, cert, phi, bound)
+    known = {t.coords for t in table}
+    ell = cert.functional.coords
 
     # Any cone member of degree <= bound is a real nonnegative combination
-    # with coefficient sum <= bound, which caps each coordinate.
+    # with coefficient sum <= bound, which caps each coordinate.  The scan
+    # runs on int tuples; only the zero entries it keeps become vectors.
     spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
     for coords in product(*(range(-bound * s, bound * s + 1) for s in spans)):
-        candidate = LatticeVector(coords)
-        if candidate in table or not 0 <= cert.degree(candidate) <= bound:
+        if coords in known or not 0 <= sum(map(mul, ell, coords)) <= bound:
             continue
-        if integer_span_contains(A, candidate) and cone_contains(A, candidate):
-            table[candidate] = Fraction(0)
+        if integer_span_contains(A, coords) and cone_contains(A, coords):
+            table[LatticeVector(coords)] = Fraction(0)
     return {t: table[t] for t in graded(table, cert.functional)}

@@ -12,6 +12,7 @@ even on exponents with negative coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
@@ -25,7 +26,7 @@ from .core import (
     graded,
     iter_orthant,
 )
-from .enumeration import _weighted_sums
+from .enumeration import _weighted_sums, orthant_images
 
 
 def ratio_text(value: Fraction) -> str:
@@ -297,14 +298,14 @@ def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> Trunc
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    reachable = {A.apply(x) for x in iter_orthant(cert.step_degrees, bound)}
-    zero = LatticeVector.zero(A.dim)
-    table: dict[LatticeVector, Fraction] = {zero: Fraction(1)}
+    reachable = {t for _, t in orthant_images(A, cert, bound)}
+    steps = [col.coords for col in A.columns]
+    zero = (0,) * A.dim
+    table: dict[tuple[int, ...], int] = {zero: 1}
     for target in graded(reachable, cert.functional):
-        if target == zero:
-            continue
-        total = Fraction(0)
-        for col in A.columns:
-            total += table.get(target - col, Fraction(0))
-        table[target] = total
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
+        if target != zero:
+            table[target] = sum(
+                table.get(tuple(map(sub, target, step)), 0) for step in steps
+            )
+    coeffs = {LatticeVector(t): Fraction(v) for t, v in table.items()}
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, coeffs)

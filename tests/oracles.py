@@ -1,10 +1,11 @@
 """Independent reference computations the library is checked against.
 
 Everything here is deliberately naive: box scans, permutation counting,
-forward depth-first walk enumeration, textbook dynamic programming, and
-inclusion-exclusion over series projections.  None of it shares code with the
-implementations under test beyond the series arithmetic and projections,
-which have tests of their own.
+forward depth-first walk enumeration, textbook dynamic programming,
+inclusion-exclusion over series projections, and cone membership as one
+linear program per point.  None of it shares code with the implementations
+under test beyond the series arithmetic and projections, and the exact
+phase-one simplex of `certify_pointed`, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from vpart import (
     WeightFunction,
     evaluate_weight,
 )
+from vpart.cone import _phase1
 
 
 def box_scan_solutions(
@@ -123,6 +125,21 @@ def brute_force_positive_functional(A: StepMatrix, radius: int) -> LatticeVector
         if all(y.dot(col) >= 1 for col in A.columns):
             return y
     return None
+
+
+def cone_contains_by_simplex(A: StepMatrix, target) -> bool:
+    """Real cone membership as feasibility of {x >= 0 : A x = target}, decided
+    by one exact phase-one simplex per call (rows flipped to a nonnegative
+    right-hand side)."""
+    rows, rhs = [], []
+    for i, b in enumerate(tuple(target)):
+        coeffs = [Fraction(col.coords[i]) for col in A.columns]
+        if b < 0:
+            coeffs, b = [-v for v in coeffs], -b
+        rows.append(coeffs)
+        rhs.append(Fraction(b))
+    value, _, _ = _phase1(rows, rhs)
+    return value == 0
 
 
 def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:

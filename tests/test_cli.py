@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpart.cli import main
 
@@ -285,6 +287,96 @@ class TestDeterminism:
             first = run_cli(list(argv))
             second = run_cli(list(argv))
             assert first == second
+
+
+_small = st.integers(-2, 2)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.floats(-3, 3), st.text(max_size=3), st.lists(_small, max_size=4)
+)
+_rational = st.one_of(_small, st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def _vectors(length):
+    return st.lists(_small, min_size=length, max_size=length)
+
+
+def _weights(n):
+    """A well-formed weight document of arity ``n``."""
+    rationals = st.lists(_rational, min_size=n, max_size=n)
+    table = _vectors(n).map(lambda box: [abs(b) for b in box]).flatmap(
+        lambda box: st.fixed_dictionaries(
+            {
+                "kind": st.just("table"),
+                "box": st.just(box),
+                "values": _vectors(math.prod(b + 1 for b in box)),
+            }
+        )
+    )
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["one", "paths"])}),
+        st.fixed_dictionaries({"kind": st.just("geometric"), "q": rationals}),
+        st.fixed_dictionaries(
+            {"kind": st.just("monomial"), "c": rationals, "j": st.integers(1, n)}
+        ),
+        table,
+    )
+
+
+@st.composite
+def _documents(draw):
+    """A problem document with dimension <= 3, entries in [-2, 2] and bound <= 8,
+    with at most one fault: a field replaced by junk or by a wrong shape, a
+    field dropped, an unknown field, or the JSON text cut short."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    columns = draw(st.lists(_vectors(dim).filter(any), min_size=n, max_size=n))
+    doc = {
+        "matrix": [list(row) for row in zip(*columns)],
+        "bound": draw(st.integers(0, 8)),
+        "target": draw(_vectors(dim)),
+        "c": draw(st.lists(_rational, min_size=n, max_size=n)),
+    }
+    if draw(st.sampled_from([True, True, False])):
+        doc["weight"] = draw(_weights(n))
+    field = draw(st.sampled_from(sorted(doc)))
+    fault = draw(st.sampled_from(["none"] * 6 + ["junk", "shape", "drop", "unknown", "cut"]))
+    if fault == "junk":
+        doc[field] = draw(_junk)
+    elif fault == "shape":
+        other = draw(st.integers(1, 5))
+        doc[field] = draw(
+            st.one_of(
+                _vectors(other),
+                st.lists(_vectors(other), min_size=1, max_size=3),
+                _weights(other),
+                st.integers(-3, -1),
+            )
+        )
+    elif fault == "drop":
+        del doc[field]
+    elif fault == "unknown":
+        doc["extra"] = 1
+    text = json.dumps(doc)
+    if fault == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+_commands = st.sampled_from(
+    [["paths"], ["series"], ["count"], ["verify", "prop2"], ["verify", "thm1"]]
+)
+
+
+class TestFuzz:
+    @given(_commands, st.booleans(), _documents())
+    @settings(max_examples=300)
+    def test_exit_contract_holds_for_any_document(self, command, as_json, text):
+        argv = command + (["--json"] if as_json else [])
+        code, out, err = run_cli(argv, stdin_text=text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        # thm1 and prop2 are theorems, so exit 1 can only mean "not pointed",
+        # which like every refusal is reported on stderr
+        assert (code == 0) == (err == "")
 
 
 def test_module_entry_point():

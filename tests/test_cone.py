@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpart import (
     LatticeVector,
@@ -8,6 +11,7 @@ from vpart import (
     certify_pointed,
     cone_contains,
 )
+from vpart.cone import _facets
 
 import cases
 import oracles
@@ -116,3 +120,70 @@ class TestConeContains:
     def test_real_membership_ignores_integrality(self):
         # (1,0) is half of (2,0): in the real cone even though not in the semigroup
         assert cone_contains(StepMatrix([(2, 0), (0, 1)]), LatticeVector((1, 0)))
+
+
+def _agrees_with_simplex_on_box(matrix, radius):
+    for t in itertools.product(range(-radius, radius + 1), repeat=matrix.dim):
+        expected = oracles.cone_contains_by_simplex(matrix, t)
+        assert cone_contains(matrix, LatticeVector(t)) == expected, t
+
+
+LINE_2D = StepMatrix([(1, 2), (-1, -2)])
+WHOLE_PLANE = StepMatrix([(1, 0), (0, 1), (-1, -1)])
+HALF_PLANE = StepMatrix([(1, 0), (-1, 0), (0, 1)])
+
+
+class TestFacetsAgainstSimplex:
+    @given(
+        st.integers(0, 10**6), st.sampled_from((1, 2, 3)), st.integers(1, 5)
+    )
+    @settings(max_examples=40)
+    def test_random_pointed_cones(self, seed, dim, nsteps):
+        _agrees_with_simplex_on_box(cases.random_pointed_matrix(seed, dim, nsteps), 2)
+
+    @given(
+        st.sampled_from((1, 2, 3)).flatmap(
+            lambda dim: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=1, max_size=5
+            )
+        )
+    )
+    @settings(max_examples=40)
+    def test_random_cones_pointed_or_not(self, columns):
+        _agrees_with_simplex_on_box(StepMatrix(columns), 2)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [LINE_2D, WHOLE_PLANE, HALF_PLANE, cases.TWO_ONES, cases.GAPPED, cases.REPEATED_3D]
+        + cases.MAIN_MATRICES
+        + NOT_POINTED,
+    )
+    def test_fixtures(self, matrix):
+        _agrees_with_simplex_on_box(matrix, 3)
+
+    def test_h_representations(self):
+        # (equalities, inequalities) counts: the whole span has no facet
+        shapes = {
+            LINE_2D: (1, 0),
+            WHOLE_PLANE: (0, 0),
+            HALF_PLANE: (0, 1),
+            cases.REPEATED_3D: (1, 2),
+            cases.R3: (0, 3),
+            StepMatrix([(1,), (-1,)]): (0, 0),
+        }
+        for matrix, shape in shapes.items():
+            equalities, inequalities = _facets(matrix)
+            assert (len(equalities), len(inequalities)) == shape, matrix
+
+    def test_facets_computed_once_per_matrix(self):
+        matrix = StepMatrix([(3, 1), (1, 3), (2, 2)])
+        _facets.cache_clear()
+        for t in itertools.product(range(-4, 5), repeat=2):
+            cone_contains(matrix, t)
+        assert _facets.cache_info().misses == 1
+
+    def test_plain_tuple_target_and_dimension_check(self):
+        assert cone_contains(cases.MIXED_SIGN, (1, 1))
+        assert not cone_contains(cases.MIXED_SIGN, (1, -1))
+        with pytest.raises(ValueError):
+            cone_contains(cases.MIXED_SIGN, (1, 1, 1))

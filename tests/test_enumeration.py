@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
+    GeometricWeights,
     LatticePathCount,
     LatticeVector,
     StepMatrix,
@@ -15,6 +16,7 @@ from vpart import (
     generalized_vp,
     generalized_vp_table,
     integer_span_contains,
+    partition_series,
     vector_partition,
 )
 
@@ -242,6 +244,45 @@ class TestTable:
             assert value == oracles.box_scan_weighted(A, cert, target, phi)
 
 
+@st.composite
+def _table_problem(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    A = cases.random_pointed_matrix(draw(st.integers(0, 10**6)), dim, draw(st.integers(2, 4)))
+    ratio = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+    # positive everywhere on the orthant, so a target with a representation never sums to 0
+    phi = draw(
+        st.one_of(
+            st.just(ConstantOne()),
+            st.just(LatticePathCount()),
+            st.lists(ratio, min_size=A.nsteps, max_size=A.nsteps).map(GeometricWeights),
+        )
+    )
+    return A, phi, draw(st.integers(0, 4 if dim == 2 else 3))
+
+
+class TestTableMatchesSeries:
+    @given(_table_problem())
+    @settings(max_examples=30)
+    def test_table_against_series_and_simplex(self, drawn):
+        A, phi, bound = drawn
+        cert = certify_pointed(A)
+        table = generalized_vp_table(A, cert, phi, bound)
+        series = partition_series(A, cert, phi, bound)
+        assert [(t, v) for t, v in table.items() if v] == list(series.terms())
+        for t, v in table.items():
+            if not v:
+                assert integer_span_contains(A, t) and oracles.cone_contains_by_simplex(A, t)
+                assert oracles.box_scan_solutions(A, cert, t) == []
+        # complete: one step past the scan box, every lattice point of the cone
+        # in the degree window is a key
+        radius = bound * max(abs(v) for col in A.columns for v in col.coords) + 1
+        for t in itertools.product(range(-radius, radius + 1), repeat=A.dim):
+            point = LatticeVector(t)
+            if not 0 <= cert.degree(point) <= bound or not integer_span_contains(A, point):
+                continue
+            assert (point in table) == oracles.cone_contains_by_simplex(A, point), t
+
+
 class TestIntegerSpan:
     def test_full_lattice(self):
         assert integer_span_contains(cases.BASIS_2D, LatticeVector((-3, 7)))
@@ -261,3 +302,9 @@ class TestIntegerSpan:
         A = cases.REPEATED_3D  # the plane z = x + y, whole
         assert integer_span_contains(A, LatticeVector((2, -5, -3)))
         assert not integer_span_contains(A, LatticeVector((1, 1, 1)))
+
+    def test_plain_tuple_target_and_dimension_check(self):
+        assert integer_span_contains(cases.MIXED_SIGN, (3, 0))
+        assert not integer_span_contains(cases.MIXED_SIGN, (1, 0))
+        with pytest.raises(ValueError):
+            integer_span_contains(cases.MIXED_SIGN, (1, 1, 1))
