@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 from typing import Sequence
 
 from .cone import ConeCertificate, certificate_from_functional
@@ -126,15 +127,22 @@ def forward_difference_apply(
     cs = tuple(exact(c) for c in coeffs)
     nvars = len(cs)
     check_arity(phi, nvars)
-    ones = LatticeVector.ones(nvars)
-    units = [LatticeVector.unit(nvars, j) for j in range(1, nvars + 1)]
+    # each phi value is read by up to nvars + 1 points, so the returned weight
+    # keeps the values it has read
+    seen: dict[tuple[int, ...], Fraction] = {}
+
+    def value(y: tuple[int, ...]) -> Fraction:
+        if y not in seen:
+            seen[y] = evaluate_weight(phi, LatticeVector(y))
+        return seen[y]
 
     def rule(x: LatticeVector) -> Fraction:
-        value = evaluate_weight(phi, x + ones)
-        for c, unit in zip(cs, units):
+        top = tuple(a + 1 for a in x.coords)
+        result = value(top)
+        for j, c in enumerate(cs):
             if c:
-                value -= c * evaluate_weight(phi, x + ones - unit)
-        return value
+                result -= c * value(top[:j] + (top[j] - 1,) + top[j + 1 :])
+        return result
 
     return RuleWeight(rule, arity=nvars)
 
@@ -155,6 +163,12 @@ def verify_summation_identity(
     phi, attached at targets shifted by the sum of all steps (the image of
     the all-ones corner of the step orthant).  Both sides are compared
     coefficient by coefficient up to functional degree ``bound``.
+
+    The step-space series of the left side are graded by step cost,
+    sum_j step_degrees[j] * x[j], with the same ``bound``: that is exactly the
+    functional degree of the target A x, so the window holds every x that can
+    land on a compared target and nothing else, and the grading is positive,
+    so the product is exact on it.
     """
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
@@ -162,28 +176,20 @@ def verify_summation_identity(
     if bound < 1:
         raise ValueError("bound must be at least 1")
 
-    nvars = A.nsteps
-    phi_series = weight_series(phi, nvars, bound)
-    one_minus = TruncatedSeries.one(nvars, LatticeVector.ones(nvars), bound)
-    for j, c in enumerate(cs, start=1):
-        if c:
-            one_minus = one_minus - TruncatedSeries.monomial(
-                nvars, LatticeVector.ones(nvars), bound, LatticeVector.unit(nvars, j), c
-            )
-    lhs = substitute_monomial(full_support_part(one_minus * phi_series), A, cert, bound)
+    nvars, costs = A.nsteps, cert.step_degrees
+    one_minus = {LatticeVector.zero(nvars): Fraction(1)}
+    for j, (c, d) in enumerate(zip(cs, costs), start=1):
+        if d <= bound:  # a step of higher cost lies outside the window
+            one_minus[LatticeVector.unit(nvars, j)] = -c
+    one_minus_series = TruncatedSeries(nvars, LatticeVector(costs), bound, one_minus)
+    differenced = one_minus_series * weight_series(phi, nvars, bound, costs)
+    lhs = substitute_monomial(full_support_part(differenced), A, cert, bound)
 
     corner = A.column_sum()
-    base = cert.degree(corner)
-    rhs = TruncatedSeries.zero(A.dim, cert.functional, bound)
-    if base <= bound:
-        shifted = forward_difference_apply(phi, cs)
-        sums = _weighted_sums(A, cert, shifted, bound - base)
-        rhs = TruncatedSeries(
-            A.dim,
-            cert.functional,
-            bound,
-            {t + corner: v for t, v in sums.items() if v},
-        )
+    sums = _weighted_sums(A, cert, forward_difference_apply(phi, cs), bound - cert.degree(corner))
+    # each key t has degree in [0, bound - degree(corner)], so t + corner is in the window
+    shifted = {t + corner: v for t, v in sums.items()}
+    rhs = TruncatedSeries._wrap(A.dim, cert.functional, bound, shifted)
 
     window = f"functional degree <= {bound}"
     mismatches = [
@@ -267,22 +273,29 @@ def verify_partition_recurrence(
 
 
 def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[LatticeVector, int]:
-    """Endpoint tally of every step walk from the origin, by brute force.
+    """Endpoint tally of every step walk from the origin, layer by walk length.
 
-    Enumerates the walks themselves (depth-first over step choices, on an
-    explicit stack so long walks cannot exhaust the interpreter's recursion
-    limit), so it shares no logic with the graded recursion it is compared
-    against.
+    The walks of k + 1 steps are those of k steps extended by one column, so
+    each layer maps an endpoint to its number of walks of one length; a walk's
+    functional degree is the sum of its step degrees, so the layers end once
+    no extension stays within ``bound``.  Counting walks forward by length
+    shares no logic with the graded recursion it is compared against.
     """
-    counts: dict[LatticeVector, int] = {}
-    stack = [(LatticeVector.zero(A.dim), bound)]
-    while stack:
-        position, budget = stack.pop()
-        counts[position] = counts.get(position, 0) + 1
-        for col, d in zip(A.columns, cert.step_degrees):
-            if d <= budget:
-                stack.append((position + col, budget - d))
-    return counts
+    steps = [(col.coords, d) for col, d in zip(A.columns, cert.step_degrees)]
+    ell = cert.functional.coords
+    counts: dict[tuple[int, ...], int] = {}
+    layer = {(0,) * A.dim: 1}
+    while layer:
+        longer: dict[tuple[int, ...], int] = {}
+        for position, walks in layer.items():
+            counts[position] = counts.get(position, 0) + walks
+            room = bound - sum(map(mul, ell, position))
+            for col, d in steps:
+                if d <= room:
+                    end = tuple(map(add, position, col))
+                    longer[end] = longer.get(end, 0) + walks
+        layer = longer
+    return {LatticeVector(p): n for p, n in counts.items()}
 
 
 def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> VerificationReport:
@@ -291,7 +304,7 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     Three quantities must agree at every target with functional degree up to
     ``bound``: the path-count weighted partition sums (enumeration route),
     the graded inverse of 1 minus the step monomials (series route), and a
-    brute-force tally of the walks themselves.
+    tally of the walks themselves by walk length.
     """
     table = generalized_vp_table(A, cert, LatticePathCount(), bound)
     inverse = geometric_inverse(A, cert, bound)

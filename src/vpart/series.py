@@ -4,15 +4,17 @@ A series carries its own truncation window: a grading vector and a degree
 bound.  Every stored exponent has grading degree between 0 and the bound,
 which is what makes the Cauchy product exact on the window; tails that were
 cut away can only influence coefficients beyond it.  Series over the step
-variables use the all-ones grading (total degree); series over the target
-variables use the certified cone functional, whose degree can be positive
-even on exponents with negative coordinates.
+variables use a positive grading: total degree, or the step cost
+sum_j step_degrees[j] * x[j], which is exactly the functional degree of the
+target A x and so keeps only the terms a substitution can land in its window.
+Series over the target variables use the certified cone functional, whose
+degree can be positive even on exponents with negative coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
@@ -162,14 +164,21 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            table: dict[LatticeVector, Fraction] = {}
+            # the right terms by degree, so each left term of degree d pairs
+            # only with the layers 0 .. bound - d; exponents add as int tuples
+            weights = self.grading.coords
+            layers: list[list] = [[] for _ in range(self.bound + 1)]
+            for e, v in other._coeffs.items():
+                layers[sum(map(mul, weights, e.coords))].append((e.coords, v))
+            table: dict[tuple[int, ...], Fraction] = {}
             for e1, v1 in self._coeffs.items():
-                for e2, v2 in other._coeffs.items():
-                    e = e1 + e2
-                    if self.grading.dot(e) > self.bound:
-                        continue
-                    table[e] = table.get(e, Fraction(0)) + v1 * v2
-            return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
+                room = self.bound - sum(map(mul, weights, e1.coords))
+                for layer in layers[: room + 1]:
+                    for e2, v2 in layer:
+                        e = tuple(map(add, e1.coords, e2))
+                        table[e] = table.get(e, 0) + v1 * v2
+            product = {LatticeVector(e): v for e, v in table.items() if v}
+            return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, product)
         if isinstance(other, float):
             return NotImplemented
         scalar = Fraction(other)
@@ -236,25 +245,30 @@ def full_support_part(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._wrap(series.nvars, series.grading, series.bound, table)
 
 
-def weight_series(phi: WeightFunction, nvars: int, bound: int) -> TruncatedSeries:
-    """Generating series of ``phi`` truncated at total degree ``bound``."""
+def weight_series(
+    phi: WeightFunction, nvars: int, bound: int, grading: Sequence[int] | None = None
+) -> TruncatedSeries:
+    """Generating series of ``phi`` truncated at degree ``bound``.
+
+    The degree is taken under ``grading``, positive integers one per variable,
+    and defaults to total degree.
+    """
     check_arity(phi, nvars)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    table: dict[LatticeVector, Fraction] = {}
-    for x in iter_orthant((1,) * nvars, bound):
-        value = evaluate_weight(phi, x)
-        if value:
-            table[x] = value
-    return TruncatedSeries._wrap(nvars, LatticeVector.ones(nvars), bound, table)
+    weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
+    if weights.dim != nvars:
+        raise ValueError("grading dimension must equal nvars")
+    table = {x: evaluate_weight(phi, x) for x in iter_orthant(weights.coords, bound)}
+    return TruncatedSeries._wrap(nvars, weights, bound, table)
 
 
 def partition_series(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> TruncatedSeries:
     """Generating series of the phi-weighted counts over targets up to ``bound``."""
-    sums = _weighted_sums(A, cert, phi, bound)
-    return TruncatedSeries(A.dim, cert.functional, bound, {t: v for t, v in sums.items() if v})
+    # every key has degree equal to its step cost, in [0, bound] by construction
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, _weighted_sums(A, cert, phi, bound))
 
 
 def substitute_monomial(
@@ -262,30 +276,39 @@ def substitute_monomial(
 ) -> TruncatedSeries:
     """Replace each step variable by the monomial of its column.
 
-    A term with exponent x lands on the target A x.  The input must be graded
-    by total degree with a bound at least ``bound``: every step has functional
-    degree >= 1, so any x contributing below the output bound satisfies
-    |x| <= degree(A x) <= bound and is guaranteed to be present.
+    A term with exponent x lands on the target A x, whose functional degree
+    is the step cost sum_j step_degrees[j] * x[j]; terms landing above
+    ``bound`` are dropped.  The input may be graded by any g with
+    1 <= g[j] <= step_degrees[j] (total degree and the step cost itself are
+    the two extremes) and must have a bound at least ``bound``: then any x
+    contributing below the output bound satisfies g . x <= degree(A x) <= bound,
+    so it is guaranteed to be present.
     """
     if series.nvars != A.nsteps:
         raise ValueError(f"series has {series.nvars} variables, matrix has {A.nsteps} steps")
-    if series.grading != LatticeVector.ones(series.nvars):
-        raise ValueError("input series must be graded by total degree")
+    if not all(1 <= g <= d for g, d in zip(series.grading.coords, cert.step_degrees)):
+        raise ValueError(
+            f"input grading {series.grading} must lie between 1 and the step degrees "
+            f"{LatticeVector(cert.step_degrees)}"
+        )
     if series.bound < bound:
         raise ValueError(
             f"input bound {series.bound} is insufficient for output bound {bound}"
         )
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    table: dict[LatticeVector, Fraction] = {}
+    rows = list(zip(*(col.coords for col in A.columns)))
+    table: dict[tuple[int, ...], Fraction] = {}
     for x, value in series._coeffs.items():
         if not x.is_nonnegative():
             raise ValueError(f"exponent {x} is not a step multiplicity vector")
-        target = A.apply(x)
-        if cert.degree(target) > bound:
+        if sum(map(mul, cert.step_degrees, x.coords)) > bound:
             continue
-        table[target] = table.get(target, Fraction(0)) + value
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
+        target = tuple(sum(map(mul, row, x.coords)) for row in rows)
+        table[target] = table.get(target, 0) + value
+    return TruncatedSeries._wrap(
+        A.dim, cert.functional, bound, {LatticeVector(t): v for t, v in table.items()}
+    )
 
 
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:

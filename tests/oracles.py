@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: box scans, permutation counting,
 forward depth-first walk enumeration, textbook dynamic programming,
-inclusion-exclusion over series projections, and cone membership as one
-linear program per point.  None of it shares code with the implementations
-under test beyond the series arithmetic and projections, and the exact
-phase-one simplex of `certify_pointed`, which have tests of their own.
+inclusion-exclusion over series projections, series products over every
+pair of terms, and cone membership as one linear program per point.  None of
+it shares code with the implementations under test beyond the series
+arithmetic and projections, and the exact phase-one simplex of
+`certify_pointed`, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -16,10 +17,18 @@ from fractions import Fraction
 from vpart import (
     ConeCertificate,
     LatticeVector,
+    RuleWeight,
     StepMatrix,
     TruncatedSeries,
+    VerificationReport,
+    Violation,
     WeightFunction,
     evaluate_weight,
+    exact,
+    full_support_part,
+    partition_series,
+    substitute_monomial,
+    weight_series,
 )
 from vpart.cone import _phase1
 
@@ -176,3 +185,53 @@ def full_support_by_projections(series: TruncatedSeries) -> TruncatedSeries:
             piece = series.project_set(subset)
             total = total + (piece if size % 2 == 0 else -piece)
     return total
+
+
+def all_pairs_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The Cauchy product formed over every pair of terms, each pair past the
+    bound dropped after it is formed."""
+    table: dict[LatticeVector, Fraction] = {}
+    for e1, v1 in a.terms():
+        for e2, v2 in b.terms():
+            e = e1 + e2
+            if a.grading.dot(e) <= a.bound:
+                table[e] = table.get(e, Fraction(0)) + v1 * v2
+    return TruncatedSeries(a.nvars, a.grading, a.bound, table)
+
+
+def summation_identity_by_total_degree(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, coeffs, bound: int
+) -> VerificationReport:
+    """The summation identity's report by the total-degree route.
+
+    Left side: phi's series over |x| <= bound, times 1 - <coeffs, variables>
+    by `all_pairs_product`, its full-support part, then the substitution.
+    Right side: the weighted counts of the forward difference of phi, each of
+    its values read afresh from phi, shifted by the column sum.
+    """
+    cs = tuple(exact(c) for c in coeffs)
+    n = A.nsteps
+    ones = LatticeVector.ones(n)
+    one_minus = {LatticeVector.zero(n): 1}
+    one_minus.update({LatticeVector.unit(n, j): -c for j, c in enumerate(cs, start=1)})
+    product = all_pairs_product(
+        TruncatedSeries(n, ones, bound, one_minus), weight_series(phi, n, bound)
+    )
+    lhs = substitute_monomial(full_support_part(product), A, cert, bound)
+
+    def difference(x: LatticeVector) -> Fraction:
+        value = evaluate_weight(phi, x + ones)
+        for j, c in enumerate(cs, start=1):
+            value -= c * evaluate_weight(phi, x + ones - LatticeVector.unit(n, j))
+        return value
+
+    corner = A.column_sum()
+    rhs = TruncatedSeries.zero(A.dim, cert.functional, bound)
+    if cert.degree(corner) <= bound:
+        sums = partition_series(A, cert, RuleWeight(difference, n), bound - cert.degree(corner))
+        rhs = TruncatedSeries(A.dim, cert.functional, bound, {t + corner: v for t, v in sums.terms()})
+    mismatches = [
+        Violation(e, lhs.coefficient(e), rhs.coefficient(e)) for e, _ in (lhs - rhs).terms()
+    ]
+    first = mismatches[0] if mismatches else None
+    return VerificationReport(not mismatches, f"functional degree <= {bound}", first, len(mismatches))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
@@ -34,8 +35,10 @@ from vpart import (
     verify_path_series,
     verify_summation_identity,
 )
+from vpart.identities import _walk_counts
 
 import cases
+import oracles
 
 
 def certified(matrix):
@@ -145,6 +148,40 @@ class TestSummationIdentity:
             for coeffs in cases.coeff_vectors(A.nsteps):
                 report = verify_summation_identity(A, cert, phi, coeffs, 6)
                 assert report.holds, (matrix, phi, coeffs, report.to_text())
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.lists(
+            st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]), min_size=4, max_size=4
+        ),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=80)
+    def test_matches_the_total_degree_route(self, seed, dim, nsteps, kind, coeffs, bound):
+        # weights one, paths, geometric and a random table; zero and negative
+        # coefficients; small bounds put some step degrees above the bound
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = cases.weights_for(A, seed)[kind]
+        cs = coeffs[:nsteps]
+        report = verify_summation_identity(A, cert, phi, cs, bound)
+        assert report == oracles.summation_identity_by_total_degree(A, cert, phi, cs, bound)
+        assert report.holds
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8])
+    def test_step_degree_above_the_bound(self, bound):
+        # step degrees (1, 3): at bounds 1 and 2 the second step lies outside
+        # the window; the corner (4) enters it at bound 4
+        A, cert = certified(StepMatrix([(1,), (3,)]))
+        assert cert.step_degrees == (1, 3)
+        for phi in cases.weights_for(A):
+            for coeffs in cases.coeff_vectors(2):
+                report = verify_summation_identity(A, cert, phi, coeffs, bound)
+                assert report == oracles.summation_identity_by_total_degree(
+                    A, cert, phi, coeffs, bound
+                )
 
     def test_coefficient_count_checked(self):
         A, cert = certified(cases.BASIS_2D)
@@ -277,6 +314,23 @@ class TestPathSeries:
     def test_holds(self, matrix):
         A, cert = certified(matrix)
         assert verify_path_series(A, cert, 4).holds
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(0, 6))
+    @settings(max_examples=60)
+    def test_walk_tally_matches_walk_enumeration(self, seed, dim, nsteps, bound):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        assert _walk_counts(A, cert, bound) == oracles.walk_endpoint_counts(A, cert, bound)
+
+    def test_walk_tally_on_a_long_window(self):
+        # 65,918,161 walks end in this window; the tally never lists them
+        A, cert = certified(cases.DELANNOY)
+        assert cert.step_degrees == (1, 1, 2)
+        walks = _walk_counts(A, cert, 20)
+        assert set(walks) == {
+            LatticeVector((a, b)) for a in range(21) for b in range(21 - a)
+        }
+        for target, count in walks.items():
+            assert count == oracles.delannoy_number(*target.coords)
 
     def test_two_ones_doubling(self):
         A, cert = certified(cases.TWO_ONES)

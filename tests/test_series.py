@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,27 @@ def sparse_series(draw, nvars=2, bound=4):
     return TruncatedSeries.with_total_degree(nvars, bound, table)
 
 
+GRADINGS = [(1, 1, 1), (1, 2, 3), (3, 1, 2), (2, 2, 1)]
+
+
+@st.composite
+def graded_operands(draw):
+    """Two series sharing a grading drawn from GRADINGS and a bound, with
+    0-6 terms each; coordinates may be negative as long as the degree fits."""
+    grading = draw(st.sampled_from(GRADINGS))
+    bound = draw(st.integers(0, 7))
+
+    def operand():
+        table = {}
+        for _ in range(draw(st.integers(0, 6))):
+            exp = tuple(draw(st.integers(-2, bound)) for _ in grading)
+            if 0 <= sum(map(mul, grading, exp)) <= bound:
+                table[exp] = draw(rationals)
+        return TruncatedSeries(3, LatticeVector(grading), bound, table)
+
+    return operand(), operand()
+
+
 class TestConstruction:
     def test_window_enforced(self):
         with pytest.raises(ValueError):
@@ -92,6 +114,20 @@ class TestArithmetic:
             one(2, 2) + one(2, 3)
         with pytest.raises(ValueError):
             one(2, 2) * one(1, 2)
+
+    @given(graded_operands())
+    @settings(max_examples=150)
+    def test_product_matches_all_pairs(self, operands):
+        a, b = operands
+        assert a * b == oracles.all_pairs_product(a, b)
+
+    def test_product_with_empty_and_one_term_operands(self):
+        grading, bound = LatticeVector((1, 2, 3)), 6
+        empty = TruncatedSeries.zero(3, grading, bound)
+        single = TruncatedSeries.monomial(3, grading, bound, (1, 0, 1), Fraction(-2, 3))
+        full = weight_series(cases.random_table_weight(5, 3), 3, bound, grading)
+        for a, b in itertools.product([empty, single, full], repeat=2):
+            assert a * b == oracles.all_pairs_product(a, b)
 
     @given(sparse_series(), sparse_series(), sparse_series())
     @settings(max_examples=40)
@@ -184,6 +220,15 @@ class TestWeightSeries:
         with pytest.raises(ValueError):
             weight_series(GeometricWeights((1,)), 2, 3)
 
+    def test_graded_window(self):
+        s = weight_series(ConstantOne(), 2, 3, (1, 2))
+        window = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]
+        assert s == TruncatedSeries(2, LatticeVector((1, 2)), 3, dict.fromkeys(window, 1))
+        with pytest.raises(ValueError):
+            weight_series(ConstantOne(), 2, 3, (1, 2, 3))
+        with pytest.raises(ValueError):
+            weight_series(ConstantOne(), 2, 3, (1, 0))
+
 
 class TestSubstitution:
     def test_steps_merge(self):
@@ -215,6 +260,27 @@ class TestSubstitution:
         cert = certify_pointed(A)
         with pytest.raises(ValueError):
             substitute_monomial(one(2, 2), A, cert, 3)
+
+    @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES + [cases.GAPPED])
+    def test_any_grading_up_to_the_step_degrees(self, matrix):
+        # total degree, the step cost and a grading between them: one image
+        cert = certify_pointed(matrix)
+        phi = cases.random_table_weight(17, matrix.nsteps)
+        n, bound = matrix.nsteps, 6
+        middle = tuple(min(2, d) for d in cert.step_degrees)
+        images = [
+            substitute_monomial(weight_series(phi, n, bound, grading), matrix, cert, bound)
+            for grading in [(1,) * n, middle, cert.step_degrees]
+        ]
+        assert images[0] == images[1] == images[2]
+
+    @pytest.mark.parametrize("grading", [(0, 1), (1, 2), (2, 2)])
+    def test_grading_outside_the_step_degrees_rejected(self, grading):
+        A = cases.BASIS_2D
+        cert = certify_pointed(A)
+        assert cert.step_degrees == (1, 1)
+        with pytest.raises(ValueError, match="grading"):
+            substitute_monomial(TruncatedSeries.one(2, LatticeVector(grading), 3), A, cert, 3)
 
     @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES)
     def test_image_coefficients_are_weighted_counts(self, matrix):
