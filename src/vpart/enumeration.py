@@ -7,6 +7,19 @@ solution of the rest, kept when they are nonnegative integers.  The scan is
 complete: under the cone certificate every solution has total step degree
 degree(t), each step costing at least one, so its free part lies in the slice
 sum_f degree_f * x_f <= degree(t).
+
+Weighted tables over every target of degree <= bound have two routes.  The
+orthant route, `_weighted_sums`, adds phi(x) at A x for every x >= 0 of step
+cost <= bound: bound^N points for any weight.  The step recurrence,
+`_recurrence_sums`, serves the weights whose series factors over the steps:
+`ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j}), filled
+column by column) and `LatticePathCount` (1 / (1 - sum_j y^{a_j}), filled by
+the graded backward recursion), over the targets a forward closure over the
+steps reaches: bound^rank targets, at most N operations each.  The table and
+series commands take the recurrence.  The verifiers of Propositions 1 and 3,
+Theorem 1's right side and Proposition 2's table side stay on the orthant
+route, so that each keeps a side that shares no code with the recurrence it
+checks (for path counts the recurrence is Proposition 2's series side).
 """
 
 from __future__ import annotations
@@ -15,11 +28,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
-from typing import Iterator, Sequence
+from operator import add, mul, sub
+from typing import Sequence
 
 from .cone import ConeCertificate, cone_contains
 from .core import (
+    ConstantOne,
+    GeometricWeights,
+    LatticePathCount,
     LatticeVector,
     StepMatrix,
     WeightFunction,
@@ -149,31 +165,101 @@ def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) 
     return _coordinates(_echelon(A)[0], t) is not None
 
 
-def orthant_images(
-    A: StepMatrix, cert: ConeCertificate, bound: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each multiplicity vector x >= 0 of step cost <= ``bound`` with its target A x.
-
-    Both come as plain int tuples, x in lexicographic order.
-    """
-    rows = list(zip(*(col.coords for col in A.columns)))
-    for x in _orthant(cert.step_degrees, bound):
-        yield x, tuple(sum(map(mul, row, x)) for row in rows)
-
-
 def _weighted_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> dict[LatticeVector, Fraction]:
     """phi-weighted representation counts for every target of degree <= bound.
 
-    Complete because any representation of a target with degree at most
-    ``bound`` itself has total step cost at most ``bound``.
+    The orthant route: visits every x >= 0 of step cost <= ``bound`` and adds
+    phi(x) at A x.  Complete because any representation of a target with
+    degree at most ``bound`` itself has total step cost at most ``bound``.
     """
     check_arity(phi, A.nsteps)
+    rows = list(zip(*(col.coords for col in A.columns)))
     sums: dict[tuple[int, ...], Fraction] = {}
-    for x, target in orthant_images(A, cert, bound):
+    for x in _orthant(cert.step_degrees, bound):
+        target = tuple(sum(map(mul, row, x)) for row in rows)
         sums[target] = sums.get(target, 0) + evaluate_weight(phi, LatticeVector(x))
     return {LatticeVector(t): v for t, v in sums.items()}
+
+
+def _reachable(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[tuple[int, ...], int]:
+    """Every target of degree <= bound that has a representation, with its degree.
+
+    A forward closure over the steps: the targets of one degree, sorted, each
+    extend by every step into the higher degrees, so the keys come in graded
+    order.  The same set as the images of the orthant route, found in bound^rank
+    rather than bound^N work.
+    """
+    steps = [(col.coords, d) for col, d in zip(A.columns, cert.step_degrees)]
+    layers = {0: {(0,) * A.dim}} if bound >= 0 else {}
+    reach: dict[tuple[int, ...], int] = {}
+    while layers:  # at most max step degree layers are pending at once
+        degree = min(layers)
+        for t in sorted(layers.pop(degree)):
+            reach[t] = degree
+            for a, d in steps:
+                if degree + d <= bound:
+                    layers.setdefault(degree + d, set()).add(tuple(map(add, t, a)))
+    return reach
+
+
+def _column_products(reach, steps, mults) -> dict[tuple[int, ...], int]:
+    """Sum over the representations x of each target of prod_j mults[j] ** x_j.
+
+    The coefficients of prod_j 1 / (1 - mults[j] y^{a_j}), filled one column at
+    a time: adding column j maps the table of the earlier columns to
+    P(t) += mults[j] * P(t - a_j), in place and in graded order, so that
+    P(t - a_j) already counts column j.
+    """
+    table = dict.fromkeys(reach, 0)
+    if table:
+        table[next(iter(table))] = 1  # the origin, the only target of degree 0
+    for a, m in zip(steps, mults):
+        if m:
+            for t in table:
+                v = table.get(tuple(map(sub, t, a)))
+                if v:
+                    table[t] += m * v
+    return table
+
+
+def _backward_walks(reach, steps) -> dict[tuple[int, ...], int]:
+    """Number of step walks from the origin to each target: the coefficients of
+    1 / (1 - sum_j y^{a_j}), by G(t) = sum_j G(t - a_j) in graded order."""
+    table: dict[tuple[int, ...], int] = {}
+    for t in reach:  # the origin comes first, reached by the empty walk alone
+        table[t] = sum(table.get(tuple(map(sub, t, a)), 0) for a in steps) if table else 1
+    return table
+
+
+def _recurrence_sums(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> dict[LatticeVector, Fraction]:
+    """`_weighted_sums` by the step recurrence where phi's series factors over the steps.
+
+    For `ConstantOne` and `GeometricWeights` the series is
+    prod_j 1 / (1 - q_j y^{a_j}), for `LatticePathCount` it is
+    1 / (1 - sum_j y^{a_j}) (Proposition 2); either fills the table over the
+    reachable targets with at most N operations per target.  Every other weight
+    takes the orthant route.  Same keys as `_weighted_sums`, zero values included.
+    """
+    check_arity(phi, A.nsteps)
+    kind = type(phi)
+    if kind not in (ConstantOne, GeometricWeights, LatticePathCount):
+        return _weighted_sums(A, cert, phi, bound)
+    reach = _reachable(A, cert, bound)
+    steps = [col.coords for col in A.columns]
+    if kind is LatticePathCount:
+        return {LatticeVector(t): Fraction(v) for t, v in _backward_walks(reach, steps).items()}
+    # q_j = mults[j] / scale^deg_j, so the value at t is an integer over scale^deg(t)
+    ratios = phi.ratios if kind is GeometricWeights else (Fraction(1),) * A.nsteps
+    scale = math.lcm(*(q.denominator for q in ratios))
+    mults = [
+        q.numerator * scale**d // q.denominator for q, d in zip(ratios, cert.step_degrees)
+    ]
+    table = _column_products(reach, steps, mults)
+    return {LatticeVector(t): Fraction(v, scale ** reach[t]) for t, v in table.items()}
 
 
 def generalized_vp_table(
@@ -184,11 +270,15 @@ def generalized_vp_table(
     Keys run over the targets in the real cone that lie in the integer span
     of the columns and have functional degree between 0 and ``bound``;
     targets without any nonnegative representation appear with value 0.
-    Iteration order is graded lexicographic (degree first, then lex).
+    Iteration order is graded lexicographic (degree first, then lex).  The
+    counts come from the step recurrence for `ConstantOne`,
+    `GeometricWeights` and `LatticePathCount` and from the step orthant for
+    every other weight; `verify_path_series` reads its path-count table from
+    the orthant instead, to stay independent of the recurrence.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    table = _weighted_sums(A, cert, phi, bound)
+    table = _recurrence_sums(A, cert, phi, bound)
     known = {t.coords for t in table}
     ell = cert.functional.coords
 

@@ -31,7 +31,7 @@ from .core import (
     graded,
     multinomial,
 )
-from .enumeration import _weighted_sums, generalized_vp_table, vector_partition
+from .enumeration import _weighted_sums, vector_partition
 from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial, weight_series
 
 
@@ -169,25 +169,28 @@ def verify_summation_identity(
     functional degree of the target A x, so the window holds every x that can
     land on a compared target and nothing else, and the grading is positive,
     so the product is exact on it.
+
+    The right side sums the forward difference of phi, a rule weight, over
+    the step orthant.  Raises ValueError when the column-sum corner lies
+    above ``bound``: below it both sides vanish and nothing is compared.
     """
+    corner = A.column_sum()
+    base = cert.degree(corner)
+    _require_corner(base, bound)
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
         raise ValueError(f"expected {A.nsteps} coefficients, got {len(cs)}")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
 
     nvars, costs = A.nsteps, cert.step_degrees
     one_minus = {LatticeVector.zero(nvars): Fraction(1)}
-    for j, (c, d) in enumerate(zip(cs, costs), start=1):
-        if d <= bound:  # a step of higher cost lies outside the window
-            one_minus[LatticeVector.unit(nvars, j)] = -c
+    for j, c in enumerate(cs, start=1):  # each step costs at most the corner's degree
+        one_minus[LatticeVector.unit(nvars, j)] = -c
     one_minus_series = TruncatedSeries(nvars, LatticeVector(costs), bound, one_minus)
     differenced = one_minus_series * weight_series(phi, nvars, bound, costs)
     lhs = substitute_monomial(full_support_part(differenced), A, cert, bound)
 
-    corner = A.column_sum()
-    sums = _weighted_sums(A, cert, forward_difference_apply(phi, cs), bound - cert.degree(corner))
-    # each key t has degree in [0, bound - degree(corner)], so t + corner is in the window
+    sums = _weighted_sums(A, cert, forward_difference_apply(phi, cs), bound - base)
+    # each key t has degree in [0, bound - base], so t + corner is in the window
     shifted = {t + corner: v for t, v in sums.items()}
     rhs = TruncatedSeries._wrap(A.dim, cert.functional, bound, shifted)
 
@@ -197,6 +200,16 @@ def verify_summation_identity(
         for e, _ in (lhs - rhs).terms()
     ]
     return _report_from_mismatches(window, mismatches)
+
+
+def _require_corner(base: int, bound: int) -> None:
+    """Refuse a window wholly below the column-sum corner, of degree ``base``.
+
+    Both sides of thm1 and prop1 vanish below the corner, so such a window
+    would compare nothing and report a vacuous pass.
+    """
+    if base > bound:
+        raise ValueError(f"bound: empty window, the column sum has degree {base} > {bound}")
 
 
 def _recurrence_mismatches(
@@ -249,15 +262,19 @@ def verify_partition_recurrence(
     violation.  The identity P(t) = sum_j P(t - step_j) is then checked for
     every target t in the image of the shifted orthant (the column sum plus
     the step semigroup) with functional degree at most ``bound``; both sides
-    read one table of the weighted counts up to ``bound``.
+    read one table of the weighted counts up to ``bound``.  That table sums
+    phi over the step orthant, never the step recurrence, which for path
+    counts already is the identity under test.  Raises ValueError when the
+    column-sum corner lies above ``bound``, a window that compares nothing.
     """
+    corner = A.column_sum()
+    base = cert.degree(corner)
+    _require_corner(base, bound)
     failures = _recurrence_mismatches(phi, cert.step_degrees, bound)
     if failures:
         window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
         raise RecurrencePreconditionError(_report_from_mismatches(window, failures))
 
-    corner = A.column_sum()
-    base = cert.degree(corner)
     sums = _weighted_sums(A, cert, phi, bound)
     # the window's targets are the corner plus every reachable target of degree <= bound - base
     targets = [corner + t for t in sums if cert.degree(t) <= bound - base]
@@ -302,12 +319,16 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     """Check the closed form of the step-walk generating function.
 
     Three quantities must agree at every target with functional degree up to
-    ``bound``: the path-count weighted partition sums (enumeration route),
-    the graded inverse of 1 minus the step monomials (series route), and a
-    tally of the walks themselves by walk length.
+    ``bound``: the path-count weighted partition sums over the step orthant
+    (enumeration route), the graded inverse of 1 minus the step monomials
+    (series route, the step recurrence that `partition_series` also runs for
+    path counts), and a tally of the walks themselves by walk length.  The
+    table side stays on the orthant route so that it never shares code with
+    the inverse; targets no walk reaches are 0 on all three sides and are not
+    listed.
     """
-    table = generalized_vp_table(A, cert, LatticePathCount(), bound)
     inverse = geometric_inverse(A, cert, bound)
+    table = _weighted_sums(A, cert, LatticePathCount(), bound)
     walks = _walk_counts(A, cert, bound)
 
     keys = set(table) | set(inverse.support()) | set(walks)

@@ -9,16 +9,24 @@ sum_j step_degrees[j] * x[j], which is exactly the functional degree of the
 target A x and so keeps only the terms a substitution can land in its window.
 Series over the target variables use the certified cone functional, whose
 degree can be positive even on exponents with negative coordinates.
+
+`geometric_inverse` and `partition_series` with `ConstantOne`,
+`GeometricWeights` or `LatticePathCount` read their coefficients from the
+step recurrence of `enumeration`, where the paper's closed forms fill the
+window a few operations per target; `partition_series` with any other weight
+sums over the step orthant.  The verifiers of `identities` keep their
+orthant-route tables, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
 from .core import (
+    LatticePathCount,
     LatticeVector,
     StepMatrix,
     WeightFunction,
@@ -28,7 +36,7 @@ from .core import (
     graded,
     iter_orthant,
 )
-from .enumeration import _weighted_sums, orthant_images
+from .enumeration import _recurrence_sums
 
 
 def ratio_text(value: Fraction) -> str:
@@ -266,9 +274,18 @@ def weight_series(
 def partition_series(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> TruncatedSeries:
-    """Generating series of the phi-weighted counts over targets up to ``bound``."""
-    # every key has degree equal to its step cost, in [0, bound] by construction
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, _weighted_sums(A, cert, phi, bound))
+    """Generating series of the phi-weighted counts over targets up to ``bound``.
+
+    For `ConstantOne`, `GeometricWeights` and `LatticePathCount` the series has
+    a closed form over the steps, and the coefficients come from its step
+    recurrence, a few operations per target; every other weight sums phi over
+    the step orthant.  The verifiers read their tables from the orthant
+    (Propositions 1 and 3, Theorem 1's right side, Proposition 2's table
+    side), so that none compares the recurrence with itself.
+    """
+    # every key is a reachable target of degree in [0, bound]
+    table = _recurrence_sums(A, cert, phi, bound)
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
 
 
 def substitute_monomial(
@@ -314,21 +331,16 @@ def substitute_monomial(
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:
     """The series G with (1 - sum of step monomials) * G = 1 up to ``bound``.
 
-    Computed by graded recursion: the coefficient at a target is the sum of
-    the coefficients one step back, seeded with 1 at the origin.  Pointedness
-    well-orders the grading, so the recursion is well-founded; the result's
-    coefficient at a target is its number of distinct step walks from 0.
+    Computed by graded recursion over the targets a forward closure over the
+    steps reaches: the coefficient at a target is the sum of the coefficients
+    one step back, seeded with 1 at the origin.  Pointedness well-orders the
+    grading, so the recursion is well-founded; the result's coefficient at a
+    target is its number of distinct step walks from 0.  It is the
+    `LatticePathCount` table of `partition_series`, by the same recursion;
+    `verify_path_series` compares it with path counts summed over the step
+    orthant and with a walk tally, neither of which runs this recursion.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    reachable = {t for _, t in orthant_images(A, cert, bound)}
-    steps = [col.coords for col in A.columns]
-    zero = (0,) * A.dim
-    table: dict[tuple[int, ...], int] = {zero: 1}
-    for target in graded(reachable, cert.functional):
-        if target != zero:
-            table[target] = sum(
-                table.get(tuple(map(sub, target, step)), 0) for step in steps
-            )
-    coeffs = {LatticeVector(t): Fraction(v) for t, v in table.items()}
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, coeffs)
+    table = _recurrence_sums(A, cert, LatticePathCount(), bound)
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)

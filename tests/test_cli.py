@@ -13,6 +13,26 @@ from vpart.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "demos" / "problems"
+GOLDENS = REPO / "tests" / "goldens" / "cli"
+
+# the (command, problem) pairs whose output test_cli_goldens.py pins
+RUNS = [
+    (("pointed",), "basis_pointed"),
+    (("pointed",), "line_not_pointed"),
+    (("count",), "count_two_steps"),
+    (("count",), "weighted_count"),
+    (("count",), "basis_pointed"),
+    (("series",), "king_walk_series"),
+    (("paths",), "gapped_paths"),
+    (("verify", "thm1"), "summation_identity"),
+    (("verify", "cb"), "partition_of_unity"),
+    (("verify", "prop3"), "cone_partition_of_unity"),
+    (("verify", "rec"), "recurrence_failure"),
+]
+
+
+def golden_path(command, problem, mode) -> Path:
+    return GOLDENS / f"{problem}.{'-'.join(command + tuple(m.lstrip('-') for m in mode))}.out"
 
 
 def run_cli(argv, stdin_text=""):
@@ -224,6 +244,44 @@ class TestVerify:
         assert "nvars" in err
         doc = json.dumps({"weight": {"kind": "paths"}, "bound": 4, "nvars": 2})
         assert run_cli(["verify", "rec"], stdin_text=doc)[0] == 0
+
+
+def _json_placements(command, path):
+    """The argument list with --json put at every place after the command name."""
+    args = [*command, path]
+    return [args[:k] + ["--json"] + args[k:] for k in range(1, len(args) + 1)]
+
+
+class TestJsonFlagPlacement:
+    @pytest.mark.parametrize("command,problem", RUNS, ids=[f"{p}.{'-'.join(c)}" for c, p in RUNS])
+    def test_every_placement_gives_the_golden(self, command, problem):
+        golden = golden_path(command, problem, ("--json",)).read_text()
+        for argv in _json_placements(command, str(PROBLEMS / f"{problem}.json")):
+            code, out, err = run_cli(argv)
+            assert f"exit: {code}\n{out}" == golden, argv
+
+    def test_stdin_after_the_flag(self):
+        doc = (PROBLEMS / "summation_identity.json").read_text()
+        golden = golden_path(("verify", "thm1"), "summation_identity", ("--json",)).read_text()
+        for argv in (["verify", "thm1", "--json", "-"], ["verify", "thm1", "--json"]):
+            code, out, _ = run_cli(argv, stdin_text=doc)
+            assert f"exit: {code}\n{out}" == golden
+
+    @pytest.mark.parametrize(
+        "argv,leftover",
+        [
+            (["count", "a", "b"], "b"),
+            (["count", "--json", "a", "b"], "b"),
+            (["verify", "thm1", "a", "--json", "b"], "b"),
+            (["verify", "thm1", "--json", "a", "b"], "a b"),
+            (["verify", "thm1", "--json", "--bogus"], "--bogus"),
+            (["paths", "--bogus", "a"], "--bogus"),
+        ],
+    )
+    def test_usage_errors_exit_two(self, argv, leftover):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith(f"error: unrecognized arguments: {leftover}")
 
 
 class TestValidation:

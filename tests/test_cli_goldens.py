@@ -7,32 +7,11 @@ After an intended output change, rewrite the goldens with
     PYTHONPATH=src python tests/test_cli_goldens.py
 """
 
-from pathlib import Path
-
 import pytest
 
-from test_cli import PROBLEMS, run_cli
+from test_cli import GOLDENS, PROBLEMS, RUNS, golden_path, run_cli
 
-GOLDENS = Path(__file__).resolve().parent / "goldens" / "cli"
-
-RUNS = [
-    (("pointed",), "basis_pointed"),
-    (("pointed",), "line_not_pointed"),
-    (("count",), "count_two_steps"),
-    (("count",), "weighted_count"),
-    (("count",), "basis_pointed"),
-    (("series",), "king_walk_series"),
-    (("paths",), "gapped_paths"),
-    (("verify", "thm1"), "summation_identity"),
-    (("verify", "cb"), "partition_of_unity"),
-    (("verify", "prop3"), "cone_partition_of_unity"),
-    (("verify", "rec"), "recurrence_failure"),
-]
 CASES = [(command, problem, mode) for command, problem in RUNS for mode in ((), ("--json",))]
-
-
-def golden_path(command, problem, mode) -> Path:
-    return GOLDENS / f"{problem}.{'-'.join(command + tuple(m.lstrip('-') for m in mode))}.out"
 
 
 def render(command, problem, mode) -> str:

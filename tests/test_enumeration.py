@@ -19,6 +19,8 @@ from vpart import (
     partition_series,
     vector_partition,
 )
+from vpart.core import graded
+from vpart.enumeration import _reachable, _recurrence_sums, _weighted_sums
 
 import cases
 import oracles
@@ -281,6 +283,48 @@ class TestTableMatchesSeries:
             if not 0 <= cert.degree(point) <= bound or not integer_span_contains(A, point):
                 continue
             assert (point in table) == oracles.cone_contains_by_simplex(A, point), t
+
+
+class TestStepRecurrence:
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 7),
+        st.integers(0, 2),
+        st.lists(
+            st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3]), min_size=5, max_size=5
+        ),
+    )
+    @settings(max_examples=120)
+    def test_matches_the_orthant_route(self, seed, dim, nsteps, bound, kind, ratios):
+        # zero and negative ratios give zero values, which must stay listed
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = [ConstantOne(), LatticePathCount(), GeometricWeights(ratios[:nsteps])][kind]
+        orthant = _weighted_sums(A, cert, phi, bound)
+        table = _recurrence_sums(A, cert, phi, bound)
+        assert table == orthant
+        assert all(type(v) is Fraction for v in table.values())
+        reach = _reachable(A, cert, bound)
+        assert set(reach) == {t.coords for t in orthant}
+        assert list(reach) == graded(reach, cert.functional.coords)
+        assert all(d == cert.degree(LatticeVector(t)) for t, d in reach.items())
+
+    def test_other_weights_take_the_orthant_route(self):
+        A, cert = certified(cases.DELANNOY)
+        phi = cases.random_table_weight(5, A.nsteps)
+        assert _recurrence_sums(A, cert, phi, 5) == _weighted_sums(A, cert, phi, 5)
+
+    def test_negative_bound_is_empty(self):
+        A, cert = certified(cases.R3)
+        assert _reachable(A, cert, -1) == {}
+        assert _recurrence_sums(A, cert, ConstantOne(), -1) == {}
+        assert _recurrence_sums(A, cert, LatticePathCount(), -1) == {}
+
+    def test_arity_checked(self):
+        A, cert = certified(cases.DELANNOY)
+        with pytest.raises(ValueError):
+            _recurrence_sums(A, cert, GeometricWeights((1, 2)), 3)
 
 
 class TestIntegerSpan:

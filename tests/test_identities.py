@@ -22,6 +22,7 @@ from vpart import (
     evaluate_weight,
     forward_difference_apply,
     generalized_vp,
+    geometric_inverse,
     iter_orthant,
     multinomial,
     partition_series,
@@ -35,6 +36,7 @@ from vpart import (
     verify_path_series,
     verify_summation_identity,
 )
+from vpart import enumeration
 from vpart.identities import _walk_counts
 
 import cases
@@ -144,9 +146,11 @@ class TestSummationIdentity:
     @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES)
     def test_holds_on_the_grid(self, matrix):
         A, cert = certified(matrix)
+        # RANDOM_2X4's corner has degree 12: its window must reach past it
+        bound = max(6, cert.degree(A.column_sum()))
         for phi in cases.weights_for(A):
             for coeffs in cases.coeff_vectors(A.nsteps):
-                report = verify_summation_identity(A, cert, phi, coeffs, 6)
+                report = verify_summation_identity(A, cert, phi, coeffs, bound)
                 assert report.holds, (matrix, phi, coeffs, report.to_text())
 
     @given(
@@ -166,6 +170,11 @@ class TestSummationIdentity:
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = cases.weights_for(A, seed)[kind]
         cs = coeffs[:nsteps]
+        if cert.degree(A.column_sum()) > bound:
+            # both sides vanish below the corner: the window compares nothing
+            with pytest.raises(ValueError, match="empty window"):
+                verify_summation_identity(A, cert, phi, cs, bound)
+            return
         report = verify_summation_identity(A, cert, phi, cs, bound)
         assert report == oracles.summation_identity_by_total_degree(A, cert, phi, cs, bound)
         assert report.holds
@@ -173,11 +182,16 @@ class TestSummationIdentity:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8])
     def test_step_degree_above_the_bound(self, bound):
         # step degrees (1, 3): at bounds 1 and 2 the second step lies outside
-        # the window; the corner (4) enters it at bound 4
+        # the window, and below bound 4 so does the corner (4): those windows
+        # compare nothing and are refused
         A, cert = certified(StepMatrix([(1,), (3,)]))
         assert cert.step_degrees == (1, 3)
         for phi in cases.weights_for(A):
             for coeffs in cases.coeff_vectors(2):
+                if bound < 4:
+                    with pytest.raises(ValueError, match="empty window"):
+                        verify_summation_identity(A, cert, phi, coeffs, bound)
+                    continue
                 report = verify_summation_identity(A, cert, phi, coeffs, bound)
                 assert report == oracles.summation_identity_by_total_degree(
                     A, cert, phi, coeffs, bound
@@ -289,6 +303,10 @@ class TestTableRoutesMatchPerTargetRoutes:
     def test_partition_recurrence(self, matrix, bound):
         A, cert = certified(matrix)
         for b in range(1, bound + 1):
+            if cert.degree(A.column_sum()) > b:
+                with pytest.raises(ValueError, match="empty window"):
+                    verify_partition_recurrence(A, cert, LatticePathCount(), b)
+                continue
             expected = per_target_partition_recurrence(A, cert, LatticePathCount(), b)
             assert verify_partition_recurrence(A, cert, LatticePathCount(), b) == expected
 
@@ -331,6 +349,23 @@ class TestPathSeries:
         }
         for target, count in walks.items():
             assert count == oracles.delannoy_number(*target.coords)
+
+    def test_independent_of_the_step_recurrence(self, monkeypatch):
+        # one wrong coefficient in the walk recursion behind the series side
+        # must show: the table side sums path counts over the step orthant
+        A, cert = certified(cases.DELANNOY)
+        recursion = enumeration._backward_walks
+
+        def one_wrong(reach, steps):
+            table = recursion(reach, steps)
+            table[(1, 1)] += 1
+            return table
+
+        monkeypatch.setattr(enumeration, "_backward_walks", one_wrong)
+        assert geometric_inverse(A, cert, 4).coefficient((1, 1)) == 4
+        report = verify_path_series(A, cert, 4)
+        assert not report.holds
+        assert report.first_violation == Violation(LatticeVector((1, 1)), Fraction(3), Fraction(4))
 
     def test_two_ones_doubling(self):
         A, cert = certified(cases.TWO_ONES)
