@@ -4,13 +4,16 @@ Reads one JSON problem document (file argument or stdin), runs a single
 command, and writes deterministic plain text (or ``--json`` structured
 output) to stdout.  Diagnostics go to stderr.  Exit codes: 0 for success or
 a verified identity, 1 for a violated identity or a non-pointed step set,
-2 for unusable input.
+2 for unusable input.  A command whose work, estimated from the document
+alone before any work starts, exceeds `MAX_WORK` is refused as unusable
+input, so that no document runs for hours without output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -27,7 +30,13 @@ from .core import (
     TableWeight,
     WeightFunction,
 )
-from .enumeration import generalized_vp, generalized_vp_table, vector_partition
+from .enumeration import (
+    _echelon,
+    generalized_vp,
+    generalized_vp_table,
+    integer_span_contains,
+    vector_partition,
+)
 from .identities import (
     VerificationReport,
     verify_basic_recurrence,
@@ -43,6 +52,12 @@ from .series import geometric_inverse, partition_series, ratio_text, render_term
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+# The most work a command may start, in the units of its estimate: lattice
+# points, orthant points, or terms times their size.  Far above every
+# benchmark job (the largest estimate among them is about 10^4), and
+# reached by documents that would run for minutes to hours.
+MAX_WORK = 10**7
 
 
 class ProblemError(ValueError):
@@ -177,6 +192,29 @@ def _certified(spec: ProblemSpec) -> tuple[StepMatrix, ConeCertificate]:
     return matrix, certify_pointed(matrix)
 
 
+def _refuse_runaway(field: str, estimate: int) -> None:
+    """Refuse a command whose work estimate, read from ``field``, exceeds `MAX_WORK`."""
+    if estimate > MAX_WORK:
+        raise ProblemError(f"{field}: work estimate {estimate} exceeds the limit {MAX_WORK}")
+
+
+def _orthant_volume(weights, budget: int) -> int:
+    """Floor of the volume of {x >= 0 : sum_j weights[j] * x[j] <= budget}.
+
+    A lower bound on the lattice points of that set: rounding a point of it
+    down keeps it there, so the unit cubes at its lattice points cover it.
+    """
+    if budget < 0:
+        return 0
+    return budget ** len(weights) // (math.factorial(len(weights)) * math.prod(weights))
+
+
+def _slab_volume(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> int:
+    """A lower bound on the targets of degree <= ``bound``: the pivot columns
+    are independent, so their orthant maps to as many distinct targets."""
+    return _orthant_volume([cert.step_degrees[p] for p in _echelon(matrix)[1]], bound)
+
+
 def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
     """Print (vector, value) terms as the text listing, or as JSON objects under ``field``."""
     terms = list(terms)
@@ -214,6 +252,10 @@ def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
 def cmd_count(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     target = _require(spec, "target")
+    if target.dim == matrix.dim and integer_span_contains(matrix, target):
+        # the fiber scan runs over the free multiplicities of step cost <= degree(target)
+        free = [cert.step_degrees[f] for f in _echelon(matrix)[2]]
+        _refuse_runaway("target", _orthant_volume(free, cert.degree(target)))
     if spec.weight is None:
         value = Fraction(vector_partition(matrix, cert, target))
     else:
@@ -225,6 +267,7 @@ def cmd_count(spec: ProblemSpec, as_json: bool) -> int:
 def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
+    _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
     if spec.weight is None:
         series = geometric_inverse(matrix, cert, bound)
     else:
@@ -236,6 +279,7 @@ def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
 def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
+    _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
     weight = spec.weight if spec.weight is not None else LatticePathCount()
     table = generalized_vp_table(matrix, cert, weight, bound)
     _print_terms(table.items(), as_json, "entries", "target", "value")
@@ -247,6 +291,7 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
         matrix, cert = _certified(spec)
         weight, coeffs = _require(spec, "weight"), _require(spec, "c")
         bound = _require(spec, "bound")
+        _refuse_runaway("bound", _orthant_volume(cert.step_degrees, bound))
         return verify_summation_identity(matrix, cert, weight, coeffs, bound)
     if kind == "rec":
         weight = _require(spec, "weight")
@@ -255,27 +300,46 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
             nvars = spec.matrix.nsteps
         if nvars is None:
             raise ProblemError("missing required field 'nvars' (weight has no fixed arity)")
-        return verify_basic_recurrence(weight, nvars, _require(spec, "bound"))
+        bound = _require(spec, "bound")
+        # the window x >= 1, |x| <= bound has C(bound, nvars) points; C(bound, k)
+        # grows with k up to bound / 2, so k <= 32 keeps a cheap lower bound
+        k = min(nvars, bound - nvars, 32)
+        _refuse_runaway("bound", math.comb(bound, k) if k >= 0 else 0)
+        _refuse_runaway("nvars", nvars)  # the report names the corner (1, ..., 1)
+        return verify_basic_recurrence(weight, nvars, bound)
     if kind == "prop1":
         matrix, cert = _certified(spec)
         weight, bound = _require(spec, "weight"), _require(spec, "bound")
+        _refuse_runaway("bound", _orthant_volume(cert.step_degrees, bound))
         return verify_partition_recurrence(matrix, cert, weight, bound)
     if kind == "prop2":
         matrix, cert = _certified(spec)
-        return verify_path_series(matrix, cert, _require(spec, "bound"))
+        bound = _require(spec, "bound")
+        _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+        return verify_path_series(matrix, cert, bound)
     if kind == "prop3":
         matrix, cert = _certified(spec)
-        return verify_cb_vector_partition(
-            matrix, cert, _require(spec, "c"), _require(spec, "target")
-        )
+        coeffs, target = _require(spec, "c"), _require(spec, "target")
+        if target.dim == matrix.dim:
+            _refuse_runaway("target", _orthant_volume(cert.step_degrees, cert.degree(target)))
+        return verify_cb_vector_partition(matrix, cert, coeffs, target)
     if kind == "cb":
         target = _require(spec, "target")
-        return verify_cb_multidim(_require(spec, "c"), target)
+        coeffs = _require(spec, "c")
+        # axis j sums prod_{k != j} (mu_k + 1) terms, each a multinomial of at
+        # least mu_j items times c_j^(mu_j + 1): mu_j + 1 multiplications
+        box = math.prod(max(m + 1, 0) for m in target.coords)
+        _refuse_runaway("target", len(coeffs) * box)
+        return verify_cb_multidim(coeffs, target)
     if kind == "cb1d":
         coeffs = _require(spec, "c")
         target = _require(spec, "target")
         if len(coeffs) != 2 or target.dim != 2:
             raise ProblemError("cb1d needs exactly two coefficients and a two-part target")
+        # mu1 + mu2 + 2 terms, each adding a binomial of up to mu1 + mu2 bits
+        # into an exact sum: count the terms times those 30-bit digits
+        size = max(sum(target.coords), 0)
+        _refuse_runaway("target", (size + 2) * (1 + size // 30))
         return verify_cb_1d(coeffs[0], coeffs[1], target.coords[0], target.coords[1])
     raise ProblemError(f"unknown verifier {kind!r}")
 

@@ -12,7 +12,9 @@ the cone contains a line.
 Membership in the real cone, pointed or not, reads the cone's integer
 H-representation, computed once per matrix: equalities cutting out the
 column span and one inequality per facet (double description, Motzkin et
-al. 1953).  A membership test is then a few integer dot products.
+al. 1953).  A membership test is then a few integer dot products.  The same
+facets bound the count table's slab: `enumeration._slab` eliminates them into
+the integer ranges its walk runs over.
 """
 
 from __future__ import annotations

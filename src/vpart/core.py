@@ -241,10 +241,12 @@ class GeometricWeights(WeightFunction):
         self.arity = len(self.ratios)
 
     def _value(self, x: LatticeVector) -> Fraction:
-        value = Fraction(1)
+        # integer powers of the numerators and the denominators, one Fraction per value
+        num = den = 1
         for q, c in zip(self.ratios, x.coords):
-            value *= q**c
-        return value
+            num *= q.numerator**c
+            den *= q.denominator**c
+        return Fraction(num, den)
 
     def __repr__(self) -> str:
         return f"GeometricWeights({self.ratios!r})"

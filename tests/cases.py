@@ -28,6 +28,8 @@ GAPPED = StepMatrix([(2,), (3,)])
 R3 = StepMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 # rank 2 in three dimensions, with a repeated column
 REPEATED_3D = StepMatrix([(1, 0, 1), (0, 1, 1), (1, 0, 1)])
+# the index-2 sublattice of even coordinate sums, with one free column
+EVEN_3D = StepMatrix([(1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0)])
 
 
 def random_pointed_matrix(seed: int, dim: int = 2, nsteps: int = 4) -> StepMatrix:

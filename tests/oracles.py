@@ -1,18 +1,21 @@
 """Independent reference computations the library is checked against.
 
-Everything here is deliberately naive: box scans, permutation counting,
+Everything here is deliberately naive: box scans (of fibers and of the
+count table's slab), permutation counting,
 forward depth-first walk enumeration, textbook dynamic programming,
 inclusion-exclusion over series projections, series products over every
 pair of terms, and cone membership as one linear program per point.  None of
 it shares code with the implementations under test beyond the series
-arithmetic and projections, and the exact phase-one simplex of
-`certify_pointed`, which have tests of their own.
+arithmetic and projections, the exact phase-one simplex of
+`certify_pointed`, and the slab scans' span test, facet membership and
+orthant-route values, which have tests of their own.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from vpart import (
     ConeCertificate,
@@ -23,14 +26,18 @@ from vpart import (
     VerificationReport,
     Violation,
     WeightFunction,
+    cone_contains,
     evaluate_weight,
     exact,
     full_support_part,
+    integer_span_contains,
     partition_series,
     substitute_monomial,
     weight_series,
 )
 from vpart.cone import _phase1
+from vpart.core import graded
+from vpart.enumeration import _weighted_sums
 
 
 def box_scan_solutions(
@@ -56,6 +63,41 @@ def box_scan_weighted(
     for x in box_scan_solutions(A, cert, target):
         total += evaluate_weight(phi, x)
     return total
+
+
+def table_by_box_scan(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> dict[LatticeVector, Fraction]:
+    """The count table by the box scan: the orthant route's weighted sums,
+    plus a zero entry for every point of the box (2 * bound * span + 1)^dim
+    in the degree window that `integer_span_contains` and `cone_contains`
+    accept, in graded order.  Any cone point of degree <= bound is a real
+    nonnegative combination with coefficient sum <= bound, so the box holds
+    them all."""
+    table = _weighted_sums(A, cert, phi, bound)
+    ell = cert.functional.coords
+    spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
+    for coords in itertools.product(*(range(-bound * s, bound * s + 1) for s in spans)):
+        point = LatticeVector(coords)
+        if point in table or not 0 <= sum(map(mul, ell, coords)) <= bound:
+            continue
+        if integer_span_contains(A, coords) and cone_contains(A, coords):
+            table[point] = Fraction(0)
+    return {t: table[t] for t in graded(table, cert.functional)}
+
+
+def slab_points_by_simplex(A: StepMatrix, cert: ConeCertificate, bound: int) -> set[tuple[int, ...]]:
+    """Integer-span points t with 0 <= degree(t) <= bound in the cone, decided
+    by `cone_contains_by_simplex`, from a box one step wider than the slab."""
+    radius = bound * max(abs(v) for col in A.columns for v in col.coords) + 1
+    ell = cert.functional.coords
+    return {
+        t
+        for t in itertools.product(range(-radius, radius + 1), repeat=A.dim)
+        if 0 <= sum(map(mul, ell, t)) <= bound
+        and integer_span_contains(A, t)
+        and cone_contains_by_simplex(A, t)
+    }
 
 
 def orderings_count(x: LatticeVector) -> int:

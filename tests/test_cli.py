@@ -3,17 +3,24 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpart.cli import main
+from vpart import certify_pointed
+from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _slab_volume, main
+from vpart.core import _orthant
+from vpart.enumeration import _slab_points
+
+import cases
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "demos" / "problems"
 GOLDENS = REPO / "tests" / "goldens" / "cli"
+REFUSALS = REPO / "tests" / "refusals"  # named <command>[-<kind>].json
 
 # the (command, problem) pairs whose output test_cli_goldens.py pins
 RUNS = [
@@ -246,6 +253,82 @@ class TestVerify:
         assert run_cli(["verify", "rec"], stdin_text=doc)[0] == 0
 
 
+BASIS = [[1, 0], [0, 1]]
+PATHS = {"kind": "paths"}
+
+# (command, a document at the limit 20, the same one step past it); the
+# estimates: BASIS slab and step orthant b^2 / 2, the Delannoy fiber's free
+# orthant k for target (k, k), C(b, 2) and nvars for rec, 2 (mu1 + 1) (mu2 + 1)
+# for cb, (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
+AT_THE_LIMIT = [
+    (["paths"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
+    (["series"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
+    (["verify", "prop2"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
+    (["count"], {"matrix": [[1, 0, 1], [0, 1, 1]], "target": [20, 20]}, {"target": [21, 21]}),
+    (["verify", "thm1"], {"matrix": BASIS, "weight": PATHS, "c": [1, 1], "bound": 6}, {"bound": 7}),
+    (["verify", "prop1"], {"matrix": BASIS, "weight": PATHS, "bound": 6}, {"bound": 7}),
+    (["verify", "prop3"], {"matrix": BASIS, "c": ["1/2", "1/2"], "target": [3, 3]}, {"target": [3, 4]}),
+    (["verify", "rec"], {"weight": PATHS, "nvars": 2, "bound": 6}, {"bound": 7}),
+    (["verify", "rec"], {"weight": PATHS, "nvars": 20, "bound": 1}, {"nvars": 21}),
+    (["verify", "cb"], {"c": ["1/2", "1/2"], "target": [2, 2]}, {"target": [2, 3]}),
+    (["verify", "cb1d"], {"c": ["1/2", "1/2"], "target": [9, 9]}, {"target": [9, 10]}),
+]
+
+
+class TestRefusals:
+    def test_the_seven_documents(self):
+        names = sorted(path.stem for path in REFUSALS.glob("*.json"))
+        assert names == [
+            "count", "paths", "series", "verify-cb", "verify-cb1d", "verify-prop2", "verify-rec"
+        ]
+
+    @pytest.mark.parametrize("path", sorted(REFUSALS.glob("*.json")), ids=lambda p: p.stem)
+    def test_refused_at_once(self, path):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "vpart", *path.stem.split("-")],
+            input=path.read_text(encoding="utf-8"),
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            timeout=5,
+        )
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert "work estimate" in result.stderr and f"exceeds the limit {MAX_WORK}" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command,document,past",
+        AT_THE_LIMIT,
+        ids=["-".join(command + [*past]) for command, _, past in AT_THE_LIMIT],
+    )
+    def test_estimate_at_the_limit(self, monkeypatch, command, document, past):
+        monkeypatch.setattr("vpart.cli.MAX_WORK", 20)
+        assert run_cli(command, stdin_text=json.dumps(document))[0] == 0
+        code, out, err = run_cli(command, stdin_text=json.dumps({**document, **past}))
+        assert (code, out) == (2, "")
+        assert "exceeds the limit 20" in err
+
+    def test_rec_window_counted_from_either_end(self):
+        # C(41, 40) = 41 points, though C(41, 32) is far past the limit; and
+        # no points at all when nvars exceeds the bound
+        for nvars, bound in ((40, 41), (5, 3)):
+            doc = {"weight": PATHS, "nvars": nvars, "bound": bound}
+            assert run_cli(["verify", "rec"], stdin_text=json.dumps(doc))[0] == 0
+
+    @given(st.lists(st.integers(1, 4), max_size=3), st.integers(-2, 12))
+    def test_orthant_volume_is_a_lower_bound(self, weights, budget):
+        assert _orthant_volume(weights, budget) <= len(list(_orthant(weights, budget)))
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5), st.integers(0, 6))
+    @settings(max_examples=60)
+    def test_slab_volume_is_a_lower_bound(self, seed, dim, nsteps, bound):
+        A = cases.random_pointed_matrix(seed, dim, nsteps)
+        cert = certify_pointed(A)
+        assert _slab_volume(A, cert, bound) <= len(list(_slab_points(A, cert, bound)))
+
+
 def _json_placements(command, path):
     """The argument list with --json put at every place after the command name."""
     args = [*command, path]
@@ -352,10 +435,13 @@ _junk = st.one_of(
     st.none(), st.booleans(), st.floats(-3, 3), st.text(max_size=3), st.lists(_small, max_size=4)
 )
 _rational = st.one_of(_small, st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)))
+# far past the work limit wherever a command's work grows with it; values in
+# between are left out, as the limit lets them run for as long as it allows
+_large = st.one_of(st.integers(10**8, 10**9), st.integers(-(10**9), -(10**8)))
 
 
-def _vectors(length):
-    return st.lists(_small, min_size=length, max_size=length)
+def _vectors(length, entries=_small):
+    return st.lists(entries, min_size=length, max_size=length)
 
 
 def _weights(n):
@@ -382,15 +468,16 @@ def _weights(n):
 
 @st.composite
 def _documents(draw):
-    """A problem document with dimension <= 3, entries in [-2, 2] and bound <= 8,
-    with at most one fault: a field replaced by junk or by a wrong shape, a
-    field dropped, an unknown field, or the JSON text cut short."""
+    """A problem document with dimension <= 3, matrix entries in [-2, 2], bound
+    and target entries up to 10^9 in size, with at most one fault: a field
+    replaced by junk or by a wrong shape, a field dropped, an unknown field,
+    or the JSON text cut short."""
     dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     columns = draw(st.lists(_vectors(dim).filter(any), min_size=n, max_size=n))
     doc = {
         "matrix": [list(row) for row in zip(*columns)],
-        "bound": draw(st.integers(0, 8)),
-        "target": draw(_vectors(dim)),
+        "bound": draw(st.one_of(st.integers(0, 8), st.integers(10**8, 10**9))),
+        "target": draw(_vectors(dim, st.one_of(_small, _large))),
         "c": draw(st.lists(_rational, min_size=n, max_size=n)),
     }
     if draw(st.sampled_from([True, True, False])):
@@ -420,21 +507,25 @@ def _documents(draw):
 
 
 _commands = st.sampled_from(
-    [["paths"], ["series"], ["count"], ["verify", "prop2"], ["verify", "thm1"]]
+    [["paths"], ["series"], ["count"]] + [["verify", kind] for kind in VERIFY_KINDS]
 )
 
 
 class TestFuzz:
     @given(_commands, st.booleans(), _documents())
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     def test_exit_contract_holds_for_any_document(self, command, as_json, text):
         argv = command + (["--json"] if as_json else [])
         code, out, err = run_cli(argv, stdin_text=text)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
-        # thm1 and prop2 are theorems, so exit 1 can only mean "not pointed",
-        # which like every refusal is reported on stderr
-        assert (code == 0) == (err == "")
+        # every verifier but rec checks a theorem, so there exit 1 can only mean
+        # "not pointed", which like every refusal is reported on stderr; rec
+        # reports a weight that fails its recurrence on stdout
+        if code == 1 and not err:
+            assert command == ["verify", "rec"] and "false" in out
+        else:
+            assert (code == 0) == (err == "")
 
 
 def test_module_entry_point():

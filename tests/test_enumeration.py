@@ -19,8 +19,9 @@ from vpart import (
     partition_series,
     vector_partition,
 )
+import vpart
 from vpart.core import graded
-from vpart.enumeration import _reachable, _recurrence_sums, _weighted_sums
+from vpart.enumeration import _reachable, _recurrence_sums, _slab, _slab_points, _weighted_sums
 
 import cases
 import oracles
@@ -325,6 +326,81 @@ class TestStepRecurrence:
         A, cert = certified(cases.DELANNOY)
         with pytest.raises(ValueError):
             _recurrence_sums(A, cert, GeometricWeights((1, 2)), 3)
+
+
+SLAB_FIXTURES = [cases.MIXED_SIGN, cases.GAPPED, cases.TWO_ONES, cases.REPEATED_3D, cases.EVEN_3D]
+
+
+class TestSlabWalk:
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5), st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_walk_matches_the_simplex_oracle(self, seed, dim, nsteps, bound):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        bound = min(bound, {1: 4, 2: 3, 3: 2}[dim])  # keeps the oracle's box small
+        points = list(_slab_points(A, cert, bound))
+        assert len(points) == len(set(points))
+        assert set(points) == oracles.slab_points_by_simplex(A, cert, bound)
+
+    @pytest.mark.parametrize("matrix", SLAB_FIXTURES)
+    @pytest.mark.parametrize("bound", [0, 1, 2, 4])
+    def test_fixtures_match_the_simplex_oracle(self, matrix, bound):
+        A, cert = certified(matrix)
+        points = list(_slab_points(A, cert, bound))
+        assert len(points) == len(set(points))
+        assert set(points) == oracles.slab_points_by_simplex(A, cert, bound)
+
+    @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES + SLAB_FIXTURES)
+    def test_table_matches_the_box_scan(self, matrix):
+        A, cert = certified(matrix)
+        for phi in cases.weights_for(A):
+            for bound in (0, 3, 5):
+                table = generalized_vp_table(A, cert, phi, bound)
+                expected = oracles.table_by_box_scan(A, cert, phi, bound)
+                assert list(table.items()) == list(expected.items())
+
+    def test_no_membership_tests(self, monkeypatch):
+        # every point the walk visits is a slab point, so nothing is tested
+        expected = {}
+        for matrix in (cases.GAPPED, cases.MIXED_SIGN, cases.EVEN_3D):
+            A, cert = certified(matrix)
+            expected[matrix] = oracles.table_by_box_scan(A, cert, ConstantOne(), 6)
+
+        def refuse(*args):
+            raise AssertionError("membership test called")
+
+        for name in ("integer_span_contains", "cone_contains"):
+            original = getattr(vpart, name)
+            for module in (vpart, vpart.cone, vpart.core, vpart.enumeration, vpart.series):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        for matrix, table in expected.items():
+            A, cert = certified(matrix)
+            assert list(generalized_vp_table(A, cert, ConstantOne(), 6).items()) == list(table.items())
+
+    def test_elimination_stays_small_at_rank_five(self):
+        # without Chernikov's rule this elimination keeps 10,707 constraints
+        A, cert = certified(cases.random_pointed_matrix(0, 5, 8))
+        columns, levels = _slab(A, cert.functional.coords)
+        assert len(columns) == 5
+        assert sum(len(lower) + len(upper) for lower, upper in levels) < 100
+        box = itertools.product(range(-2, 3), repeat=5)
+        expected = {
+            t
+            for t in box
+            if 0 <= cert.functional.dot(LatticeVector(t)) <= 1
+            and integer_span_contains(A, t)
+            and oracles.cone_contains_by_simplex(A, t)
+        }
+        assert set(_slab_points(A, cert, 1)) == expected
+
+    def test_cached_per_matrix_and_functional(self):
+        A, cert = certified(cases.DELANNOY)
+        _slab.cache_clear()
+        for bound in range(5):
+            list(_slab_points(A, cert, bound))
+        assert _slab.cache_info().misses == 1
+        list(_slab_points(A, vpart.certificate_from_functional(A, LatticeVector((1, 2))), 3))
+        assert _slab.cache_info().misses == 2
 
 
 class TestIntegerSpan:
