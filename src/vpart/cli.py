@@ -31,9 +31,10 @@ from .core import (
     WeightFunction,
 )
 from .enumeration import (
+    _count_table,
     _echelon,
+    _graded_sums,
     generalized_vp,
-    generalized_vp_table,
     integer_span_contains,
     vector_partition,
 )
@@ -47,7 +48,7 @@ from .identities import (
     verify_path_series,
     verify_summation_identity,
 )
-from .series import geometric_inverse, partition_series, ratio_text, render_terms
+from .series import ratio_text, render_terms
 
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
@@ -216,10 +217,10 @@ def _slab_volume(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> int:
 
 
 def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
-    """Print (vector, value) terms as the text listing, or as JSON objects under ``field``."""
+    """Print (int tuple, value) terms as the text listing, or as JSON objects under ``field``."""
     terms = list(terms)
     if as_json:
-        print(json.dumps({field: [{key: list(e.coords), value: ratio_text(v)} for e, v in terms]}))
+        print(json.dumps({field: [{key: list(e), value: ratio_text(v)} for e, v in terms]}))
     elif terms:
         print(render_terms(terms))
 
@@ -268,11 +269,11 @@ def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
     _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
-    if spec.weight is None:
-        series = geometric_inverse(matrix, cert, bound)
-    else:
-        series = partition_series(matrix, cert, spec.weight, bound)
-    _print_terms(series.terms(), as_json, "terms", "exponent", "coefficient")
+    # the graded table that geometric_inverse and partition_series wrap; a
+    # series lists no zero coefficient
+    weight = spec.weight if spec.weight is not None else LatticePathCount()
+    table = _graded_sums(matrix, cert, weight, bound)
+    _print_terms(((t, v) for t, v in table.items() if v), as_json, "terms", "exponent", "coefficient")
     return 0
 
 
@@ -281,7 +282,7 @@ def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     bound = _require(spec, "bound")
     _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
     weight = spec.weight if spec.weight is not None else LatticePathCount()
-    table = generalized_vp_table(matrix, cert, weight, bound)
+    table = _count_table(matrix, cert, weight, bound)  # generalized_vp_table's, on int tuples
     _print_terms(table.items(), as_json, "entries", "target", "value")
     return 0
 

@@ -195,13 +195,16 @@ def multinomial(x: LatticeVector) -> int:
     """|x|! divided by the product of the coordinate factorials, exactly.
 
     Counts the distinct orderings of a multiset with the given multiplicities,
-    equivalently the monotone lattice paths from the origin to ``x``.
+    equivalently the monotone lattice paths from the origin to ``x``.  Taken as
+    the product of the binomials C(x_1 + ... + x_k, x_k), so no factorial of
+    |x| is ever formed.
     """
     if not x.is_nonnegative():
         raise ValueError(f"negative coordinate in {x}")
-    value = math.factorial(sum(x.coords))
+    value, total = 1, 0
     for c in x.coords:
-        value //= math.factorial(c)
+        total += c
+        value *= math.comb(total, c)
     return value
 
 

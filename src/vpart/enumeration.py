@@ -8,18 +8,21 @@ complete: under the cone certificate every solution has total step degree
 degree(t), each step costing at least one, so its free part lies in the slice
 sum_f degree_f * x_f <= degree(t).
 
-Weighted tables over every target of degree <= bound have two routes.  The
-orthant route, `_weighted_sums`, adds phi(x) at A x for every x >= 0 of step
-cost <= bound: bound^N points for any weight.  The step recurrence,
-`_recurrence_sums`, serves the weights whose series factors over the steps:
-`ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j}), filled
-column by column) and `LatticePathCount` (1 / (1 - sum_j y^{a_j}), filled by
-the graded backward recursion), over the targets a forward closure over the
-steps reaches: bound^rank targets, at most N operations each.  The table and
-series commands take the recurrence.  The verifiers of Propositions 1 and 3,
-Theorem 1's right side and Proposition 2's table side stay on the orthant
-route, so that each keeps a side that shares no code with the recurrence it
-checks (for path counts the recurrence is Proposition 2's series side).
+Weighted tables over every target of degree <= bound are keyed by int
+tuples; vectors and fractions are built only where a public function returns
+them.  There are two routes.  The orthant route, `_weighted_sums`, adds phi(x)
+at A x for every x >= 0 of step cost <= bound: bound^N points for any weight.
+The graded sweep, `_sweep`, serves the weights whose series factors over the
+steps: `ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
+`LatticePathCount` (1 / (1 - sum_j y^{a_j})).  It visits the targets a forward
+closure over the steps reaches, one degree layer at a time, and fills each
+target's value in the same visit from targets of lower degree: bound^rank
+targets, at most N operations each, in graded order, so nothing is sorted
+again.  The table and series commands take the sweep.  The verifiers of
+Propositions 1 and 3, Theorem 1's right side and Proposition 2's table side
+stay on the orthant route, so that each keeps a side that shares no code with
+the recurrence it checks (for path counts the sweep is Proposition 2's series
+side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -36,7 +39,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .cone import ConeCertificate, _facets
@@ -175,12 +178,13 @@ def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) 
 
 def _weighted_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[LatticeVector, Fraction]:
+) -> dict[tuple[int, ...], Fraction]:
     """phi-weighted representation counts for every target of degree <= bound.
 
     The orthant route: visits every x >= 0 of step cost <= ``bound`` and adds
     phi(x) at A x.  Complete because any representation of a target with
     degree at most ``bound`` itself has total step cost at most ``bound``.
+    Keys are int tuples, in no particular order.
     """
     check_arity(phi, A.nsteps)
     rows = list(zip(*(col.coords for col in A.columns)))
@@ -188,86 +192,100 @@ def _weighted_sums(
     for x in _orthant(cert.step_degrees, bound):
         target = tuple(sum(map(mul, row, x)) for row in rows)
         sums[target] = sums.get(target, 0) + evaluate_weight(phi, LatticeVector(x))
-    return {LatticeVector(t): v for t, v in sums.items()}
+    return sums
 
 
-def _reachable(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[tuple[int, ...], int]:
-    """Every target of degree <= bound that has a representation, with its degree.
+def _sweep(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> dict[tuple[int, ...], int | Fraction]:
+    """The step recurrence for `ConstantOne`, `GeometricWeights` and `LatticePathCount`.
 
-    A forward closure over the steps: the targets of one degree, sorted, each
-    extend by every step into the higher degrees, so the keys come in graded
-    order.  The same set as the images of the orthant route, found in bound^rank
-    rather than bound^N work.
+    One graded sweep from the origin: it pops the degree layers in order,
+    sorts each once, and for each target t of the layer fills its value and
+    puts t + a_j into the layer of degree(t) + degree_j for every step that
+    stays within ``bound``.  The value reads only targets of lower degree:
+
+    - `ConstantOne` and `GeometricWeights`, prod_j 1 / (1 - q_j y^{a_j}): the
+      partial products P_j(t) = P_{j-1}(t) + q_j P_j(t - a_j), P_{-1} the
+      indicator of the origin, kept per target as one row of N numerators
+      over scale^degree(t), scale the lcm of the ratios' denominators;
+    - `LatticePathCount`, 1 / (1 - sum_j y^{a_j}) (Proposition 2): the
+      backward pull G(t) = sum_j G(t - a_j), seeded with G(0) = 1, kept in
+      the same row as its running partial sums.
+
+    Returns every target that has a representation, zero values included,
+    in graded order; values are ints where the weight is integral.
     """
-    steps = [(col.coords, d) for col, d in zip(A.columns, cert.step_degrees)]
-    layers = {0: {(0,) * A.dim}} if bound >= 0 else {}
-    reach: dict[tuple[int, ...], int] = {}
+    paths = type(phi) is LatticePathCount
+    ratios = phi.ratios if type(phi) is GeometricWeights else (Fraction(1),) * A.nsteps
+    scale = math.lcm(*(q.denominator for q in ratios))
+    # Each target is also packed into one int, a digit in base `base` per
+    # coordinate shifted by `reach`, the first coordinate most significant:
+    # t +- a_j is then one int addition, and int order is lex order.  A target
+    # of degree <= bound, or one step below it, has coordinates within reach.
+    reach = (bound + 1) * max(abs(v) for col in A.columns for v in col.coords)
+    base = 2 * reach + 1
+    powers = [base**i for i in reversed(range(A.dim))]
+    columns = [col.coords for col in A.columns]
+    deltas = [sum(map(mul, a, powers)) for a in columns]
+    # q_j = mult_j / scale^degree_j; path counts read the predecessor's full sum
+    mults = [q.numerator * scale**d // q.denominator for q, d in zip(ratios, cert.step_degrees)]
+    picks = [A.nsteps - 1] * A.nsteps if paths else range(A.nsteps)
+    steps = list(zip(columns, deltas, cert.step_degrees, mults, picks))
+    rows: dict[int, list[int]] = {}
+    table: dict[tuple[int, ...], int | Fraction] = {}
+    layers = {0: {reach * sum(powers): (0,) * A.dim}} if bound >= 0 else {}
     while layers:  # at most max step degree layers are pending at once
         degree = min(layers)
-        for t in sorted(layers.pop(degree)):
-            reach[t] = degree
-            for a, d in steps:
-                if degree + d <= bound:
-                    layers.setdefault(degree + d, set()).add(tuple(map(add, t, a)))
-    return reach
-
-
-def _column_products(reach, steps, mults) -> dict[tuple[int, ...], int]:
-    """Sum over the representations x of each target of prod_j mults[j] ** x_j.
-
-    The coefficients of prod_j 1 / (1 - mults[j] y^{a_j}), filled one column at
-    a time: adding column j maps the table of the earlier columns to
-    P(t) += mults[j] * P(t - a_j), in place and in graded order, so that
-    P(t - a_j) already counts column j.
-    """
-    table = dict.fromkeys(reach, 0)
-    if table:
-        table[next(iter(table))] = 1  # the origin, the only target of degree 0
-    for a, m in zip(steps, mults):
-        if m:
-            for t in table:
-                v = table.get(tuple(map(sub, t, a)))
-                if v:
-                    table[t] += m * v
+        layer = layers.pop(degree)
+        ahead = [
+            (a, delta, layers.setdefault(degree + d, {}) if degree + d <= bound else None, m, k)
+            for a, delta, d, m, k in steps
+        ]
+        denominator = scale**degree
+        for key in sorted(layer):
+            t = layer[key]
+            value = 0 if degree else 1  # the origin is the only target of degree 0
+            row = []
+            for a, delta, higher, m, k in ahead:
+                before = rows.get(key - delta)
+                if before is not None:
+                    value += m * before[k]
+                row.append(value)
+                if higher is not None and key + delta not in higher:
+                    higher[key + delta] = tuple(map(add, t, a))
+            rows[key] = row
+            table[t] = value if scale == 1 else Fraction(value, denominator)
     return table
 
 
-def _backward_walks(reach, steps) -> dict[tuple[int, ...], int]:
-    """Number of step walks from the origin to each target: the coefficients of
-    1 / (1 - sum_j y^{a_j}), by G(t) = sum_j G(t - a_j) in graded order."""
-    table: dict[tuple[int, ...], int] = {}
-    for t in reach:  # the origin comes first, reached by the empty walk alone
-        table[t] = sum(table.get(tuple(map(sub, t, a)), 0) for a in steps) if table else 1
-    return table
-
-
-def _recurrence_sums(
+def _graded_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[LatticeVector, Fraction]:
-    """`_weighted_sums` by the step recurrence where phi's series factors over the steps.
+) -> dict[tuple[int, ...], int | Fraction]:
+    """phi-weighted counts of every target of degree <= bound that has a
+    representation, zero values included, keyed by int tuples in graded order.
 
-    For `ConstantOne` and `GeometricWeights` the series is
-    prod_j 1 / (1 - q_j y^{a_j}), for `LatticePathCount` it is
-    1 / (1 - sum_j y^{a_j}) (Proposition 2); either fills the table over the
-    reachable targets with at most N operations per target.  Every other weight
-    takes the orthant route.  Same keys as `_weighted_sums`, zero values included.
+    The table behind `partition_series` and the series command: `_sweep` for
+    the weights whose series factors over the steps, the orthant route, sorted
+    once, for every other weight.
     """
     check_arity(phi, A.nsteps)
-    kind = type(phi)
-    if kind not in (ConstantOne, GeometricWeights, LatticePathCount):
-        return _weighted_sums(A, cert, phi, bound)
-    reach = _reachable(A, cert, bound)
-    steps = [col.coords for col in A.columns]
-    if kind is LatticePathCount:
-        return {LatticeVector(t): Fraction(v) for t, v in _backward_walks(reach, steps).items()}
-    # q_j = mults[j] / scale^deg_j, so the value at t is an integer over scale^deg(t)
-    ratios = phi.ratios if kind is GeometricWeights else (Fraction(1),) * A.nsteps
-    scale = math.lcm(*(q.denominator for q in ratios))
-    mults = [
-        q.numerator * scale**d // q.denominator for q, d in zip(ratios, cert.step_degrees)
-    ]
-    table = _column_products(reach, steps, mults)
-    return {LatticeVector(t): Fraction(v, scale ** reach[t]) for t, v in table.items()}
+    if type(phi) in (ConstantOne, GeometricWeights, LatticePathCount):
+        return _sweep(A, cert, phi, bound)
+    sums = _weighted_sums(A, cert, phi, bound)
+    return {t: sums[t] for t in graded(sums, cert.functional.coords)}
+
+
+def _count_table(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> dict[tuple[int, ...], int | Fraction]:
+    """`generalized_vp_table` on int tuples: `_graded_sums` plus a zero entry at
+    every slab point no representation reaches, in graded order."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    sums = _graded_sums(A, cert, phi, bound)
+    keys = sums.keys() | set(_slab_points(A, cert, bound))
+    return {t: sums.get(t, 0) for t in graded(keys, cert.functional.coords)}
 
 
 def generalized_vp_table(
@@ -281,19 +299,14 @@ def generalized_vp_table(
     Iteration order is graded lexicographic (degree first, then lex).  The
     keys come from `_slab_points`, which walks exactly these lattice points
     and no others, so no candidate is tested for span or cone membership.
-    The counts come from the step recurrence for `ConstantOne`,
+    The counts come from the graded sweep for `ConstantOne`,
     `GeometricWeights` and `LatticePathCount` and from the step orthant for
     every other weight; `verify_path_series` reads its path-count table from
-    the orthant instead, to stay independent of the recurrence.
+    the orthant instead, to stay independent of the sweep.  The table is
+    built on int tuples (`_count_table`, which the paths command prints), and
+    becomes vectors and fractions only here.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    table = _recurrence_sums(A, cert, phi, bound)
-    known = {t.coords for t in table}
-    for t in _slab_points(A, cert, bound):
-        if t not in known:  # only the zero entries become vectors here
-            table[LatticeVector(t)] = Fraction(0)
-    return {t: table[t] for t in graded(table, cert.functional)}
+    return {LatticeVector(t): Fraction(v) for t, v in _count_table(A, cert, phi, bound).items()}
 
 
 @lru_cache(maxsize=64)

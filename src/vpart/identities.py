@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .cone import ConeCertificate, certificate_from_functional
@@ -191,7 +191,7 @@ def verify_summation_identity(
 
     sums = _weighted_sums(A, cert, forward_difference_apply(phi, cs), bound - base)
     # each key t has degree in [0, bound - base], so t + corner is in the window
-    shifted = {t + corner: v for t, v in sums.items()}
+    shifted = {tuple(map(add, t, corner.coords)): v for t, v in sums.items()}
     rhs = TruncatedSeries._wrap(A.dim, cert.functional, bound, shifted)
 
     window = f"functional degree <= {bound}"
@@ -277,19 +277,22 @@ def verify_partition_recurrence(
 
     sums = _weighted_sums(A, cert, phi, bound)
     # the window's targets are the corner plus every reachable target of degree <= bound - base
-    targets = [corner + t for t in sums if cert.degree(t) <= bound - base]
+    ell, steps = cert.functional.coords, [col.coords for col in A.columns]
+    targets = [
+        tuple(map(add, corner.coords, t)) for t in sums if sum(map(mul, ell, t)) <= bound - base
+    ]
     zero = Fraction(0)
     mismatches = []
-    for t in graded(targets, cert.functional):
+    for t in graded(targets, ell):
         lhs = sums.get(t, zero)
-        rhs = sum((sums.get(t - col, zero) for col in A.columns), zero)
+        rhs = sum((sums.get(tuple(map(sub, t, a)), zero) for a in steps), zero)
         if lhs != rhs:
-            mismatches.append((t, lhs, rhs))
+            mismatches.append((LatticeVector(t), lhs, rhs))
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
 
-def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[LatticeVector, int]:
+def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[tuple[int, ...], int]:
     """Endpoint tally of every step walk from the origin, layer by walk length.
 
     The walks of k + 1 steps are those of k steps extended by one column, so
@@ -312,7 +315,7 @@ def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[Latti
                     end = tuple(map(add, position, col))
                     longer[end] = longer.get(end, 0) + walks
         layer = longer
-    return {LatticeVector(p): n for p, n in counts.items()}
+    return counts
 
 
 def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> VerificationReport:
@@ -331,16 +334,16 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     table = _weighted_sums(A, cert, LatticePathCount(), bound)
     walks = _walk_counts(A, cert, bound)
 
-    keys = set(table) | set(inverse.support()) | set(walks)
+    keys = set(table) | set(inverse._coeffs) | set(walks)
     mismatches = []
-    for t in graded(keys, cert.functional):
+    for t in graded(keys, cert.functional.coords):
         lhs = table.get(t, Fraction(0))
         rhs = inverse.coefficient(t)
         brute = Fraction(walks.get(t, 0))
         if lhs != rhs:
-            mismatches.append((t, lhs, rhs))
+            mismatches.append((LatticeVector(t), lhs, rhs))
         elif rhs != brute:
-            mismatches.append((t, rhs, brute))
+            mismatches.append((LatticeVector(t), rhs, brute))
     window = f"functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
@@ -377,12 +380,15 @@ def verify_cb_vector_partition(
         if A.nsteps == 1:
             # dropping the only column leaves the empty step set, whose sole
             # representable target is the origin, once
-            lhs += c * weighted.get(mu, zero)
+            lhs += c * weighted.get(mu.coords, zero)
             continue
-        sub = A.drop_column(j)
-        sub_cert = certificate_from_functional(sub, cert.functional)
-        counts = _weighted_sums(sub, sub_cert, ConstantOne(), budget)
-        lhs += c * sum((count * weighted.get(mu - nu, zero) for nu, count in counts.items()), zero)
+        rest = A.drop_column(j)
+        rest_cert = certificate_from_functional(rest, cert.functional)
+        counts = _weighted_sums(rest, rest_cert, ConstantOne(), budget)
+        lhs += c * sum(
+            (count * weighted.get(tuple(map(sub, mu.coords, nu)), zero) for nu, count in counts.items()),
+            zero,
+        )
     rhs = Fraction(vector_partition(A, cert, mu))
     window = f"mu = {mu}"
     mismatches = [] if lhs == rhs else [(mu, lhs, rhs)]

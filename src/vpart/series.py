@@ -10,12 +10,15 @@ target A x and so keeps only the terms a substitution can land in its window.
 Series over the target variables use the certified cone functional, whose
 degree can be positive even on exponents with negative coordinates.
 
-`geometric_inverse` and `partition_series` with `ConstantOne`,
-`GeometricWeights` or `LatticePathCount` read their coefficients from the
-step recurrence of `enumeration`, where the paper's closed forms fill the
-window a few operations per target; `partition_series` with any other weight
-sums over the step orthant.  The verifiers of `identities` keep their
-orthant-route tables, so the series they check is never compared with itself.
+Inside, a series keys its exact coefficients (ints or fractions) by int
+tuples; `terms`, `support` and `coefficient` are the boundary where vectors
+and fractions are built.  `geometric_inverse` and `partition_series` with
+`ConstantOne`, `GeometricWeights` or `LatticePathCount` wrap the graded
+table of `enumeration`, where the paper's closed forms fill the window a few
+operations per target in graded order, so their terms are never sorted
+again; `partition_series` with any other weight sums over the step orthant.
+The verifiers of `identities` keep their orthant-route tables, so the series
+they check is never compared with itself.
 """
 
 from __future__ import annotations
@@ -36,17 +39,24 @@ from .core import (
     graded,
     iter_orthant,
 )
-from .enumeration import _recurrence_sums
+from .enumeration import _graded_sums, _sweep
 
 
-def ratio_text(value: Fraction) -> str:
+def ratio_text(value: int | Fraction) -> str:
     """``value`` as 'num/den', the denominator written even when it is 1."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def render_terms(terms: Iterable[tuple[LatticeVector, Fraction]]) -> str:
-    """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term."""
-    return "\n".join(f"({','.join(map(str, e.coords))}) : {ratio_text(v)}" for e, v in terms)
+def render_terms(terms: Iterable[tuple[Sequence[int], int | Fraction]]) -> str:
+    """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term; an
+    exponent may be a lattice vector or an int tuple."""
+    return "\n".join(f"({','.join(map(str, e))}) : {ratio_text(v)}" for e, v in terms)
+
+
+def _check_dim(exp: tuple[int, ...], nvars: int) -> None:
+    if len(exp) != nvars:
+        shown = ", ".join(map(str, exp))
+        raise ValueError(f"exponent ({shown}) has dimension {len(exp)}, expected {nvars}")
 
 
 class TruncatedSeries:
@@ -56,7 +66,7 @@ class TruncatedSeries:
     variables, the grading and the bound.  Axes are numbered 1..nvars.
     """
 
-    __slots__ = ("nvars", "grading", "bound", "_coeffs")
+    __slots__ = ("nvars", "grading", "bound", "_coeffs", "_ordered")
 
     def __init__(
         self,
@@ -74,70 +84,54 @@ class TruncatedSeries:
         self.nvars = nvars
         self.grading = grading
         self.bound = bound
-        table: dict[LatticeVector, Fraction] = {}
+        table: dict[tuple[int, ...], Fraction] = {}
         for raw_exp, raw_val in (coeffs or {}).items():
             exp = raw_exp if isinstance(raw_exp, LatticeVector) else LatticeVector(raw_exp)
-            if exp.dim != nvars:
-                raise ValueError(f"exponent {exp} has dimension {exp.dim}, expected {nvars}")
+            _check_dim(exp.coords, nvars)
             degree = grading.dot(exp)
             if not 0 <= degree <= bound:
                 raise ValueError(f"exponent {exp} outside the truncation window")
             value = exact(raw_val)
             if value:
-                table[exp] = value
+                table[exp.coords] = value
         self._coeffs = table
+        self._ordered = False
 
     @classmethod
     def _wrap(
-        cls, nvars: int, grading: LatticeVector, bound: int, table: dict[LatticeVector, Fraction]
+        cls,
+        nvars: int,
+        grading: LatticeVector,
+        bound: int,
+        table: Mapping[tuple[int, ...], int | Fraction],
+        ordered: bool = False,
     ) -> "TruncatedSeries":
+        """A series over an int-tuple table already in its window; ``ordered``
+        says the table iterates in graded order, so `terms` need not sort it."""
         series = cls.__new__(cls)
         series.nvars = nvars
         series.grading = grading
         series.bound = bound
         series._coeffs = {e: v for e, v in table.items() if v}
+        series._ordered = ordered
         return series
 
-    @classmethod
-    def zero(cls, nvars: int, grading: LatticeVector, bound: int) -> "TruncatedSeries":
-        return cls(nvars, grading, bound)
-
-    @classmethod
-    def one(cls, nvars: int, grading: LatticeVector, bound: int) -> "TruncatedSeries":
-        return cls(nvars, grading, bound, {LatticeVector.zero(nvars): 1})
-
-    @classmethod
-    def monomial(
-        cls,
-        nvars: int,
-        grading: LatticeVector,
-        bound: int,
-        exponent: LatticeVector | Sequence[int],
-        coeff: int | Fraction | str = 1,
-    ) -> "TruncatedSeries":
-        return cls(nvars, grading, bound, {exponent: coeff})
-
-    @classmethod
-    def with_total_degree(
-        cls,
-        nvars: int,
-        bound: int,
-        coeffs: Mapping | None = None,
-    ) -> "TruncatedSeries":
-        """Series graded by total degree, the natural window in step space."""
-        return cls(nvars, LatticeVector.ones(nvars), bound, coeffs)
-
     def coefficient(self, exponent: LatticeVector | Sequence[int]) -> Fraction:
-        exp = exponent if isinstance(exponent, LatticeVector) else LatticeVector(exponent)
-        return self._coeffs.get(exp, Fraction(0))
+        exp = exponent.coords if isinstance(exponent, LatticeVector) else tuple(exponent)
+        _check_dim(exp, self.nvars)
+        return Fraction(self._coeffs.get(exp, 0))
+
+    def _exponents(self) -> Iterable[tuple[int, ...]]:
+        """The stored exponents in graded-lex order."""
+        return self._coeffs if self._ordered else graded(self._coeffs, self.grading.coords)
 
     def terms(self) -> Iterator[tuple[LatticeVector, Fraction]]:
         """Terms in graded-lex order: degree first, then lexicographic."""
-        for exp in graded(self._coeffs, self.grading):
-            yield exp, self._coeffs[exp]
+        for exp in self._exponents():
+            yield LatticeVector(exp), Fraction(self._coeffs[exp])
 
     def support(self) -> list[LatticeVector]:
-        return [e for e, _ in self.terms()]
+        return [LatticeVector(e) for e in self._exponents()]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -150,14 +144,17 @@ class TruncatedSeries:
         ):
             raise ValueError("series windows are incompatible")
 
+    def _like(self, table: Mapping[tuple[int, ...], int | Fraction]) -> "TruncatedSeries":
+        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         table = dict(self._coeffs)
         for e, v in other._coeffs.items():
-            table[e] = table.get(e, Fraction(0)) + v
-        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
+            table[e] = table.get(e, 0) + v
+        return self._like(table)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -165,63 +162,38 @@ class TruncatedSeries:
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._wrap(
-            self.nvars, self.grading, self.bound, {e: -v for e, v in self._coeffs.items()}
-        )
+        return self._like({e: -v for e, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             # the right terms by degree, so each left term of degree d pairs
-            # only with the layers 0 .. bound - d; exponents add as int tuples
+            # only with the layers 0 .. bound - d
             weights = self.grading.coords
             layers: list[list] = [[] for _ in range(self.bound + 1)]
             for e, v in other._coeffs.items():
-                layers[sum(map(mul, weights, e.coords))].append((e.coords, v))
-            table: dict[tuple[int, ...], Fraction] = {}
+                layers[sum(map(mul, weights, e))].append((e, v))
+            table: dict[tuple[int, ...], int | Fraction] = {}
             for e1, v1 in self._coeffs.items():
-                room = self.bound - sum(map(mul, weights, e1.coords))
+                room = self.bound - sum(map(mul, weights, e1))
                 for layer in layers[: room + 1]:
                     for e2, v2 in layer:
-                        e = tuple(map(add, e1.coords, e2))
+                        e = tuple(map(add, e1, e2))
                         table[e] = table.get(e, 0) + v1 * v2
-            product = {LatticeVector(e): v for e, v in table.items() if v}
-            return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, product)
+            return self._like(table)
         if isinstance(other, float):
             return NotImplemented
         scalar = Fraction(other)
-        return TruncatedSeries._wrap(
-            self.nvars, self.grading, self.bound, {e: scalar * v for e, v in self._coeffs.items()}
-        )
+        return self._like({e: scalar * v for e, v in self._coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, float):
             return NotImplemented
         return self.__mul__(other)
 
-    def project(self, axis: int) -> "TruncatedSeries":
-        """Set variable ``axis`` to zero: keep only terms with exponent 0 there."""
-        return self.project_set((axis,))
-
-    def project_set(self, axes: Iterable[int]) -> "TruncatedSeries":
-        """Composition of projections; the empty set is the identity."""
-        axes = tuple(axes)
-        if any(not 1 <= a <= self.nvars for a in axes):
-            raise ValueError(f"axes {axes} out of range 1..{self.nvars}")
-        if tuple(sorted(set(axes))) != axes:
-            raise ValueError("axes must be strictly increasing")
-        if not axes:
-            return self
-        table = {
-            e: v
-            for e, v in self._coeffs.items()
-            if all(e.coords[a - 1] == 0 for a in axes)
-        }
-        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
-
     def render(self) -> str:
         """Canonical listing: one '(e1,...,ek) : num/den' line per term."""
-        return render_terms(self.terms())
+        return render_terms((e, self._coeffs[e]) for e in self._exponents())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -249,8 +221,7 @@ def full_support_part(series: TruncatedSeries) -> TruncatedSeries:
     nonnegative orthant the result is exactly the part with exponents
     >= (1, ..., 1).
     """
-    table = {e: v for e, v in series._coeffs.items() if all(e.coords)}
-    return TruncatedSeries._wrap(series.nvars, series.grading, series.bound, table)
+    return series._like({e: v for e, v in series._coeffs.items() if all(e)})
 
 
 def weight_series(
@@ -267,7 +238,7 @@ def weight_series(
     weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")
-    table = {x: evaluate_weight(phi, x) for x in iter_orthant(weights.coords, bound)}
+    table = {x.coords: evaluate_weight(phi, x) for x in iter_orthant(weights.coords, bound)}
     return TruncatedSeries._wrap(nvars, weights, bound, table)
 
 
@@ -276,16 +247,18 @@ def partition_series(
 ) -> TruncatedSeries:
     """Generating series of the phi-weighted counts over targets up to ``bound``.
 
-    For `ConstantOne`, `GeometricWeights` and `LatticePathCount` the series has
-    a closed form over the steps, and the coefficients come from its step
-    recurrence, a few operations per target; every other weight sums phi over
-    the step orthant.  The verifiers read their tables from the orthant
-    (Propositions 1 and 3, Theorem 1's right side, Proposition 2's table
-    side), so that none compares the recurrence with itself.
+    Wraps the graded int-tuple table that the series command prints.  For
+    `ConstantOne`, `GeometricWeights` and `LatticePathCount` the series has a
+    closed form over the steps, and one graded sweep fills the coefficients
+    from it, a few operations per target and already in graded order; every
+    other weight sums phi over the step orthant, sorted once.  The verifiers
+    read their tables from the orthant (Propositions 1 and 3, Theorem 1's
+    right side, Proposition 2's table side), so that none compares the
+    recurrence with itself.
     """
     # every key is a reachable target of degree in [0, bound]
-    table = _recurrence_sums(A, cert, phi, bound)
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
+    table = _graded_sums(A, cert, phi, bound)
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)
 
 
 def substitute_monomial(
@@ -315,32 +288,32 @@ def substitute_monomial(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     rows = list(zip(*(col.coords for col in A.columns)))
-    table: dict[tuple[int, ...], Fraction] = {}
+    table: dict[tuple[int, ...], int | Fraction] = {}
     for x, value in series._coeffs.items():
-        if not x.is_nonnegative():
-            raise ValueError(f"exponent {x} is not a step multiplicity vector")
-        if sum(map(mul, cert.step_degrees, x.coords)) > bound:
+        if min(x) < 0:
+            raise ValueError(f"exponent {LatticeVector(x)} is not a step multiplicity vector")
+        if sum(map(mul, cert.step_degrees, x)) > bound:
             continue
-        target = tuple(sum(map(mul, row, x.coords)) for row in rows)
+        target = tuple(sum(map(mul, row, x)) for row in rows)
         table[target] = table.get(target, 0) + value
-    return TruncatedSeries._wrap(
-        A.dim, cert.functional, bound, {LatticeVector(t): v for t, v in table.items()}
-    )
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
 
 
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:
     """The series G with (1 - sum of step monomials) * G = 1 up to ``bound``.
 
-    Computed by graded recursion over the targets a forward closure over the
-    steps reaches: the coefficient at a target is the sum of the coefficients
-    one step back, seeded with 1 at the origin.  Pointedness well-orders the
-    grading, so the recursion is well-founded; the result's coefficient at a
-    target is its number of distinct step walks from 0.  It is the
-    `LatticePathCount` table of `partition_series`, by the same recursion;
-    `verify_path_series` compares it with path counts summed over the step
-    orthant and with a walk tally, neither of which runs this recursion.
+    Computed by the graded sweep of `enumeration` over the targets a forward
+    closure over the steps reaches: the coefficient at a target is the sum of
+    the coefficients one step back, seeded with 1 at the origin, filled one
+    degree layer at a time, so the terms come in graded order and are never
+    sorted.  Pointedness well-orders the grading, so the recursion is
+    well-founded; the result's coefficient at a target is its number of
+    distinct step walks from 0.  It is the `LatticePathCount` table of
+    `partition_series`, by the same sweep; `verify_path_series` compares it
+    with path counts summed over the step orthant and with a walk tally,
+    neither of which runs this recursion.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    table = _recurrence_sums(A, cert, LatticePathCount(), bound)
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
+    table = _sweep(A, cert, LatticePathCount(), bound)
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)

@@ -14,6 +14,7 @@ orthant-route values, which have tests of their own.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -74,7 +75,7 @@ def table_by_box_scan(
     accept, in graded order.  Any cone point of degree <= bound is a real
     nonnegative combination with coefficient sum <= bound, so the box holds
     them all."""
-    table = _weighted_sums(A, cert, phi, bound)
+    table = {LatticeVector(t): v for t, v in _weighted_sums(A, cert, phi, bound).items()}
     ell = cert.functional.coords
     spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
     for coords in itertools.product(*(range(-bound * s, bound * s + 1) for s in spans)):
@@ -217,14 +218,60 @@ def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:
     return seen
 
 
+def factorial_multinomial(x: LatticeVector) -> int:
+    """|x|! over the product of the coordinate factorials, from the factorials."""
+    value = math.factorial(sum(x.coords))
+    for c in x.coords:
+        value //= math.factorial(c)
+    return value
+
+
+# Series constructors and projections that only the tests use, written on the
+# public constructor and `terms`.
+
+
+def zero(nvars: int, grading: LatticeVector, bound: int) -> TruncatedSeries:
+    return TruncatedSeries(nvars, grading, bound)
+
+
+def one(nvars: int, grading: LatticeVector, bound: int) -> TruncatedSeries:
+    return TruncatedSeries(nvars, grading, bound, {LatticeVector.zero(nvars): 1})
+
+
+def monomial(nvars: int, grading: LatticeVector, bound: int, exponent, coeff=1) -> TruncatedSeries:
+    return TruncatedSeries(nvars, grading, bound, {exponent: coeff})
+
+
+def with_total_degree(nvars: int, bound: int, coeffs=None) -> TruncatedSeries:
+    """Series graded by total degree, the natural window in step space."""
+    return TruncatedSeries(nvars, LatticeVector.ones(nvars), bound, coeffs)
+
+
+def project_set(series: TruncatedSeries, axes) -> TruncatedSeries:
+    """Set the variables ``axes`` to zero: keep only the terms with exponent 0
+    there.  The empty set is the identity."""
+    axes = tuple(axes)
+    if any(not 1 <= a <= series.nvars for a in axes):
+        raise ValueError(f"axes {axes} out of range 1..{series.nvars}")
+    if tuple(sorted(set(axes))) != axes:
+        raise ValueError("axes must be strictly increasing")
+    kept = {e: v for e, v in series.terms() if all(e.coords[a - 1] == 0 for a in axes)}
+    return TruncatedSeries(series.nvars, series.grading, series.bound, kept)
+
+
+def project(series: TruncatedSeries, axis: int) -> TruncatedSeries:
+    """Set variable ``axis`` to zero."""
+    return project_set(series, (axis,))
+
+
 def full_support_by_projections(series: TruncatedSeries) -> TruncatedSeries:
     """The full-support part as the alternating sum of projections over all
     axis subsets, the inclusion-exclusion form of dropping every term with a
     zero exponent coordinate."""
-    total = TruncatedSeries.zero(series.nvars, series.grading, series.bound)
+    total = zero(series.nvars, series.grading, series.bound)
     for size in range(series.nvars + 1):
         for subset in itertools.combinations(range(1, series.nvars + 1), size):
-            piece = series.project_set(subset)
+            piece = project_set(series, subset)
             total = total + (piece if size % 2 == 0 else -piece)
     return total
 
@@ -268,7 +315,7 @@ def summation_identity_by_total_degree(
         return value
 
     corner = A.column_sum()
-    rhs = TruncatedSeries.zero(A.dim, cert.functional, bound)
+    rhs = zero(A.dim, cert.functional, bound)
     if cert.degree(corner) <= bound:
         sums = partition_series(A, cert, RuleWeight(difference, n), bound - cert.degree(corner))
         rhs = TruncatedSeries(A.dim, cert.functional, bound, {t + corner: v for t, v in sums.terms()})

@@ -97,6 +97,11 @@ class TestMultinomial:
         x = LatticeVector(coords)
         assert multinomial(x) == oracles.orderings_count(x)
 
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=5))
+    def test_matches_the_factorial_formula(self, coords):
+        x = LatticeVector(coords)
+        assert multinomial(x) == oracles.factorial_multinomial(x)
+
 
 class TestWeights:
     def test_constant_one(self):

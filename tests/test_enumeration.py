@@ -21,7 +21,7 @@ from vpart import (
 )
 import vpart
 from vpart.core import graded
-from vpart.enumeration import _reachable, _recurrence_sums, _slab, _slab_points, _weighted_sums
+from vpart.enumeration import _count_table, _graded_sums, _slab, _slab_points, _sweep, _weighted_sums
 
 import cases
 import oracles
@@ -303,29 +303,75 @@ class TestStepRecurrence:
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = [ConstantOne(), LatticePathCount(), GeometricWeights(ratios[:nsteps])][kind]
         orthant = _weighted_sums(A, cert, phi, bound)
-        table = _recurrence_sums(A, cert, phi, bound)
-        assert table == orthant
-        assert all(type(v) is Fraction for v in table.values())
-        reach = _reachable(A, cert, bound)
-        assert set(reach) == {t.coords for t in orthant}
-        assert list(reach) == graded(reach, cert.functional.coords)
-        assert all(d == cert.degree(LatticeVector(t)) for t, d in reach.items())
+        table = _sweep(A, cert, phi, bound)
+        assert table == orthant  # key for key, value for value
+        assert list(table) == graded(orthant, cert.functional.coords)
+        assert all(type(v) in (int, Fraction) for v in table.values())
+        assert _graded_sums(A, cert, phi, bound) == table
+
+    @pytest.mark.parametrize(
+        "columns,bound",
+        [([(1, 3), (1, -2)], 1), ([(1, -3), (1, 2)], 2), ([(1, 2), (1, -3), (2, 0), (2, -1)], 2)],
+    )
+    def test_packed_keys_never_alias(self, columns, bound):
+        # one step below a target of extreme coordinates lies past the reach of
+        # any target, where a too narrow digit would borrow into a real target
+        A, cert = certified(StepMatrix(columns))
+        for phi in [ConstantOne(), LatticePathCount()]:
+            assert _sweep(A, cert, phi, bound) == _weighted_sums(A, cert, phi, bound)
+
+    @pytest.mark.parametrize("ratios", [(1, -1), (0, 1), (Fraction(1, 2), Fraction(-1, 2))])
+    def test_cancelling_ratios_keep_their_keys(self, ratios):
+        # 1 / ((1 - y)(1 + y)) = 1 / (1 - y^2): every odd coefficient cancels to 0
+        A, cert = certified(cases.TWO_ONES)
+        phi = GeometricWeights(ratios)
+        table = _sweep(A, cert, phi, 6)
+        assert list(table) == [(k,) for k in range(7)]
+        assert table == _weighted_sums(A, cert, phi, 6)
+        if ratios == (1, -1):
+            assert list(table.values()) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_other_weights_take_the_orthant_route(self):
         A, cert = certified(cases.DELANNOY)
         phi = cases.random_table_weight(5, A.nsteps)
-        assert _recurrence_sums(A, cert, phi, 5) == _weighted_sums(A, cert, phi, 5)
+        orthant = _weighted_sums(A, cert, phi, 5)
+        table = _graded_sums(A, cert, phi, 5)
+        assert table == orthant
+        assert list(table) == graded(orthant, cert.functional.coords)
 
     def test_negative_bound_is_empty(self):
         A, cert = certified(cases.R3)
-        assert _reachable(A, cert, -1) == {}
-        assert _recurrence_sums(A, cert, ConstantOne(), -1) == {}
-        assert _recurrence_sums(A, cert, LatticePathCount(), -1) == {}
+        assert _sweep(A, cert, ConstantOne(), -1) == {}
+        assert _sweep(A, cert, LatticePathCount(), -1) == {}
+        assert _graded_sums(A, cert, GeometricWeights((1, 2, 3, 4)), -1) == {}
 
     def test_arity_checked(self):
         A, cert = certified(cases.DELANNOY)
         with pytest.raises(ValueError):
-            _recurrence_sums(A, cert, GeometricWeights((1, 2)), 3)
+            _graded_sums(A, cert, GeometricWeights((1, 2)), 3)
+
+
+class TestZeroEntries:
+    """The series drops zero coefficients; the table keeps every slab point."""
+
+    @pytest.mark.parametrize(
+        "matrix,ratios",
+        [(cases.TWO_ONES, (1, -1)), (cases.DELANNOY, (1, -1, 1)), (cases.MIXED_SIGN, (1, 0))],
+    )
+    def test_series_drops_and_table_keeps_zeros(self, matrix, ratios):
+        A, cert = certified(matrix)
+        phi, bound = GeometricWeights(ratios), 6
+        table = generalized_vp_table(A, cert, phi, bound)
+        slab = set(_slab_points(A, cert, bound))
+        assert {t.coords for t in table} == slab
+        assert all(type(v) is Fraction for v in table.values())
+        assert any(v == 0 for v in table.values())
+        series = partition_series(A, cert, phi, bound)
+        assert series.support() == [t for t, v in table.items() if v]
+        assert all(v for _, v in series.terms())
+        assert list(_count_table(A, cert, phi, bound).items()) == [
+            (t.coords, v) for t, v in table.items()
+        ]
 
 
 SLAB_FIXTURES = [cases.MIXED_SIGN, cases.GAPPED, cases.TWO_ONES, cases.REPEATED_3D, cases.EVEN_3D]

@@ -19,20 +19,24 @@ from vpart import (
     geometric_inverse,
     iter_orthant,
     multinomial,
+    partition_series,
     substitute_monomial,
     weight_series,
 )
+import vpart.series
+from vpart.cli import main as cli_main
+from vpart.core import graded
 
 import cases
 import oracles
 
 
 def xi(nvars, bound, exponent, coeff=1):
-    return TruncatedSeries.monomial(nvars, LatticeVector.ones(nvars), bound, exponent, coeff)
+    return oracles.monomial(nvars, LatticeVector.ones(nvars), bound, exponent, coeff)
 
 
 def one(nvars, bound):
-    return TruncatedSeries.one(nvars, LatticeVector.ones(nvars), bound)
+    return oracles.one(nvars, LatticeVector.ones(nvars), bound)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -46,7 +50,7 @@ def sparse_series(draw, nvars=2, bound=4):
         exp = tuple(draw(st.integers(0, bound)) for _ in range(nvars))
         if sum(exp) <= bound:
             table[LatticeVector(exp)] = draw(rationals)
-    return TruncatedSeries.with_total_degree(nvars, bound, table)
+    return oracles.with_total_degree(nvars, bound, table)
 
 
 GRADINGS = [(1, 1, 1), (1, 2, 3), (3, 1, 2), (2, 2, 1)]
@@ -73,39 +77,39 @@ def graded_operands(draw):
 class TestConstruction:
     def test_window_enforced(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.with_total_degree(2, 2, {(2, 1): 1})
+            oracles.with_total_degree(2, 2, {(2, 1): 1})
         with pytest.raises(ValueError):
             TruncatedSeries(2, LatticeVector((1, 1)), 2, {(-1, 0): 1})
 
     def test_zero_coefficients_dropped(self):
-        s = TruncatedSeries.with_total_degree(2, 3, {(1, 0): 0, (0, 1): 2})
+        s = oracles.with_total_degree(2, 3, {(1, 0): 0, (0, 1): 2})
         assert s.support() == [LatticeVector((0, 1))]
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.with_total_degree(2, 3, {(1, 0, 0): 1})
+            oracles.with_total_degree(2, 3, {(1, 0, 0): 1})
 
 
 class TestArithmetic:
     def test_additive_identity_and_inverse(self):
-        s = TruncatedSeries.with_total_degree(2, 3, {(1, 0): Fraction(2, 3), (0, 2): -1})
-        zero = TruncatedSeries.zero(2, LatticeVector.ones(2), 3)
+        s = oracles.with_total_degree(2, 3, {(1, 0): Fraction(2, 3), (0, 2): -1})
+        zero = oracles.zero(2, LatticeVector.ones(2), 3)
         assert s + zero == s
         assert (s - s).is_zero()
 
     def test_scalar_scaling(self):
         s = one(1, 3) + xi(1, 3, (1,))
-        assert 2 * s == TruncatedSeries.with_total_degree(1, 3, {(0,): 2, (1,): 2})
+        assert 2 * s == oracles.with_total_degree(1, 3, {(0,): 2, (1,): 2})
 
     def test_telescoping_product(self):
         bound = 5
-        geometric = TruncatedSeries.with_total_degree(1, bound, {(k,): 1 for k in range(bound + 1)})
+        geometric = oracles.with_total_degree(1, bound, {(k,): 1 for k in range(bound + 1)})
         product = (one(1, bound) - xi(1, bound, (1,))) * geometric
         assert product == one(1, bound)
 
     def test_two_variable_product(self):
         product = (one(2, 2) + xi(2, 2, (1, 0))) * (one(2, 2) + xi(2, 2, (0, 1)))
-        assert product == TruncatedSeries.with_total_degree(
+        assert product == oracles.with_total_degree(
             2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
         )
 
@@ -123,8 +127,8 @@ class TestArithmetic:
 
     def test_product_with_empty_and_one_term_operands(self):
         grading, bound = LatticeVector((1, 2, 3)), 6
-        empty = TruncatedSeries.zero(3, grading, bound)
-        single = TruncatedSeries.monomial(3, grading, bound, (1, 0, 1), Fraction(-2, 3))
+        empty = oracles.zero(3, grading, bound)
+        single = oracles.monomial(3, grading, bound, (1, 0, 1), Fraction(-2, 3))
         full = weight_series(cases.random_table_weight(5, 3), 3, bound, grading)
         for a, b in itertools.product([empty, single, full], repeat=2):
             assert a * b == oracles.all_pairs_product(a, b)
@@ -142,44 +146,44 @@ class TestArithmetic:
 class TestProjections:
     def test_project_keeps_zero_exponents(self):
         s = weight_series(LatticePathCount(), 2, 4)
-        projected = s.project(2)
-        assert projected == TruncatedSeries.with_total_degree(
+        projected = oracles.project(s, 2)
+        assert projected == oracles.with_total_degree(
             2, 4, {(k, 0): 1 for k in range(5)}
         )
 
     def test_project_kills_mixed_terms(self):
-        assert xi(2, 3, (1, 1)).project(1).is_zero()
+        assert oracles.project(xi(2, 3, (1, 1)), 1).is_zero()
 
     def test_projections_commute(self):
         s = weight_series(cases.random_table_weight(3, 3), 3, 4)
-        assert s.project(1).project(3) == s.project(3).project(1)
+        assert oracles.project(oracles.project(s, 1), 3) == oracles.project(oracles.project(s, 3), 1)
 
     def test_project_set(self):
         s = weight_series(LatticePathCount(), 2, 4)
-        assert s.project_set(()) == s
-        assert s.project_set((1, 2)) == one(2, 4)
-        assert s.project_set((2,)) == s.project(2)
+        assert oracles.project_set(s, ()) == s
+        assert oracles.project_set(s, (1, 2)) == one(2, 4)
+        assert oracles.project_set(s, (2,)) == oracles.project(s, 2)
 
     def test_project_set_validates(self):
         s = one(2, 3)
         with pytest.raises(ValueError):
-            s.project_set((2, 1))
+            oracles.project_set(s, (2, 1))
         with pytest.raises(ValueError):
-            s.project_set((1, 3))
+            oracles.project_set(s, (1, 3))
         with pytest.raises(ValueError):
-            s.project(0)
+            oracles.project(s, 0)
 
 
 class TestFullSupportPart:
     def test_all_ones_coefficients(self):
         s = weight_series(ConstantOne(), 2, 3)
         filtered = full_support_part(s)
-        assert filtered == TruncatedSeries.with_total_degree(
+        assert filtered == oracles.with_total_degree(
             2, 3, {(1, 1): 1, (2, 1): 1, (1, 2): 1}
         )
 
     def test_series_without_one_variable_dies(self):
-        s = weight_series(LatticePathCount(), 2, 4).project(2)
+        s = oracles.project(weight_series(LatticePathCount(), 2, 4), 2)
         assert full_support_part(s).is_zero()
         assert oracles.full_support_by_projections(s).is_zero()
 
@@ -200,19 +204,19 @@ class TestFullSupportPart:
 
 class TestWeightSeries:
     def test_constant(self):
-        assert weight_series(ConstantOne(), 2, 1) == TruncatedSeries.with_total_degree(
+        assert weight_series(ConstantOne(), 2, 1) == oracles.with_total_degree(
             2, 1, {(0, 0): 1, (1, 0): 1, (0, 1): 1}
         )
 
     def test_geometric(self):
         s = weight_series(GeometricWeights((Fraction(1, 2),)), 1, 2)
-        assert s == TruncatedSeries.with_total_degree(
+        assert s == oracles.with_total_degree(
             1, 2, {(0,): 1, (1,): Fraction(1, 2), (2,): Fraction(1, 4)}
         )
 
     def test_path_counts(self):
         s = weight_series(LatticePathCount(), 2, 2)
-        assert s == TruncatedSeries.with_total_degree(
+        assert s == oracles.with_total_degree(
             2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 2, (0, 2): 1}
         )
 
@@ -280,7 +284,7 @@ class TestSubstitution:
         cert = certify_pointed(A)
         assert cert.step_degrees == (1, 1)
         with pytest.raises(ValueError, match="grading"):
-            substitute_monomial(TruncatedSeries.one(2, LatticeVector(grading), 3), A, cert, 3)
+            substitute_monomial(oracles.one(2, LatticeVector(grading), 3), A, cert, 3)
 
     @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES)
     def test_image_coefficients_are_weighted_counts(self, matrix):
@@ -321,12 +325,25 @@ class TestGeometricInverse:
         cert = certify_pointed(matrix)
         bound = 4
         inverse = geometric_inverse(matrix, cert, bound)
-        denominator = TruncatedSeries.one(matrix.dim, cert.functional, bound)
+        denominator = oracles.one(matrix.dim, cert.functional, bound)
         for col in matrix.columns:
-            denominator = denominator - TruncatedSeries.monomial(
+            denominator = denominator - oracles.monomial(
                 matrix.dim, cert.functional, bound, col
             )
-        assert denominator * inverse == TruncatedSeries.one(matrix.dim, cert.functional, bound)
+        assert denominator * inverse == oracles.one(matrix.dim, cert.functional, bound)
+
+    def test_coefficient_refuses_a_wrong_dimension(self):
+        A = cases.DELANNOY
+        series = geometric_inverse(A, certify_pointed(A), 4)
+        for exponent in [(1, 1, 1), LatticeVector((1,)), ()]:
+            with pytest.raises(ValueError, match="has dimension"):
+                series.coefficient(exponent)
+        with pytest.raises(ValueError) as refused:
+            series.coefficient((1, 1, 1))
+        with pytest.raises(ValueError) as built:
+            TruncatedSeries(2, LatticeVector.ones(2), 4, {(1, 1, 1): 1})
+        assert str(refused.value) == str(built.value) == "exponent (1, 1, 1) has dimension 3, expected 2"
+        assert type(series.coefficient((2, 2))) is Fraction
 
     @pytest.mark.parametrize("matrix", cases.PATH_SERIES_MATRICES)
     def test_matches_walk_enumeration(self, matrix):
@@ -366,10 +383,10 @@ class TestLemmas:
             lhs = oracles.full_support_by_projections(shifted)
             # the same alternating sum skipping axis j must give the same thing
             others = [a for a in range(1, self.NVARS + 1) if a != j]
-            partial = TruncatedSeries.zero(self.NVARS, ones, self.BOUND)
+            partial = oracles.zero(self.NVARS, ones, self.BOUND)
             for size in range(len(others) + 1):
                 for subset in itertools.combinations(others, size):
-                    piece = shifted.project_set(subset)
+                    piece = oracles.project_set(shifted, subset)
                     partial = partial + (piece if size % 2 == 0 else -piece)
             assert lhs == partial
             from vpart import evaluate_weight
@@ -380,7 +397,7 @@ class TestLemmas:
 
     def test_annihilation_without_dependence(self):
         phi = cases.random_table_weight(37, self.NVARS)
-        s = weight_series(phi, self.NVARS, self.BOUND).project(2)
+        s = oracles.project(weight_series(phi, self.NVARS, self.BOUND), 2)
         assert oracles.full_support_by_projections(s).is_zero()
 
     def test_partial_fraction_split(self):
@@ -406,9 +423,9 @@ class TestLemmas:
             denominator = denominator - xi(n, bound, LatticeVector.unit(n, j), c)
         assert denominator * linear_inverse == one(n, bound)
 
-        split = TruncatedSeries.zero(n, LatticeVector.ones(n), bound)
+        split = oracles.zero(n, LatticeVector.ones(n), bound)
         for j, c in enumerate(coeffs, start=1):
-            split = split + c * (orthant.project(j) * linear_inverse)
+            split = split + c * (oracles.project(orthant, j) * linear_inverse)
         assert split == orthant
 
 
@@ -420,7 +437,7 @@ class TestRendering:
         assert "(2,2) : 13/1" in text.splitlines()
 
     def test_graded_lex_lines(self):
-        s = TruncatedSeries.with_total_degree(
+        s = oracles.with_total_degree(
             2, 2, {(0, 0): 1, (2, 0): Fraction(1, 3), (0, 1): -2, (1, 0): 5}
         )
         assert s.render() == "\n".join(
@@ -428,4 +445,29 @@ class TestRendering:
         )
 
     def test_zero_series_renders_empty(self):
-        assert TruncatedSeries.zero(2, LatticeVector.ones(2), 1).render() == ""
+        assert oracles.zero(2, LatticeVector.ones(2), 1).render() == ""
+
+
+class TestGradedSweepOrder:
+    """The graded sweep already yields its terms in graded order, so neither
+    the series nor the series command sorts them again."""
+
+    def test_terms_and_the_command_never_sort(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args):
+            raise AssertionError("graded() called on the sweep route")
+
+        monkeypatch.setattr(vpart.series, "graded", refuse)
+        A, cert = cases.R3, certify_pointed(cases.R3)
+        for phi in [ConstantOne(), LatticePathCount(), GeometricWeights((1, "1/2", -1, 0))]:
+            terms = list(partition_series(A, cert, phi, 6).terms())
+            assert [e for e, _ in terms] == graded([e for e, _ in terms], cert.functional)
+        assert geometric_inverse(A, cert, 6).support()
+        problem = tmp_path / "r3.json"
+        problem.write_text('{"matrix": [[1,0,0,1],[0,1,0,1],[0,0,1,1]], "bound": 6}')
+        assert cli_main(["series", str(problem)]) == 0
+        assert cli_main(["series", str(problem), "--json"]) == 0
+        assert capsys.readouterr().out.startswith("(0,0,0) : 1/1\n(0,0,1) : 1/1\n")
+
+    def test_other_series_still_sort(self):
+        s = oracles.with_total_degree(2, 2, {(1, 0): 1, (0, 0): 2, (0, 1): 3})
+        assert s.support() == [LatticeVector(e) for e in [(0, 0), (0, 1), (1, 0)]]
