@@ -1,7 +1,10 @@
 """Exact building blocks: integer vectors, step matrices and weight functions.
 
-Everything in this module is immutable and computes with `fractions.Fraction`,
-so no operation anywhere in the package introduces rounding.
+Everything in this module is immutable and exact: values are ints or
+`fractions.Fraction`s, so no operation anywhere in the package introduces
+rounding.  Weights compute on plain int tuples: `evaluate_weight` is their
+public boundary, and `_scaled_values` reads them for the inner loops as int
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -201,8 +204,13 @@ def multinomial(x: LatticeVector) -> int:
     """
     if not x.is_nonnegative():
         raise ValueError(f"negative coordinate in {x}")
+    return _multinomial(x.coords)
+
+
+def _multinomial(x: tuple[int, ...]) -> int:
+    """`multinomial` on a nonnegative int tuple."""
     value, total = 1, 0
-    for c in x.coords:
+    for c in x:
         total += c
         value *= math.comb(total, c)
     return value
@@ -214,21 +222,22 @@ class WeightFunction(ABC):
     ``arity`` is the number of arguments the weight expects, or None when any
     dimension is accepted.  Arguments with a negative coordinate always weigh
     zero; `evaluate_weight` applies that convention centrally, so subclasses
-    only ever see componentwise-nonnegative input.
+    only ever see componentwise-nonnegative input of the right arity.
     """
 
     arity: int | None = None
 
     @abstractmethod
-    def _value(self, x: LatticeVector) -> Fraction:
-        """Value at ``x``, which is guaranteed componentwise nonnegative."""
+    def _value(self, x: tuple[int, ...]) -> int | Fraction:
+        """Value at the int tuple ``x``, which is guaranteed componentwise
+        nonnegative and of the weight's arity: an int or a `Fraction`."""
 
 
 class ConstantOne(WeightFunction):
     """The weight that is 1 everywhere; sums under it are plain counts."""
 
-    def _value(self, x: LatticeVector) -> Fraction:
-        return Fraction(1)
+    def _value(self, x: tuple[int, ...]) -> int:
+        return 1
 
     def __repr__(self) -> str:
         return "ConstantOne()"
@@ -243,13 +252,13 @@ class GeometricWeights(WeightFunction):
             raise ValueError("at least one ratio required")
         self.arity = len(self.ratios)
 
-    def _value(self, x: LatticeVector) -> Fraction:
+    def _value(self, x: tuple[int, ...]) -> int | Fraction:
         # integer powers of the numerators and the denominators, one Fraction per value
         num = den = 1
-        for q, c in zip(self.ratios, x.coords):
+        for q, c in zip(self.ratios, x):
             num *= q.numerator**c
             den *= q.denominator**c
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def __repr__(self) -> str:
         return f"GeometricWeights({self.ratios!r})"
@@ -271,11 +280,13 @@ class MultinomialMonomial(WeightFunction):
         self.axis = axis
         self.arity = len(self.coeffs)
 
-    def _value(self, x: LatticeVector) -> Fraction:
-        value = Fraction(multinomial(x))
-        for k, (c, e) in enumerate(zip(self.coeffs, x.coords), start=1):
-            value *= c ** (e + 1 if k == self.axis else e)
-        return value
+    def _value(self, x: tuple[int, ...]) -> int | Fraction:
+        num, den = _multinomial(x), 1
+        for k, (c, e) in enumerate(zip(self.coeffs, x), start=1):
+            e += k == self.axis
+            num *= c.numerator**e
+            den *= c.denominator**e
+        return num if den == 1 else Fraction(num, den)
 
     def __repr__(self) -> str:
         return f"MultinomialMonomial({self.coeffs!r}, axis={self.axis})"
@@ -289,8 +300,8 @@ class LatticePathCount(WeightFunction):
     phi(0) = 1 and zero off the nonnegative orthant.
     """
 
-    def _value(self, x: LatticeVector) -> Fraction:
-        return Fraction(multinomial(x))
+    def _value(self, x: tuple[int, ...]) -> int:
+        return _multinomial(x)
 
     def __repr__(self) -> str:
         return "LatticePathCount()"
@@ -316,17 +327,14 @@ class TableWeight(WeightFunction):
         self.values = vals
         self.arity = self.box.dim
 
-    def _index(self, x: LatticeVector) -> int:
+    def _value(self, x: tuple[int, ...]) -> int | Fraction:
         # row-major: the last coordinate varies fastest
         idx = 0
-        for c, b in zip(x.coords, self.box.coords):
+        for c, b in zip(x, self.box.coords):
+            if c > b:
+                return 0
             idx = idx * (b + 1) + c
-        return idx
-
-    def _value(self, x: LatticeVector) -> Fraction:
-        if not self.box.dominates(x):
-            return Fraction(0)
-        return self.values[self._index(x)]
+        return self.values[idx]
 
     def __repr__(self) -> str:
         return f"TableWeight(box={self.box.coords!r}, ...)"
@@ -345,8 +353,10 @@ class RuleWeight(WeightFunction):
         self.rule = rule
         self.arity = arity
 
-    def _value(self, x: LatticeVector) -> Fraction:
-        return Fraction(self.rule(x))
+    def _value(self, x: tuple[int, ...]) -> int | Fraction:
+        # the one weight whose rule reads a lattice vector
+        value = self.rule(LatticeVector(x))
+        return value if type(value) in (int, Fraction) else Fraction(value)
 
     def __repr__(self) -> str:
         return f"RuleWeight(arity={self.arity})"
@@ -359,12 +369,33 @@ def check_arity(phi: WeightFunction, nvars: int) -> None:
 
 
 def evaluate_weight(phi: WeightFunction, x: LatticeVector) -> Fraction:
-    """Exact value of ``phi`` at ``x``; zero when any coordinate is negative."""
+    """Exact value of ``phi`` at ``x``; zero when any coordinate is negative.
+
+    The public boundary of every weight: vector in, `Fraction` out."""
     if phi.arity is not None and x.dim != phi.arity:
         raise ValueError(f"weight expects {phi.arity} arguments, got {x.dim}")
     if not x.is_nonnegative():
         return Fraction(0)
-    return Fraction(phi._value(x))
+    return Fraction(phi._value(x.coords))
+
+
+def _scaled_values(
+    phi: WeightFunction, points: Sequence[tuple[int, ...]]
+) -> tuple[list[int], int]:
+    """``phi`` at nonnegative points of its arity as (numerators, D), with
+    numerators[i] / D = phi(points[i]) and D the lcm of the denominators.
+
+    D divides the product of the distinct denominators read, so it has at
+    most their digits together.  For `GeometricWeights` and
+    `MultinomialMonomial` it divides prod_k den(q_k)^(m_k + 1), m_k the
+    largest k-th coordinate read; for a `TableWeight`, the lcm of its values'
+    denominators.
+    """
+    values = [phi._value(x) for x in points]
+    den = math.lcm(*(v.denominator for v in values))
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def graded(points: Iterable, grading: Iterable[int]) -> list:

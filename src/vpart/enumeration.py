@@ -11,18 +11,18 @@ sum_f degree_f * x_f <= degree(t).
 Weighted tables over every target of degree <= bound are keyed by int
 tuples; vectors and fractions are built only where a public function returns
 them.  There are two routes.  The orthant route, `_weighted_sums`, adds phi(x)
-at A x for every x >= 0 of step cost <= bound: bound^N points for any weight.
-The graded sweep, `_sweep`, serves the weights whose series factors over the
-steps: `ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
+at A x for every x >= 0 of step cost <= bound: bound^N points for any weight,
+summed on ints, one numerator and denominator per target.  The graded sweep,
+`_sweep`, serves the weights whose series factors over the steps: `ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
 `LatticePathCount` (1 / (1 - sum_j y^{a_j})).  It visits the targets a forward
 closure over the steps reaches, one degree layer at a time, and fills each
 target's value in the same visit from targets of lower degree: bound^rank
 targets, at most N operations each, in graded order, so nothing is sorted
 again.  The table and series commands take the sweep.  The verifiers of
-Propositions 1 and 3, Theorem 1's right side and Proposition 2's table side
-stay on the orthant route, so that each keeps a side that shares no code with
-the recurrence it checks (for path counts the sweep is Proposition 2's series
-side).
+Propositions 1 and 3 and Proposition 2's table side stay on the orthant route
+(Theorem 1's right side sums over the step orthant too, in `identities`), so
+that each keeps a side that shares no code with the recurrence it checks (for
+path counts the sweep is Proposition 2's series side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from heapq import merge
 from itertools import product
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -52,7 +53,6 @@ from .core import (
     WeightFunction,
     _orthant,
     check_arity,
-    evaluate_weight,
     graded,
 )
 
@@ -159,10 +159,10 @@ def generalized_vp(
 ) -> Fraction:
     """Sum of ``phi`` over all representations of ``target``."""
     check_arity(phi, A.nsteps)
-    total = Fraction(0)
+    num, den = 0, 1
     for x in enumerate_solutions(A, cert, target):
-        total += evaluate_weight(phi, x)
-    return total
+        num, den = _accumulate(num, den, phi._value(x.coords))
+    return Fraction(num, den)
 
 
 def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) -> bool:
@@ -176,23 +176,35 @@ def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) 
     return _coordinates(_echelon(A)[0], t) is not None
 
 
+def _accumulate(num: int, den: int, value: int | Fraction) -> tuple[int, int]:
+    """num / den + value, over the lcm of the denominators added, never reduced."""
+    d = value.denominator
+    if den % d:
+        num, den = num * (math.lcm(den, d) // den), math.lcm(den, d)
+    return num + value.numerator * (den // d), den
+
+
 def _weighted_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[tuple[int, ...], int | Fraction]:
     """phi-weighted representation counts for every target of degree <= bound.
 
     The orthant route: visits every x >= 0 of step cost <= ``bound`` and adds
     phi(x) at A x.  Complete because any representation of a target with
     degree at most ``bound`` itself has total step cost at most ``bound``.
-    Keys are int tuples, in no particular order.
+    Each target keeps one int numerator and denominator (`_accumulate`), and
+    becomes a `Fraction` only at the end, unless its sum is an int.  Keys are
+    int tuples, in no particular order.
     """
     check_arity(phi, A.nsteps)
     rows = list(zip(*(col.coords for col in A.columns)))
-    sums: dict[tuple[int, ...], Fraction] = {}
+    value = phi._value
+    sums: dict[tuple[int, ...], tuple[int, int]] = {}
     for x in _orthant(cert.step_degrees, bound):
         target = tuple(sum(map(mul, row, x)) for row in rows)
-        sums[target] = sums.get(target, 0) + evaluate_weight(phi, LatticeVector(x))
-    return sums
+        num, den = sums.get(target, (0, 1))
+        sums[target] = _accumulate(num, den, value(x))
+    return {t: num if den == 1 else Fraction(num, den) for t, (num, den) in sums.items()}
 
 
 def _sweep(
@@ -284,8 +296,16 @@ def _count_table(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     sums = _graded_sums(A, cert, phi, bound)
-    keys = sums.keys() | set(_slab_points(A, cert, bound))
-    return {t: sums.get(t, 0) for t in graded(keys, cert.functional.coords)}
+    zeros = [(t, 0) for t in _slab_points(A, cert, bound) if t not in sums]
+    if not zeros:
+        return sums
+    # the table is already graded: merge in the few zero entries, sorted alone
+    ell = cert.functional.coords
+
+    def key(entry):
+        return sum(map(mul, ell, entry[0])), entry[0]
+
+    return dict(merge(sums.items(), sorted(zeros, key=key), key=key))
 
 
 def generalized_vp_table(

@@ -3,7 +3,11 @@
 Every verifier recomputes its two sides through independent code paths (the
 series pipeline on one side, direct enumeration or direct summation on the
 other) and reports exact coefficient-level equality over an explicitly named
-finite window.  Nothing here ever claims unbounded validity.
+finite window.  Nothing here ever claims unbounded validity.  The weight's
+values are the two sides' shared input, not a route: `thm1` and `rec` read
+them once per window or degree layer as int numerators over one common
+denominator (`core._scaled_values`), run both sides on ints, and build a
+`Fraction` only for a value a report names.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     StepMatrix,
     WeightFunction,
     _orthant,
+    _scaled_values,
     check_arity,
     evaluate_weight,
     exact,
@@ -32,7 +37,7 @@ from .core import (
     multinomial,
 )
 from .enumeration import _weighted_sums, vector_partition
-from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial, weight_series
+from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,13 @@ def verify_summation_identity(
     land on a compared target and nothing else, and the grading is positive,
     so the product is exact on it.
 
-    The right side sums the forward difference of phi, a rule weight, over
-    the step orthant.  Raises ValueError when the column-sum corner lies
-    above ``bound``: below it both sides vanish and nothing is compared.
+    Both sides run on ints: phi is read once on that window as numerators W
+    over one denominator D, and the coefficients as numerators b_j over their
+    lcm B.  The left side multiplies the series of B - sum_j b_j y_j and W;
+    the right side sums the forward differences B W(x + 1) - sum_j b_j
+    W(x + 1 - e_j) over the step orthant at A (x + 1).  Both are then over
+    B D.  Raises ValueError when the column-sum corner lies above ``bound``:
+    below it both sides vanish and nothing is compared.
     """
     corner = A.column_sum()
     base = cert.degree(corner)
@@ -180,26 +189,42 @@ def verify_summation_identity(
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
         raise ValueError(f"expected {A.nsteps} coefficients, got {len(cs)}")
-
     nvars, costs = A.nsteps, cert.step_degrees
-    one_minus = {LatticeVector.zero(nvars): Fraction(1)}
-    for j, c in enumerate(cs, start=1):  # each step costs at most the corner's degree
-        one_minus[LatticeVector.unit(nvars, j)] = -c
-    one_minus_series = TruncatedSeries(nvars, LatticeVector(costs), bound, one_minus)
-    differenced = one_minus_series * weight_series(phi, nvars, bound, costs)
-    lhs = substitute_monomial(full_support_part(differenced), A, cert, bound)
+    check_arity(phi, nvars)
 
-    sums = _weighted_sums(A, cert, forward_difference_apply(phi, cs), bound - base)
-    # each key t has degree in [0, bound - base], so t + corner is in the window
-    shifted = {tuple(map(add, t, corner.coords)): v for t, v in sums.items()}
-    rhs = TruncatedSeries._wrap(A.dim, cert.functional, bound, shifted)
+    points = list(_orthant(costs, bound))
+    numerators, den = _scaled_values(phi, points)
+    weights = dict(zip(points, numerators))
+    scale = math.lcm(*(c.denominator for c in cs))
+    scaled = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(cs) if c]
 
-    window = f"functional degree <= {bound}"
+    grading = LatticeVector(costs)
+    one_minus = {(0,) * nvars: scale}  # each step costs at most the corner's degree
+    for j, b in scaled:
+        one_minus[tuple(int(k == j) for k in range(nvars))] = -b
+    differenced = TruncatedSeries._wrap(nvars, grading, bound, one_minus) * TruncatedSeries._wrap(
+        nvars, grading, bound, weights
+    )
+    lhs = substitute_monomial(full_support_part(differenced), A, cert, bound)._coeffs
+
+    # x + 1 has step cost at most bound, so it and each x + 1 - e_j are in the window
+    rows = list(zip(*(col.coords for col in A.columns)))
+    rhs: dict[tuple[int, ...], int] = {}
+    for x in _orthant(costs, bound - base):
+        top = tuple(a + 1 for a in x)
+        value = scale * weights[top]
+        for j, b in scaled:
+            value -= b * weights[top[:j] + (top[j] - 1,) + top[j + 1 :]]
+        target = tuple(sum(map(mul, row, top)) for row in rows)
+        rhs[target] = rhs.get(target, 0) + value
+
+    total = scale * den
+    differ = [t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0)]
     mismatches = [
-        (e, lhs.coefficient(e), rhs.coefficient(e))
-        for e, _ in (lhs - rhs).terms()
+        (LatticeVector(t), Fraction(lhs.get(t, 0), total), Fraction(rhs.get(t, 0), total))
+        for t in graded(differ, cert.functional.coords)
     ]
-    return _report_from_mismatches(window, mismatches)
+    return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
 
 
 def _require_corner(base: int, bound: int) -> None:
@@ -217,29 +242,44 @@ def _recurrence_mismatches(
 ) -> list[tuple[LatticeVector, Fraction, Fraction]]:
     """Failures of phi(x) = sum_j phi(x - e_j) on the x >= (1,...,1) with cost <= bound.
 
-    The cost of x is sum_j costs[j] * x[j]; points run in total-degree order.
+    The cost of x is sum_j costs[j] * x[j]; points run in total-degree order,
+    each layer the successors x + e_j of the one below within the cost.  phi
+    is read once per layer, at its points and the next layer's predecessors,
+    as int numerators over the layer's own denominator, and the two layers
+    are compared by cross-multiplying; at most two layers are alive at once.
     """
     nvars = len(costs)
     check_arity(phi, nvars)
     if bound < 1:
         raise ValueError("bound must be at least 1")
 
-    def value(x: tuple[int, ...], table: dict) -> Fraction:
-        if x not in table:
-            table[x] = evaluate_weight(phi, LatticeVector(x))
-        return table[x]
+    def moved(x: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
+        return [x[:j] + (x[j] + step,) + x[j + 1 :] for j in range(nvars)]
 
+    def read(points: set) -> tuple[dict, int]:
+        points = list(points)
+        numerators, den = _scaled_values(phi, points)
+        return dict(zip(points, numerators)), den
+
+    corner = (1,) * nvars
+    layer = [corner] if sum(costs) <= bound else []
+    lower = [moved(x, -1) for x in layer]
+    below, below_den = read({y for ys in lower for y in ys})
     mismatches = []
-    points = [tuple(c + 1 for c in x) for x in _orthant(costs, bound - sum(costs))]
-    below, here, top = {}, {}, nvars  # weight values of degree top - 1 and top, each found once
-    for x in graded(points, (1,) * nvars):
-        if sum(x) > top:
-            below, here, top = here, {}, sum(x)
-        lhs = value(x, here)
-        lower = (x[:j] + (x[j] - 1,) + x[j + 1 :] for j in range(nvars))
-        rhs = sum((value(y, below) for y in lower), Fraction(0))
-        if lhs != rhs:
-            mismatches.append((LatticeVector(x), lhs, rhs))
+    while layer:
+        higher = set()
+        for x in layer:
+            room = bound - sum(map(mul, costs, x))
+            higher.update(y for y, d in zip(moved(x, 1), costs) if d <= room)
+        higher = sorted(higher)
+        higher_lower = [moved(x, -1) for x in higher]
+        here, here_den = read({y for ys in higher_lower for y in ys}.union(layer))
+        for x, ys in zip(layer, lower):
+            lhs = here[x]
+            rhs = sum(map(below.__getitem__, ys))
+            if lhs * below_den != rhs * here_den:
+                mismatches.append((LatticeVector(x), Fraction(lhs, here_den), Fraction(rhs, below_den)))
+        layer, lower, below, below_den = higher, higher_lower, here, here_den
     return mismatches
 
 
@@ -373,7 +413,11 @@ def verify_cb_vector_partition(
         raise ValueError(f"mu has dimension {mu.dim}, matrix has {A.dim}")
 
     budget = cert.degree(mu)
-    shared = RuleWeight(lambda x: multinomial(x) * math.prod(map(pow, cs, x.coords)), A.nsteps)
+    nums, dens = [c.numerator for c in cs], [c.denominator for c in cs]
+    shared = RuleWeight(  # multinomial(x) * cs ** x, one Fraction per value
+        lambda x: Fraction(multinomial(x) * math.prod(map(pow, nums, x)), math.prod(map(pow, dens, x))),
+        A.nsteps,
+    )
     weighted = _weighted_sums(A, cert, shared, budget)
     lhs = zero = Fraction(0)
     for j, c in enumerate(cs, start=1):
@@ -441,16 +485,20 @@ def verify_cb_1d(
     if mu1 < 0 or mu2 < 0:
         raise ValueError("mu1 and mu2 must be nonnegative")
 
-    first = sum(
-        (math.comb(mu1 + mu2 - v, mu1 - v) * a ** (mu1 - v) for v in range(mu1 + 1)),
-        Fraction(0),
-    )
-    second = sum(
-        (math.comb(mu1 + mu2 - v, mu2 - v) * b ** (mu2 - v) for v in range(mu2 + 1)),
-        Fraction(0),
-    )
-    total = b ** (mu2 + 1) * first + a ** (mu1 + 1) * second
+    def horner(num: int, den: int, m: int) -> int:
+        # sum_v C(mu1 + mu2 - v, m - v) num^(m - v) den^v, in powers of num by Horner
+        total, power = 0, 1
+        for v in range(m + 1):
+            total = total * num + math.comb(mu1 + mu2 - v, m - v) * power
+            power *= den
+        return total
+
+    # both sums times q^(mu1+1) s^(mu2+1), for a = p/q and b = r/s
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    numerator = r ** (mu2 + 1) * q * horner(p, q, mu1) + p ** (mu1 + 1) * s * horner(r, s, mu2)
+    denominator = q ** (mu1 + 1) * s ** (mu2 + 1)
     location = LatticeVector((mu1, mu2))
     window = f"mu = {location}"
-    mismatches = [] if total == 1 else [(location, total, Fraction(1))]
+    holds = numerator == denominator
+    mismatches = [] if holds else [(location, Fraction(numerator, denominator), Fraction(1))]
     return _report_from_mismatches(window, mismatches)

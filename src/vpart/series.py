@@ -12,12 +12,15 @@ degree can be positive even on exponents with negative coordinates.
 
 Inside, a series keys its exact coefficients (ints or fractions) by int
 tuples; `terms`, `support` and `coefficient` are the boundary where vectors
-and fractions are built.  `geometric_inverse` and `partition_series` with
+and fractions are built.  The arithmetic takes either, so a caller may run a
+product on int numerators over a denominator it keeps itself, as the
+summation-identity verifier does.  `weight_series` reads the weight on int
+tuples.  `geometric_inverse` and `partition_series` with
 `ConstantOne`, `GeometricWeights` or `LatticePathCount` wrap the graded
 table of `enumeration`, where the paper's closed forms fill the window a few
 operations per target in graded order, so their terms are never sorted
 again; `partition_series` with any other weight sums over the step orthant.
-The verifiers of `identities` keep their orthant-route tables, so the series
+The verifiers of `identities` keep their own orthant-route sums, so the series
 they check is never compared with itself.
 """
 
@@ -33,11 +36,10 @@ from .core import (
     LatticeVector,
     StepMatrix,
     WeightFunction,
+    _orthant,
     check_arity,
-    evaluate_weight,
     exact,
     graded,
-    iter_orthant,
 )
 from .enumeration import _graded_sums, _sweep
 
@@ -238,7 +240,7 @@ def weight_series(
     weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")
-    table = {x.coords: evaluate_weight(phi, x) for x in iter_orthant(weights.coords, bound)}
+    table = {x: phi._value(x) for x in _orthant(weights.coords, bound)}
     return TruncatedSeries._wrap(nvars, weights, bound, table)
 
 

@@ -13,10 +13,13 @@ from vpart import (
     ConstantOne,
     GeometricWeights,
     LatticePathCount,
+    MultinomialMonomial,
     NotPointedError,
+    RuleWeight,
     StepMatrix,
     TableWeight,
     certify_pointed,
+    multinomial,
 )
 
 UNIT_1D = StepMatrix([(1,)])
@@ -71,6 +74,33 @@ def weights_for(matrix: StepMatrix, seed: int = 7) -> list:
         LatticePathCount(),
         geometric_for(matrix.nsteps),
         random_table_weight(seed, matrix.nsteps),
+    ]
+
+
+# zero, negative and integral values and four different denominators
+MIXED_RATIONALS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(-5, 7)]
+
+
+def _layered_rule(x):
+    # a denominator that changes with the total degree
+    return Fraction((-1) ** x.coords[0] * multinomial(x), sum(x.coords) + 1)
+
+
+def every_weight_kind(nsteps: int, seed: int) -> list:
+    """One weight of each of the six kinds, drawn from ``seed``: ratios and
+    coefficients from `MIXED_RATIONALS`, a table with zero, negative and
+    fractional values on a box the windows reach past, and a rule whose
+    denominator differs from one degree layer to the next."""
+    rng = random.Random(seed)
+    return [
+        ConstantOne(),
+        LatticePathCount(),
+        GeometricWeights([rng.choice(MIXED_RATIONALS) for _ in range(nsteps)]),
+        MultinomialMonomial(
+            [rng.choice(MIXED_RATIONALS) for _ in range(nsteps)], axis=rng.randint(1, nsteps)
+        ),
+        random_table_weight(seed, nsteps, corner=rng.randint(0, 2)),
+        RuleWeight(_layered_rule, nsteps),
     ]
 
 

@@ -4,11 +4,13 @@ Everything here is deliberately naive: box scans (of fibers and of the
 count table's slab), permutation counting,
 forward depth-first walk enumeration, textbook dynamic programming,
 inclusion-exclusion over series projections, series products over every
-pair of terms, and cone membership as one linear program per point.  None of
-it shares code with the implementations under test beyond the series
-arithmetic and projections, the exact phase-one simplex of
-`certify_pointed`, and the slab scans' span test, facet membership and
-orthant-route values, which have tests of their own.
+pair of terms, cone membership as one linear program per point, and the
+verifiers' sums and recurrence checks in `Fraction` arithmetic, one
+`evaluate_weight` call per point, where the library runs on int numerators
+over common denominators.  None of it shares code with the implementations
+under test beyond the series arithmetic and projections, the exact phase-one
+simplex of `certify_pointed`, the slab scans' span test and facet
+membership, and `forward_difference_apply`, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ from vpart import (
     cone_contains,
     evaluate_weight,
     exact,
+    forward_difference_apply,
     full_support_part,
     integer_span_contains,
+    iter_orthant,
     partition_series,
     substitute_monomial,
     weight_series,
 )
 from vpart.cone import _phase1
 from vpart.core import graded
-from vpart.enumeration import _weighted_sums
 
 
 def box_scan_solutions(
@@ -66,16 +69,30 @@ def box_scan_weighted(
     return total
 
 
+def weighted_sums_by_fractions(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> dict[tuple[int, ...], Fraction]:
+    """The orthant route in `Fraction` arithmetic: phi(x), read by
+    `evaluate_weight` at a fresh vector, added at A x for every x >= 0 of
+    step cost <= bound."""
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for x in iter_orthant(cert.step_degrees, bound):
+        target = A.apply(x).coords
+        sums[target] = sums.get(target, Fraction(0)) + evaluate_weight(phi, x)
+    return sums
+
+
 def table_by_box_scan(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> dict[LatticeVector, Fraction]:
-    """The count table by the box scan: the orthant route's weighted sums,
+    """The count table by the box scan: the orthant route's weighted sums
+    (`weighted_sums_by_fractions`),
     plus a zero entry for every point of the box (2 * bound * span + 1)^dim
     in the degree window that `integer_span_contains` and `cone_contains`
     accept, in graded order.  Any cone point of degree <= bound is a real
     nonnegative combination with coefficient sum <= bound, so the box holds
     them all."""
-    table = {LatticeVector(t): v for t, v in _weighted_sums(A, cert, phi, bound).items()}
+    table = {LatticeVector(t): v for t, v in weighted_sums_by_fractions(A, cert, phi, bound).items()}
     ell = cert.functional.coords
     spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
     for coords in itertools.product(*(range(-bound * s, bound * s + 1) for s in spans)):
@@ -324,3 +341,87 @@ def summation_identity_by_total_degree(
     ]
     first = mismatches[0] if mismatches else None
     return VerificationReport(not mismatches, f"functional degree <= {bound}", first, len(mismatches))
+
+
+def report(window: str, mismatches) -> VerificationReport:
+    """The report of a list of (location, lhs, rhs) mismatches."""
+    if not mismatches:
+        return VerificationReport(True, window, None, 0)
+    return VerificationReport(False, window, Violation(*mismatches[0]), len(mismatches))
+
+
+def summation_identity_by_fractions(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, coeffs, bound: int
+) -> VerificationReport:
+    """The summation identity's report in `Fraction` arithmetic.
+
+    Left side: phi's series over the step-cost window, one `evaluate_weight`
+    per point, times 1 - <coeffs, variables>, its full-support part, then
+    the substitution.  Right side: `weighted_sums_by_fractions` of the
+    weight `forward_difference_apply` builds, shifted by the column sum.
+    Raises ValueError on the windows the verifier refuses.
+    """
+    corner = A.column_sum()
+    base = cert.degree(corner)
+    if base > bound:
+        raise ValueError(f"bound: empty window, the column sum has degree {base} > {bound}")
+    cs = tuple(exact(c) for c in coeffs)
+    n, costs = A.nsteps, LatticeVector(cert.step_degrees)
+    one_minus = {LatticeVector.zero(n): 1}
+    one_minus.update({LatticeVector.unit(n, j): -c for j, c in enumerate(cs, start=1)})
+    weights = {x: evaluate_weight(phi, x) for x in iter_orthant(costs.coords, bound)}
+    product = TruncatedSeries(n, costs, bound, one_minus) * TruncatedSeries(n, costs, bound, weights)
+    lhs = substitute_monomial(full_support_part(product), A, cert, bound)
+
+    sums = weighted_sums_by_fractions(A, cert, forward_difference_apply(phi, cs), bound - base)
+    rhs = TruncatedSeries(
+        A.dim, cert.functional, bound, {LatticeVector(t) + corner: v for t, v in sums.items()}
+    )
+    mismatches = [(e, lhs.coefficient(e), rhs.coefficient(e)) for e, _ in (lhs - rhs).terms()]
+    return report(f"functional degree <= {bound}", mismatches)
+
+
+def recurrence_mismatches_by_fractions(phi: WeightFunction, costs, bound: int) -> list:
+    """Failures of phi(x) = sum_j phi(x - e_j) on the x >= (1,...,1) with
+    step cost <= bound, in total-degree order, in `Fraction` arithmetic: each
+    value read once by `evaluate_weight` and cached for the degree layer
+    above."""
+    nvars = len(costs)
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+
+    def value(x: tuple[int, ...], table: dict) -> Fraction:
+        if x not in table:
+            table[x] = evaluate_weight(phi, LatticeVector(x))
+        return table[x]
+
+    mismatches = []
+    points = [tuple(c + 1 for c in x.coords) for x in iter_orthant(costs, bound - sum(costs))]
+    below, here, top = {}, {}, nvars  # weight values of degree top - 1 and top
+    for x in graded(points, (1,) * nvars):
+        if sum(x) > top:
+            below, here, top = here, {}, sum(x)
+        lhs = value(x, here)
+        lower = (x[:j] + (x[j] - 1,) + x[j + 1 :] for j in range(nvars))
+        rhs = sum((value(y, below) for y in lower), Fraction(0))
+        if lhs != rhs:
+            mismatches.append((LatticeVector(x), lhs, rhs))
+    return mismatches
+
+
+def basic_recurrence_by_fractions(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
+    """`verify_basic_recurrence`'s report by `recurrence_mismatches_by_fractions`."""
+    mismatches = recurrence_mismatches_by_fractions(phi, (1,) * nvars, bound)
+    return report(f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}", mismatches)
+
+
+def partition_recurrence_precondition_by_fractions(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
+) -> VerificationReport | None:
+    """The report `verify_partition_recurrence` raises with when phi fails its
+    precondition, by `recurrence_mismatches_by_fractions`; None when it holds."""
+    mismatches = recurrence_mismatches_by_fractions(phi, cert.step_degrees, bound)
+    if not mismatches:
+        return None
+    window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
+    return report(window, mismatches)

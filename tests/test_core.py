@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
@@ -17,7 +18,9 @@ from vpart import (
     iter_orthant,
     multinomial,
 )
+from vpart.core import _scaled_values
 
+import cases
 import oracles
 
 
@@ -164,6 +167,49 @@ class TestWeights:
         phi = GeometricWeights((Fraction(2, 3), Fraction(-1, 2)))
         x, y = LatticeVector(xs), LatticeVector(ys)
         assert evaluate_weight(phi, x + y) == evaluate_weight(phi, x) * evaluate_weight(phi, y)
+
+
+class TestScaledValues:
+    """Weights compute on int tuples; `evaluate_weight` is their boundary and
+    `_scaled_values` reads them as int numerators over one denominator."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=12),
+    )
+    @settings(max_examples=120)
+    def test_matches_evaluate_weight(self, seed, nvars, kind, points):
+        phi = cases.every_weight_kind(nvars, seed)[kind]
+        points = [p[:nvars] for p in points]
+        numerators, den = _scaled_values(phi, points)
+        values = [evaluate_weight(phi, LatticeVector(p)) for p in points]
+        assert all(type(n) is int for n in numerators) and type(den) is int
+        assert [Fraction(n, den) for n in numerators] == values
+        assert den == math.lcm(*(v.denominator for v in values))
+
+    @given(st.lists(st.integers(0, 5), min_size=3, max_size=3))
+    def test_power_weights_match_their_formulas(self, x):
+        q = (Fraction(2, 3), Fraction(-1, 2), Fraction(0))
+        vector = LatticeVector(x)
+        assert evaluate_weight(GeometricWeights(q), vector) == math.prod(map(pow, q, x))
+        assert evaluate_weight(MultinomialMonomial(q, axis=2), vector) == (
+            multinomial(vector) * math.prod(map(pow, q, x)) * q[1]
+        )
+
+    def test_integral_weights_stay_ints(self):
+        assert type(LatticePathCount()._value((2, 2))) is int
+        assert type(ConstantOne()._value((3,))) is int
+        assert type(GeometricWeights((2, 3))._value((1, 4))) is int
+        assert type(evaluate_weight(LatticePathCount(), LatticeVector((2, 2)))) is Fraction
+
+    def test_only_a_rule_sees_a_vector(self):
+        seen = []
+        phi = RuleWeight(lambda x: seen.append(x) or 1, arity=2)
+        assert _scaled_values(phi, [(0, 1), (2, 0)]) == ([1, 1], 1)
+        assert seen == [LatticeVector((0, 1)), LatticeVector((2, 0))]
+        assert _scaled_values(TableWeight((1,), ["1/2", "1/3"]), [(1,), (0,), (2,)]) == ([2, 3, 0], 6)
 
 
 class TestIterOrthant:

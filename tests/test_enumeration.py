@@ -20,6 +20,7 @@ from vpart import (
     vector_partition,
 )
 import vpart
+from vpart.cli import main as cli_main
 from vpart.core import graded
 from vpart.enumeration import _count_table, _graded_sums, _slab, _slab_points, _sweep, _weighted_sums
 
@@ -191,6 +192,30 @@ class TestWeightedCounts:
                 Fraction(0),
             )
             assert generalized_vp(A, cert, target, phi) == total
+
+
+class TestOrthantRouteOnInts:
+    """`_weighted_sums` and `generalized_vp` keep one int numerator and
+    denominator per target; the `Fraction` route is the oracle."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.integers(0, 7),
+    )
+    @settings(max_examples=120)
+    def test_matches_the_fraction_route(self, seed, dim, nsteps, kind, bound):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = cases.every_weight_kind(nsteps, seed)[kind]
+        sums = _weighted_sums(A, cert, phi, bound)
+        assert sums == oracles.weighted_sums_by_fractions(A, cert, phi, bound)
+        assert all(type(v) in (int, Fraction) for v in sums.values())
+        for target in sorted(sums)[:4]:
+            value = generalized_vp(A, cert, LatticeVector(target), phi)
+            assert type(value) is Fraction
+            assert value == oracles.box_scan_weighted(A, cert, LatticeVector(target), phi)
 
 
 class TestTable:
@@ -372,6 +397,37 @@ class TestZeroEntries:
         assert list(_count_table(A, cert, phi, bound).items()) == [
             (t.coords, v) for t, v in table.items()
         ]
+
+
+class TestZeroEntriesMerged:
+    """The sweep's table is already graded, so the count table merges its
+    few zero entries into it instead of sorting the union again."""
+
+    def test_paths_and_table_never_regrade(self, monkeypatch, tmp_path, capsys):
+        # [[2, 3]] reaches every degree but 1, whose slab point gets a zero entry
+        A, cert = certified(cases.GAPPED)
+        weights = [ConstantOne(), LatticePathCount(), GeometricWeights((1, "-1/2"))]
+        tables = [list(generalized_vp_table(A, cert, phi, 9).items()) for phi in weights]
+        problem = tmp_path / "gapped.json"
+        problem.write_text('{"matrix": [[2, 3]], "bound": 9}')
+        runs = [["paths", str(problem)], ["paths", str(problem), "--json"]]
+        outputs = []
+        for argv in runs:
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+
+        def refuse(*args):
+            raise AssertionError("graded() called on the sweep route")
+
+        monkeypatch.setattr(vpart.enumeration, "graded", refuse)
+        for phi, expected in zip(weights, tables):
+            assert (LatticeVector((1,)), 0) in expected
+            assert list(generalized_vp_table(A, cert, phi, 9).items()) == expected
+            assert expected == list(oracles.table_by_box_scan(A, cert, phi, 9).items())
+        for argv, expected in zip(runs, outputs):
+            assert cli_main(argv) == 0
+            assert capsys.readouterr().out == expected
+        assert outputs[0].startswith("(0) : 1/1\n(1) : 0/1\n(2) : 1/1\n")
 
 
 SLAB_FIXTURES = [cases.MIXED_SIGN, cases.GAPPED, cases.TWO_ONES, cases.REPEATED_3D, cases.EVEN_3D]

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -36,7 +38,7 @@ from vpart import (
     verify_path_series,
     verify_summation_identity,
 )
-from vpart import enumeration, series
+from vpart import enumeration, identities, series
 from vpart.identities import _walk_counts
 
 import cases
@@ -179,6 +181,56 @@ class TestSummationIdentity:
         assert report == oracles.summation_identity_by_total_degree(A, cert, phi, cs, bound)
         assert report.holds
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.lists(st.sampled_from(cases.MIXED_RATIONALS), min_size=4, max_size=4),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100)
+    def test_matches_the_fraction_route(self, seed, dim, nsteps, kind, coeffs, bound):
+        # all six weight kinds; coefficients with mixed denominators, zero and negative
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = cases.every_weight_kind(nsteps, seed)[kind]
+        cs = coeffs[:nsteps]
+        if cert.degree(A.column_sum()) > bound:
+            for verify in (verify_summation_identity, oracles.summation_identity_by_fractions):
+                with pytest.raises(ValueError, match="empty window"):
+                    verify(A, cert, phi, cs, bound)
+            return
+        report = verify_summation_identity(A, cert, phi, cs, bound)
+        assert report == oracles.summation_identity_by_fractions(A, cert, phi, cs, bound)
+
+    def test_a_failing_side_is_reported_exactly(self, monkeypatch):
+        # the left side a seventh of its own value too large at two targets:
+        # the report must name the first of them in graded order, with both
+        # sides exact, whatever common denominator the verifier kept
+        A, cert = certified(cases.DELANNOY)
+        phi = GeometricWeights(("1/2", "-2/3", "3/5"))
+        coeffs = (Fraction(1, 3), Fraction(-5, 7), Fraction(2))
+        corner = A.column_sum()
+        psi = forward_difference_apply(phi, coeffs)
+        rhs = oracles.weighted_sums_by_fractions(A, cert, psi, 6 - cert.degree(corner))
+        late, early = (3, 2), (2, 2)  # degrees 5 and 4, in this order in no table
+        true = {t: rhs[tuple(map(lambda a, b: a - b, t, corner.coords))] for t in (late, early)}
+        assert all(true.values())
+        original = identities.substitute_monomial
+
+        def a_seventh_off(*args):
+            result = original(*args)
+            for t in (late, early):
+                result._coeffs[t] += Fraction(result._coeffs[t], 7)
+            return result
+
+        monkeypatch.setattr(identities, "substitute_monomial", a_seventh_off)
+        report = verify_summation_identity(A, cert, phi, coeffs, 6)
+        violation = Violation(LatticeVector(early), true[early] * Fraction(8, 7), true[early])
+        assert report == VerificationReport(False, "functional degree <= 6", violation, 2)
+        assert type(report.first_violation.lhs) is Fraction
+        assert type(report.first_violation.rhs) is Fraction
+
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8])
     def test_step_degree_above_the_bound(self, bound):
         # step degrees (1, 3): at bounds 1 and 2 the second step lies outside
@@ -227,7 +279,64 @@ class TestBasicRecurrence:
         assert report.first_violation.rhs == 1
 
 
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 5), st.integers(1, 9))
+    @settings(max_examples=120)
+    def test_matches_the_fraction_route(self, seed, nvars, kind, bound):
+        phi = cases.every_weight_kind(nvars, seed)[kind]
+        report = verify_basic_recurrence(phi, nvars, bound)
+        assert report == oracles.basic_recurrence_by_fractions(phi, nvars, bound)
+
+    def test_each_layer_over_its_own_denominator(self):
+        # phi(x) = 1 / (|x| + 1): degree 2 is over 3, its predecessors over 2,
+        # and every point of every layer fails
+        phi = RuleWeight(lambda x: Fraction(1, sum(x.coords) + 1), arity=2)
+        report = verify_basic_recurrence(phi, 2, 5)
+        violation = Violation(LatticeVector((1, 1)), Fraction(1, 3), Fraction(1))
+        window = "x >= (1, 1), total degree <= 5"
+        assert report == VerificationReport(False, window, violation, 10)
+        assert report == oracles.basic_recurrence_by_fractions(phi, 2, 5)
+
+    def test_holds_over_changing_denominators(self):
+        # boundary values 1/(a + 1) and -1/(b + 2), extended inward by the
+        # recurrence: degree 1 is over 6, degree 2 over 12, and it holds
+        @functools.cache
+        def seeded(a, b):
+            if a == 0:
+                return Fraction(-1, b + 2)
+            if b == 0:
+                return Fraction(1, a + 1)
+            return seeded(a - 1, b) + seeded(a, b - 1)
+
+        phi = RuleWeight(lambda x: seeded(*x.coords), arity=2)
+        report = verify_basic_recurrence(phi, 2, 8)
+        assert report.holds
+        assert report == oracles.basic_recurrence_by_fractions(phi, 2, 8)
+
+    def test_wide_window_reads_only_the_layers(self):
+        # 41 points above (1, ..., 1) in 40 variables, though the orthant below
+        # total degree 41 holds C(81, 40) points
+        report = verify_basic_recurrence(LatticePathCount(), 40, 41)
+        assert report.holds
+
+
 class TestPartitionRecurrence:
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(0, 5), st.integers(1, 8))
+    @settings(max_examples=100)
+    def test_precondition_matches_the_fraction_route(self, seed, dim, nsteps, kind, bound):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = cases.every_weight_kind(nsteps, seed)[kind]
+        if cert.degree(A.column_sum()) > bound:
+            with pytest.raises(ValueError, match="empty window"):
+                verify_partition_recurrence(A, cert, phi, bound)
+            return
+        expected = oracles.partition_recurrence_precondition_by_fractions(A, cert, phi, bound)
+        if expected is None:
+            assert isinstance(verify_partition_recurrence(A, cert, phi, bound), VerificationReport)
+            return
+        with pytest.raises(RecurrencePreconditionError) as excinfo:
+            verify_partition_recurrence(A, cert, phi, bound)
+        assert excinfo.value.report == expected
+
     def test_delannoy(self):
         A, cert = certified(cases.DELANNOY)
         assert verify_partition_recurrence(A, cert, LatticePathCount(), 5).holds
@@ -462,6 +571,19 @@ class TestTwoVariablePartitionOfUnity:
 
     def test_negative_coefficient_still_holds(self):
         assert verify_cb_1d(Fraction(3, 2), Fraction(-1, 2), 3, 2).holds
+
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.integers(0, 30),
+        st.integers(0, 30),
+    )
+    def test_integer_sums_match_the_fraction_sums(self, a, mu1, mu2):
+        # the classical form, one Fraction power per term
+        b = 1 - a
+        first = sum(math.comb(mu1 + mu2 - v, mu1 - v) * a ** (mu1 - v) for v in range(mu1 + 1))
+        second = sum(math.comb(mu1 + mu2 - v, mu2 - v) * b ** (mu2 - v) for v in range(mu2 + 1))
+        assert b ** (mu2 + 1) * first + a ** (mu1 + 1) * second == 1
+        assert verify_cb_1d(a, b, mu1, mu2) == VerificationReport(True, f"mu = ({mu1}, {mu2})", None, 0)
 
     def test_validations(self):
         with pytest.raises(ValueError):
