@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from heapq import merge
 from itertools import product
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -299,13 +298,14 @@ def _count_table(
     zeros = [(t, 0) for t in _slab_points(A, cert, bound) if t not in sums]
     if not zeros:
         return sums
-    # the table is already graded: merge in the few zero entries, sorted alone
     ell = cert.functional.coords
 
     def key(entry):
         return sum(map(mul, ell, entry[0])), entry[0]
 
-    return dict(merge(sums.items(), sorted(zeros, key=key), key=key))
+    # the table is already graded and the few zero entries are sorted alone:
+    # on two sorted runs, `sorted` is one linear merge
+    return dict(sorted([*sums.items(), *sorted(zeros, key=key)], key=key))
 
 
 def generalized_vp_table(
