@@ -393,8 +393,6 @@ def _scaled_values(
     """
     values = [phi._value(x) for x in points]
     den = math.lcm(*(v.denominator for v in values))
-    if den == 1:
-        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

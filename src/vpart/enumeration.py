@@ -13,7 +13,8 @@ tuples; vectors and fractions are built only where a public function returns
 them.  There are two routes.  The orthant route, `_weighted_sums`, adds phi(x)
 at A x for every x >= 0 of step cost <= bound: bound^N points for any weight,
 summed on ints, one numerator and denominator per target.  The graded sweep,
-`_sweep`, serves the weights whose series factors over the steps: `ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
+`_sweep`, serves the weights whose series factors over the steps:
+`ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
 `LatticePathCount` (1 / (1 - sum_j y^{a_j})).  It visits the targets a forward
 closure over the steps reaches, one degree layer at a time, and fills each
 target's value in the same visit from targets of lower degree: bound^rank

@@ -278,7 +278,8 @@ def _recurrence_mismatches(
             lhs = here[x]
             rhs = sum(map(below.__getitem__, ys))
             if lhs * below_den != rhs * here_den:
-                mismatches.append((LatticeVector(x), Fraction(lhs, here_den), Fraction(rhs, below_den)))
+                violation = LatticeVector(x), Fraction(lhs, here_den), Fraction(rhs, below_den)
+                mismatches.append(violation)
         layer, lower, below, below_den = higher, higher_lower, here, here_den
     return mismatches
 
@@ -415,7 +416,9 @@ def verify_cb_vector_partition(
     budget = cert.degree(mu)
     nums, dens = [c.numerator for c in cs], [c.denominator for c in cs]
     shared = RuleWeight(  # multinomial(x) * cs ** x, one Fraction per value
-        lambda x: Fraction(multinomial(x) * math.prod(map(pow, nums, x)), math.prod(map(pow, dens, x))),
+        lambda x: Fraction(
+            multinomial(x) * math.prod(map(pow, nums, x)), math.prod(map(pow, dens, x))
+        ),
         A.nsteps,
     )
     weighted = _weighted_sums(A, cert, shared, budget)
@@ -499,6 +502,6 @@ def verify_cb_1d(
     denominator = q ** (mu1 + 1) * s ** (mu2 + 1)
     location = LatticeVector((mu1, mu2))
     window = f"mu = {location}"
-    holds = numerator == denominator
-    mismatches = [] if holds else [(location, Fraction(numerator, denominator), Fraction(1))]
+    total = Fraction(numerator, denominator)
+    mismatches = [] if numerator == denominator else [(location, total, Fraction(1))]
     return _report_from_mismatches(window, mismatches)

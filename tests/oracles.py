@@ -92,7 +92,8 @@ def table_by_box_scan(
     accept, in graded order.  Any cone point of degree <= bound is a real
     nonnegative combination with coefficient sum <= bound, so the box holds
     them all."""
-    table = {LatticeVector(t): v for t, v in weighted_sums_by_fractions(A, cert, phi, bound).items()}
+    sums = weighted_sums_by_fractions(A, cert, phi, bound)
+    table = {LatticeVector(t): v for t, v in sums.items()}
     ell = cert.functional.coords
     spans = [max(abs(col.coords[i]) for col in A.columns) for i in range(A.dim)]
     for coords in itertools.product(*(range(-bound * s, bound * s + 1) for s in spans)):
@@ -370,7 +371,8 @@ def summation_identity_by_fractions(
     one_minus = {LatticeVector.zero(n): 1}
     one_minus.update({LatticeVector.unit(n, j): -c for j, c in enumerate(cs, start=1)})
     weights = {x: evaluate_weight(phi, x) for x in iter_orthant(costs.coords, bound)}
-    product = TruncatedSeries(n, costs, bound, one_minus) * TruncatedSeries(n, costs, bound, weights)
+    product = TruncatedSeries(n, costs, bound, one_minus)
+    product *= TruncatedSeries(n, costs, bound, weights)
     lhs = substitute_monomial(full_support_part(product), A, cert, bound)
 
     sums = weighted_sums_by_fractions(A, cert, forward_difference_apply(phi, cs), bound - base)
@@ -409,7 +411,9 @@ def recurrence_mismatches_by_fractions(phi: WeightFunction, costs, bound: int) -
     return mismatches
 
 
-def basic_recurrence_by_fractions(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
+def basic_recurrence_by_fractions(
+    phi: WeightFunction, nvars: int, bound: int
+) -> VerificationReport:
     """`verify_basic_recurrence`'s report by `recurrence_mismatches_by_fractions`."""
     mismatches = recurrence_mismatches_by_fractions(phi, (1,) * nvars, bound)
     return report(f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}", mismatches)

@@ -209,7 +209,8 @@ class TestScaledValues:
         phi = RuleWeight(lambda x: seen.append(x) or 1, arity=2)
         assert _scaled_values(phi, [(0, 1), (2, 0)]) == ([1, 1], 1)
         assert seen == [LatticeVector((0, 1)), LatticeVector((2, 0))]
-        assert _scaled_values(TableWeight((1,), ["1/2", "1/3"]), [(1,), (0,), (2,)]) == ([2, 3, 0], 6)
+        table = TableWeight((1,), ["1/2", "1/3"])
+        assert _scaled_values(table, [(1,), (0,), (2,)]) == ([2, 3, 0], 6)
 
 
 class TestIterOrthant:

@@ -320,7 +320,9 @@ class TestBasicRecurrence:
 
 
 class TestPartitionRecurrence:
-    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(0, 5), st.integers(1, 8))
+    @given(
+        st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.integers(0, 5), st.integers(1, 8)
+    )
     @settings(max_examples=100)
     def test_precondition_matches_the_fraction_route(self, seed, dim, nsteps, kind, bound):
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
@@ -583,7 +585,8 @@ class TestTwoVariablePartitionOfUnity:
         first = sum(math.comb(mu1 + mu2 - v, mu1 - v) * a ** (mu1 - v) for v in range(mu1 + 1))
         second = sum(math.comb(mu1 + mu2 - v, mu2 - v) * b ** (mu2 - v) for v in range(mu2 + 1))
         assert b ** (mu2 + 1) * first + a ** (mu1 + 1) * second == 1
-        assert verify_cb_1d(a, b, mu1, mu2) == VerificationReport(True, f"mu = ({mu1}, {mu2})", None, 0)
+        expected = VerificationReport(True, f"mu = ({mu1}, {mu2})", None, 0)
+        assert verify_cb_1d(a, b, mu1, mu2) == expected
 
     def test_validations(self):
         with pytest.raises(ValueError):
