@@ -15,7 +15,7 @@ Quick tour::
     cert = certify_pointed(steps)
     vector_partition(steps, cert, LatticeVector((2, 2)))   # 3 representations
 
-All arithmetic is `fractions.Fraction`; nothing is ever rounded.
+All arithmetic is exact, on ints and `fractions.Fraction`; nothing is ever rounded.
 """
 
 from .cone import (
@@ -52,7 +52,6 @@ from .identities import (
     VerificationReport,
     Violation,
     forward_difference_apply,
-    shift_apply,
     verify_basic_recurrence,
     verify_cb_1d,
     verify_cb_multidim,
@@ -103,7 +102,6 @@ __all__ = [
     "iter_orthant",
     "multinomial",
     "partition_series",
-    "shift_apply",
     "substitute_monomial",
     "vector_partition",
     "verify_basic_recurrence",

@@ -7,11 +7,17 @@ a verified identity, 1 for a violated identity or a non-pointed step set,
 2 for unusable input.  A command whose work, estimated from the document
 alone before any work starts, exceeds `MAX_WORK` is refused as unusable
 input, so that no document runs for hours without output.
+
+The argparse tree is built once per process, on the first `main` call, and
+reused after it.  That saves its cost only for callers that run `main`
+many times in one process (a benchmark harness, a test suite, a library
+user); a one-shot ``python -m vpart`` builds one parser either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -366,7 +372,9 @@ def _load_document(path: str):
         raise ProblemError(f"parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused by every `main` call after it."""
     parser = argparse.ArgumentParser(
         prog="vpart",
         description="Exact vector partition counts, truncated generating series, "
@@ -386,7 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("which", choices=VERIFY_KINDS, help="identity to check")
     verify.add_argument("problem", nargs="?", help="JSON problem file ('-' for stdin, the default)")
     verify.add_argument("--json", action="store_true", help="structured JSON output")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     try:
         args, rest = parser.parse_known_args(argv)
         # argparse closes `verify`'s positionals at the first flag, so a file

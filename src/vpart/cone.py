@@ -4,10 +4,12 @@ A step set spans a pointed cone exactly when some integer linear functional
 is strictly positive on every column.  The functional doubles as a grading:
 it bounds every enumeration and truncation in the package, because each step
 then has degree at least one.  `certify_pointed` decides the defining
-inequalities exactly over the rationals with a phase-one simplex and Bland's
-smallest-index pivot rule, so the certificate returned for a fixed matrix
-never changes between runs, and an infeasible system yields a witness that
-the cone contains a line.
+inequalities exactly with a phase-one simplex and Bland's smallest-index
+pivot rule, so the certificate returned for a fixed matrix never changes
+between runs, and an infeasible system yields a witness that the cone
+contains a line.  The simplex pivots integers over one common denominator
+and builds a `Fraction` only for the optimum, solution and duals it
+returns.
 
 Membership in the real cone, pointed or not, reads the cone's integer
 H-representation, computed once per matrix: equalities cutting out the
@@ -86,12 +88,10 @@ def certify_pointed(A: StepMatrix) -> ConeCertificate:
     #   <y, column_j> - s_j = 1  for every column.
     rows = []
     for j, col in enumerate(A.columns):
-        row = [Fraction(c) for c in col.coords]
-        row += [Fraction(-c) for c in col.coords]
-        row += [Fraction(0)] * N
-        row[2 * n + j] = Fraction(-1)
+        row = [*col.coords, *(-c for c in col.coords)] + [0] * N
+        row[2 * n + j] = -1
         rows.append(row)
-    value, solution, duals = _phase1(rows, [Fraction(1)] * N)
+    value, solution, duals = _phase1(rows, [1] * N)
 
     if value > 0:
         witness = LatticeVector(_integerize(duals))
@@ -186,66 +186,70 @@ def _integerize(values: Sequence[Fraction]) -> list[int]:
 
 
 def _phase1(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[list[int]], rhs: list[int]
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Minimise the artificial total for {t >= 0 : rows . t = rhs}, exactly.
 
-    ``rhs`` must be componentwise nonnegative (callers flip row signs).
-    Returns (optimum, structural solution, row duals).  The optimum is zero
-    exactly when the system is feasible; otherwise the duals certify
-    infeasibility.  Bland's rule on both the entering and the leaving choice
-    rules out cycling and makes the pivot sequence deterministic.
+    ``rows`` are one or more integer rows and ``rhs`` is a nonnegative
+    integer vector (callers flip row signs).  Returns (optimum, structural
+    solution, row duals).  The optimum is zero exactly when the system is
+    feasible; otherwise the duals certify infeasibility.  Bland's rule on
+    both the entering and the leaving choice rules out cycling and fixes the
+    pivots.
+
+    Fraction-free pivoting (Edmonds 1967, Bareiss 1968): the tableau T, the
+    reduced costs as its last row, holds integers over d = det(B) > 0 for the
+    basis B, starting at B = I.  A pivot on p = T[r][c] > 0 keeps row r, sets
+    every other row i to (p * T[i] - T[i][c] * T[r]) // d, and then d = p.
+    Each entry of T is an integer minor of the input (the rows are adj(B)
+    times it), so every division is exact.  As d > 0, reduced costs keep
+    their signs and ratios compare by cross-multiplying, so Bland's rule
+    takes the pivots a `Fraction` tableau T / d takes.  Only the returned
+    values are built as `Fraction`s.
     """
-    m = len(rows)
-    k = len(rows[0]) if m else 0
+    m, k = len(rows), len(rows[0])
     width = k + m
 
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for i in range(m):
         if rhs[i] < 0:
             raise ValueError("phase-one right-hand side must be nonnegative")
-        row = list(rows[i]) + [Fraction(0)] * m + [rhs[i]]
-        row[k + i] = Fraction(1)
+        row = list(rows[i]) + [0] * m + [rhs[i]]
+        row[k + i] = 1
         tab.append(row)
+    # every artificial is basic at cost 1; under the right-hand side, minus the optimum
+    tab.append([(1 if k <= j < width else 0) - sum(col) for j, col in enumerate(zip(*tab))])
     basis = list(range(k, k + m))
-
-    def reduced_costs() -> list[Fraction]:
-        rc = []
-        for j in range(width):
-            cost = Fraction(1 if j >= k else 0)
-            for i in range(m):
-                if basis[i] >= k:
-                    cost -= tab[i][j]
-            rc.append(cost)
-        return rc
+    d = 1
 
     while True:
-        rc = reduced_costs()
-        enter = next((j for j in range(width) if rc[j] < 0), None)
+        enter = next((j for j in range(width) if tab[m][j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tab[i][enter]
+            # the least ratio T[i][-1] / a, cross-multiplied; ties to the least basic index
+            if a > 0 and (
+                leave is None
+                or (tab[i][-1] * tab[leave][enter], basis[i]) < (tab[leave][-1] * a, basis[leave])
+            ):
+                leave = i
         if leave is None:
             raise RuntimeError("unbounded phase-one objective; cannot happen")
-        pivot = tab[leave][enter]
-        tab[leave] = [v / pivot for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         basis[leave] = enter
+        d = p
 
-    value = sum((tab[i][-1] for i in range(m) if basis[i] >= k), Fraction(0))
+    value = Fraction(-tab[m][-1], d)
     solution = [Fraction(0)] * k
     for i in range(m):
         if basis[i] < k:
-            solution[basis[i]] = tab[i][-1]
-    rc = reduced_costs()
-    duals = [Fraction(1) - rc[k + i] for i in range(m)]
+            solution[basis[i]] = Fraction(tab[i][-1], d)
+    duals = [Fraction(d - tab[m][k + i], d) for i in range(m)]
     return value, solution, duals

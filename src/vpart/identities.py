@@ -1,4 +1,4 @@
-"""Shift and difference operators on weights, and exact identity verifiers.
+"""A difference operator on weights, and exact identity verifiers.
 
 Every verifier recomputes its two sides through independent code paths (the
 series pipeline on one side, direct enumeration or direct summation on the
@@ -110,16 +110,6 @@ def _report_from_mismatches(
     return VerificationReport(False, window, Violation(loc, lhs, rhs), len(mismatches))
 
 
-def shift_apply(phi: WeightFunction, mu: LatticeVector) -> WeightFunction:
-    """The weight x -> phi(x + mu); entries of ``mu`` may be negative.
-
-    Arguments that land outside the nonnegative orthant weigh zero, following
-    the convention applied by `evaluate_weight`.
-    """
-    check_arity(phi, mu.dim)
-    return RuleWeight(lambda x: evaluate_weight(phi, x + mu), arity=mu.dim)
-
-
 def forward_difference_apply(
     phi: WeightFunction, coeffs: Sequence[int | Fraction | str]
 ) -> WeightFunction:
@@ -132,21 +122,14 @@ def forward_difference_apply(
     cs = tuple(exact(c) for c in coeffs)
     nvars = len(cs)
     check_arity(phi, nvars)
-    # each phi value is read by up to nvars + 1 points, so the returned weight
-    # keeps the values it has read
-    seen: dict[tuple[int, ...], Fraction] = {}
-
-    def value(y: tuple[int, ...]) -> Fraction:
-        if y not in seen:
-            seen[y] = evaluate_weight(phi, LatticeVector(y))
-        return seen[y]
 
     def rule(x: LatticeVector) -> Fraction:
         top = tuple(a + 1 for a in x.coords)
-        result = value(top)
+        result = evaluate_weight(phi, LatticeVector(top))
         for j, c in enumerate(cs):
             if c:
-                result -= c * value(top[:j] + (top[j] - 1,) + top[j + 1 :])
+                lower = top[:j] + (top[j] - 1,) + top[j + 1 :]
+                result -= c * evaluate_weight(phi, LatticeVector(lower))
         return result
 
     return RuleWeight(rule, arity=nvars)

@@ -4,13 +4,14 @@ Everything here is deliberately naive: box scans (of fibers and of the
 count table's slab), permutation counting,
 forward depth-first walk enumeration, textbook dynamic programming,
 inclusion-exclusion over series projections, series products over every
-pair of terms, cone membership as one linear program per point, and the
-verifiers' sums and recurrence checks in `Fraction` arithmetic, one
-`evaluate_weight` call per point, where the library runs on int numerators
-over common denominators.  None of it shares code with the implementations
-under test beyond the series arithmetic and projections, the exact phase-one
-simplex of `certify_pointed`, the slab scans' span test and facet
-membership, and `forward_difference_apply`, which have tests of their own.
+pair of terms, cone membership as one linear program per point, solved by
+a phase-one simplex on a `Fraction` tableau where `certify_pointed` pivots
+integers, and the verifiers' sums and recurrence checks in `Fraction`
+arithmetic, one `evaluate_weight` call per point, where the library runs
+on int numerators over common denominators.  None of it shares code with
+the implementations under test beyond the series arithmetic and
+projections, the slab scans' span test and facet membership, and
+`forward_difference_apply`, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from vpart import (
     substitute_monomial,
     weight_series,
 )
-from vpart.cone import _phase1
-from vpart.core import graded
+from vpart.core import check_arity, graded
 
 
 def box_scan_solutions(
@@ -117,6 +117,16 @@ def slab_points_by_simplex(A: StepMatrix, cert: ConeCertificate, bound: int) -> 
         and integer_span_contains(A, t)
         and cone_contains_by_simplex(A, t)
     }
+
+
+def shift_apply(phi: WeightFunction, mu: LatticeVector) -> WeightFunction:
+    """The weight x -> phi(x + mu); entries of ``mu`` may be negative.
+
+    Arguments that land outside the nonnegative orthant weigh zero, following
+    the convention applied by `evaluate_weight`.
+    """
+    check_arity(phi, mu.dim)
+    return RuleWeight(lambda x: evaluate_weight(phi, x + mu), arity=mu.dim)
 
 
 def orderings_count(x: LatticeVector) -> int:
@@ -197,19 +207,90 @@ def brute_force_positive_functional(A: StepMatrix, radius: int) -> LatticeVector
     return None
 
 
-def cone_contains_by_simplex(A: StepMatrix, target) -> bool:
-    """Real cone membership as feasibility of {x >= 0 : A x = target}, decided
-    by one exact phase-one simplex per call (rows flipped to a nonnegative
-    right-hand side)."""
+def membership_system(A: StepMatrix, target) -> tuple[list[list[int]], list[int]]:
+    """The integer rows and right-hand side of {x >= 0 : A x = target}, each
+    row flipped so that its right-hand side is nonnegative."""
     rows, rhs = [], []
     for i, b in enumerate(tuple(target)):
-        coeffs = [Fraction(col.coords[i]) for col in A.columns]
+        coeffs = [col.coords[i] for col in A.columns]
         if b < 0:
             coeffs, b = [-v for v in coeffs], -b
         rows.append(coeffs)
-        rhs.append(Fraction(b))
-    value, _, _ = _phase1(rows, rhs)
+        rhs.append(b)
+    return rows, rhs
+
+
+def cone_contains_by_simplex(A: StepMatrix, target) -> bool:
+    """Real cone membership as feasibility of `membership_system`, decided by
+    one exact phase-one simplex per call."""
+    value, _, _ = phase1_by_fractions(*membership_system(A, target))
     return value == 0
+
+
+def phase1_by_fractions(
+    rows: list[list[int]], rhs: list[int]
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Minimise the artificial total for {t >= 0 : rows . t = rhs} on a
+    `Fraction` tableau, dividing the pivot row by its pivot.
+
+    ``rhs`` must be componentwise nonnegative.  Returns (optimum, structural
+    solution, row duals), with Bland's rule on both the entering and the
+    leaving choice, and the reduced costs recomputed from the tableau before
+    every pivot.
+    """
+    m = len(rows)
+    k = len(rows[0]) if m else 0
+    width = k + m
+
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        if rhs[i] < 0:
+            raise ValueError("phase-one right-hand side must be nonnegative")
+        row = [Fraction(v) for v in rows[i]] + [Fraction(0)] * m + [Fraction(rhs[i])]
+        row[k + i] = Fraction(1)
+        tab.append(row)
+    basis = list(range(k, k + m))
+
+    def reduced_costs() -> list[Fraction]:
+        rc = []
+        for j in range(width):
+            cost = Fraction(1 if j >= k else 0)
+            for i in range(m):
+                if basis[i] >= k:
+                    cost -= tab[i][j]
+            rc.append(cost)
+        return rc
+
+    while True:
+        rc = reduced_costs()
+        enter = next((j for j in range(width) if rc[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise RuntimeError("unbounded phase-one objective; cannot happen")
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+
+    value = sum((tab[i][-1] for i in range(m) if basis[i] >= k), Fraction(0))
+    solution = [Fraction(0)] * k
+    for i in range(m):
+        if basis[i] < k:
+            solution[basis[i]] = tab[i][-1]
+    rc = reduced_costs()
+    duals = [Fraction(1) - rc[k + i] for i in range(m)]
+    return value, solution, duals
 
 
 def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:

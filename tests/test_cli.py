@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpart import certify_pointed
+from vpart import certify_pointed, cli
 from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _slab_volume, main
 from vpart.core import _orthant
 from vpart.enumeration import _slab_points
@@ -526,6 +527,44 @@ class TestFuzz:
             assert command == ["verify", "rec"] and "false" in out
         else:
             assert (code == 0) == (err == "")
+
+
+def _run_fresh(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "vpart", *argv], capture_output=True, text=True, cwd=REPO
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestOneParserPerProcess:
+    def test_reuse_leaks_no_state(self, monkeypatch):
+        # each call, in this order in one process, must match a fresh process;
+        # a fixed width keeps argparse's help and usage wrapping the same in both
+        monkeypatch.setenv("COLUMNS", "80")
+        thm1 = str(PROBLEMS / "summation_identity.json")
+        sequence = [
+            ["verify", "thm1", "--bogus"],
+            ["--help"],
+            ["verify", "bogus", thm1],
+            ["verify", "thm1", "--json", thm1],
+            ["paths", str(PROBLEMS / "gapped_paths.json")],
+        ]
+        outcomes = [run_cli(argv) for argv in sequence]
+        assert [code for code, _, _ in outcomes] == [2, 0, 2, 0, 0]
+        for argv, outcome in zip(sequence, outcomes):
+            assert outcome == _run_fresh(argv), argv
+
+    def test_the_tree_is_built_once(self, monkeypatch):
+        cli._parser.cache_clear()
+        path = str(PROBLEMS / "basis_pointed.json")
+        assert run_cli(["pointed", path]) == (0, "ell = (1, 1)\n", "")
+
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("a second parser was built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_new_parser)
+        assert run_cli(["pointed", path]) == (0, "ell = (1, 1)\n", "")
+        assert run_cli(["verify", "bogus"])[0] == 2
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from vpart import (
     certify_pointed,
     cone_contains,
 )
-from vpart.cone import _facets
+from vpart import cone
+from vpart.cone import _facets, _phase1
 
 import cases
 import oracles
@@ -187,3 +189,83 @@ class TestFacetsAgainstSimplex:
         assert not cone_contains(cases.MIXED_SIGN, (1, -1))
         with pytest.raises(ValueError):
             cone_contains(cases.MIXED_SIGN, (1, 1, 1))
+
+
+def _columns(max_dim, max_steps, span):
+    """Nonzero integer columns with entries in [-span, span], pointed or not."""
+    return st.integers(1, max_dim).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.integers(-span, span)] * dim).filter(any),
+            min_size=1,
+            max_size=max_steps,
+        )
+    )
+
+
+class TestIntegerSimplex:
+    """`cone._phase1` pivots integers over one common denominator; the
+    `Fraction` tableau of `oracles.phase1_by_fractions` must give the same
+    optimum, solution and duals, so the same certificate or witness."""
+
+    @given(_columns(5, 8, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_pointedness_systems_match_the_fraction_tableau(self, columns):
+        with mock.patch.object(cone, "_phase1", wraps=_phase1) as spy:
+            try:
+                certify_pointed(StepMatrix(columns))
+            except NotPointedError:
+                pass
+        rows, rhs = spy.call_args.args
+        assert all(type(v) is int for row in rows for v in row + rhs)
+        assert _phase1(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
+
+    @given(
+        _columns(5, 8, 5).flatmap(
+            lambda cols: st.tuples(
+                st.just(cols), st.tuples(*[st.integers(-6, 6)] * len(cols[0]))
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_membership_systems_match_the_fraction_tableau(self, case):
+        columns, target = case
+        rows, rhs = oracles.membership_system(StepMatrix(columns), target)
+        assert _phase1(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
+
+    def test_negative_right_hand_side_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _phase1([[1, 2]], [-1])
+
+    @pytest.mark.parametrize(
+        "matrix, functional",
+        [
+            (cases.UNIT_1D, (1,)),
+            (cases.BASIS_2D, (1, 1)),
+            (cases.DELANNOY, (1, 1)),
+            (cases.MIXED_SIGN, (1, 1)),
+            (cases.RANDOM_2X4, (-3, 1)),
+            (cases.TWO_ONES, (1,)),
+            (cases.GAPPED, (1,)),
+            (cases.R3, (1, 1, 1)),
+            (cases.REPEATED_3D, (1, 1, 0)),
+        ],
+    )
+    def test_fixture_functionals_unchanged(self, matrix, functional):
+        # cases.MAIN_MATRICES first; BASIS_2D, DELANNOY, TWO_ONES and GAPPED
+        # are also the demos' pointed matrices
+        assert certify_pointed(matrix).functional.coords == functional
+
+    @pytest.mark.parametrize(
+        "columns, witness",
+        [
+            ([(1,), (-1,)], (1, 1)),
+            ([(1, 0), (0, 1), (-1, -1)], (1, 1, 1)),
+            ([(1, 2, 0), (-1, -2, 0)], (1, 1)),
+            ([(1, 0), (-1, 0), (0, 1)], (1, 1, 0)),
+        ],
+    )
+    def test_fixture_witnesses_unchanged(self, columns, witness):
+        # the demos' line_not_pointed.json first, then NOT_POINTED and HALF_PLANE
+        with pytest.raises(NotPointedError) as excinfo:
+            certify_pointed(StepMatrix(columns))
+        assert excinfo.value.witness.coords == witness

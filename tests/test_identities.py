@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -28,7 +30,6 @@ from vpart import (
     iter_orthant,
     multinomial,
     partition_series,
-    shift_apply,
     vector_partition,
     verify_basic_recurrence,
     verify_cb_1d,
@@ -88,7 +89,7 @@ class TestReport:
 class TestShift:
     def test_zero_shift_is_identity(self):
         phi = cases.random_table_weight(41, 2)
-        shifted = shift_apply(phi, LatticeVector((0, 0)))
+        shifted = oracles.shift_apply(phi, LatticeVector((0, 0)))
         for coords in [(0, 0), (1, 2), (2, 2)]:
             x = LatticeVector(coords)
             assert evaluate_weight(shifted, x) == evaluate_weight(phi, x)
@@ -96,19 +97,19 @@ class TestShift:
     def test_geometric_shift_scales(self):
         q = (Fraction(2, 3), Fraction(1, 5))
         phi = GeometricWeights(q)
-        shifted = shift_apply(phi, LatticeVector((1, 0)))
+        shifted = oracles.shift_apply(phi, LatticeVector((1, 0)))
         for coords in [(0, 0), (2, 1), (1, 3)]:
             x = LatticeVector(coords)
             assert evaluate_weight(shifted, x) == q[0] * evaluate_weight(phi, x)
 
     def test_negative_shift_hits_the_convention(self):
-        shifted = shift_apply(LatticePathCount(), LatticeVector((-1, 0)))
+        shifted = oracles.shift_apply(LatticePathCount(), LatticeVector((-1, 0)))
         assert evaluate_weight(shifted, LatticeVector((0, 0))) == 0
         assert evaluate_weight(shifted, LatticeVector((1, 0))) == 1
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            shift_apply(GeometricWeights((1,)), LatticeVector((1, 0)))
+            oracles.shift_apply(GeometricWeights((1,)), LatticeVector((1, 0)))
 
 
 class TestForwardDifference:
@@ -126,6 +127,26 @@ class TestForwardDifference:
         psi = forward_difference_apply(ConstantOne(), (Fraction(1, 4), Fraction(3, 4)))
         for coords in [(0, 0), (1, 2), (3, 3)]:
             assert evaluate_weight(psi, LatticeVector(coords)) == 0
+
+    def test_keeps_no_value_it_has_read(self):
+        # what the weight holds is what dropping it frees; collecting before
+        # both readings keeps the interpreter's free lists out of the count
+        tracemalloc.start()
+        try:
+            psi = forward_difference_apply(LatticePathCount(), (1, 1, 1))
+            points = 0
+            for x in iter_orthant((1, 1, 1), 40):
+                evaluate_weight(psi, x)
+                points += 1
+            gc.collect()
+            alive = tracemalloc.get_traced_memory()[0]
+            del psi
+            gc.collect()
+            held = alive - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert points == 12341
+        assert held < 64 * 1024
 
 
 class TestSummationIdentity:

@@ -33,7 +33,6 @@ PUBLIC = [
     "iter_orthant",
     "multinomial",
     "partition_series",
-    "shift_apply",
     "substitute_monomial",
     "vector_partition",
     "verify_basic_recurrence",
@@ -49,7 +48,7 @@ PUBLIC = [
 
 def test_all_is_pinned_sorted_and_public():
     assert vpart.__all__ == PUBLIC
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert PUBLIC == sorted(PUBLIC)
     assert not [name for name in PUBLIC if name.startswith("_")]
 
