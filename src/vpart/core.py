@@ -391,7 +391,12 @@ def _scaled_values(
     largest k-th coordinate read; for a `TableWeight`, the lcm of its values'
     denominators.
     """
-    values = [phi._value(x) for x in points]
+    return _over_lcm([phi._value(x) for x in points])
+
+
+def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Rationals as (numerators, D): numerators[i] / D = values[i], D the lcm
+    of their denominators."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -421,19 +426,19 @@ def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]
 
 
 def _orthant(weights: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
-    """`iter_orthant` on plain int tuples, for the package's inner loops."""
+    """`iter_orthant` on plain int tuples, for the package's inner loops: an
+    odometer, whose last coordinate counts up while the budget allows."""
     if any(w < 1 for w in weights):
         raise ValueError("weights must be positive")
-    last = len(weights) - 1
-
-    def descend(j: int, prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        w = weights[j]
-        if j == last:
-            for v in range(remaining // w + 1):
-                yield prefix + (v,)
+    x, remaining, last = [0] * len(weights), budget, len(weights) - 1
+    while remaining >= 0:
+        yield tuple(x)
+        j = last
+        while j >= 0 and remaining < weights[j]:  # reset x[j], carry into x[j - 1]
+            remaining += x[j] * weights[j]
+            x[j] = 0
+            j -= 1
+        if j < 0:
             return
-        for v in range(remaining // w + 1):
-            yield from descend(j + 1, prefix + (v,), remaining - v * w)
-
-    if budget >= 0:
-        yield from descend(0, (), budget) if weights else [()]
+        x[j] += 1
+        remaining -= weights[j]

@@ -8,10 +8,12 @@ complete: under the cone certificate every solution has total step degree
 degree(t), each step costing at least one, so its free part lies in the slice
 sum_f degree_f * x_f <= degree(t).
 
-Weighted tables over every target of degree <= bound are keyed by int
-tuples; vectors and fractions are built only where a public function returns
-them.  There are two routes.  The orthant route, `_weighted_sums`, adds phi(x)
-at A x for every x >= 0 of step cost <= bound: bound^N points for any weight,
+Weighted tables over every target of degree <= bound run on packed int keys
+(`_Packing`), so t +- a_j is one int addition and int order is graded order;
+a table read by int tuples decodes each target once, and vectors and
+fractions are built only where a public function returns them.  There are two
+routes.  The orthant route, `_orthant_sums`, streams every x >= 0 of step cost
+<= bound and adds phi(x) at the key of A x: bound^N points for any weight,
 summed on ints, one numerator and denominator per target.  The graded sweep,
 `_sweep`, serves the weights whose series factors over the steps:
 `ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
@@ -20,10 +22,11 @@ closure over the steps reaches, one degree layer at a time, and fills each
 target's value in the same visit from targets of lower degree: bound^rank
 targets, at most N operations each, in graded order, so nothing is sorted
 again.  The table and series commands take the sweep.  The verifiers of
-Propositions 1 and 3 and Proposition 2's table side stay on the orthant route
-(Theorem 1's right side sums over the step orthant too, in `identities`), so
-that each keeps a side that shares no code with the recurrence it checks (for
-path counts the sweep is Proposition 2's series side).
+Propositions 1 and 3 (on the keys) and Proposition 2's table side (on tuples,
+`_weighted_sums`) stay on the orthant route (Theorem 1's right side sums over
+the step orthant too, in `identities`), so that each keeps a side that shares
+no code with the recurrence it checks (for path counts the sweep is
+Proposition 2's series side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -53,7 +56,6 @@ from .core import (
     WeightFunction,
     _orthant,
     check_arity,
-    graded,
 )
 
 
@@ -184,27 +186,60 @@ def _accumulate(num: int, den: int, value: int | Fraction) -> tuple[int, int]:
     return num + value.numerator * (den // d), den
 
 
+class _Packing:
+    """Int keys for the int tuples t with |t_i| <= reach, of one matrix's dimension.
+
+    key(t) = degree(t) * top + sum_i (t_i + reach) * base^(dim - 1 - i), with
+    base = 2 reach + 1 and top = base^dim: int order is graded-lex order, and
+    t +- a_j is one int addition of deltas[j].  ``reach`` covers the targets of
+    degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.
+    """
+
+    def __init__(self, A: StepMatrix, ell: Sequence[int], bound: int, margin: int = 0):
+        span = max(abs(v) for col in A.columns for v in col.coords)
+        self.reach = max(bound + 1, 0) * span + margin
+        self.base = 2 * self.reach + 1
+        self.top = self.base**A.dim
+        self.powers = [self.base**i for i in reversed(range(A.dim))]
+        self.units = [e * self.top + p for e, p in zip(ell, self.powers)]
+        self.origin = self.reach * sum(self.powers)
+        self.deltas = [self.pack(col.coords) - self.origin for col in A.columns]
+
+    def pack(self, t: Sequence[int]) -> int:
+        return self.origin + sum(map(mul, t, self.units))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple([key // p % self.base - self.reach for p in self.powers])
+
+
+def _orthant_sums(
+    costs: Sequence[int], deltas: Sequence[int], origin: int, bound: int, value
+) -> dict[int, int | Fraction]:
+    """value(x) summed at origin + sum_j x_j deltas[j] over every x >= 0 of step
+    cost <= ``bound``, streamed from `_orthant`: each key keeps one int
+    numerator and denominator (`_accumulate`), a `Fraction` only at the end
+    unless its sum is an int."""
+    sums: dict[int, tuple[int, int]] = {}
+    for x in _orthant(costs, bound):
+        key = origin + sum(map(mul, deltas, x))
+        num, den = sums.get(key, (0, 1))
+        sums[key] = _accumulate(num, den, value(x))
+    return {key: num if den == 1 else Fraction(num, den) for key, (num, den) in sums.items()}
+
+
 def _weighted_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> dict[tuple[int, ...], int | Fraction]:
     """phi-weighted representation counts for every target of degree <= bound.
 
-    The orthant route: visits every x >= 0 of step cost <= ``bound`` and adds
-    phi(x) at A x.  Complete because any representation of a target with
-    degree at most ``bound`` itself has total step cost at most ``bound``.
-    Each target keeps one int numerator and denominator (`_accumulate`), and
-    becomes a `Fraction` only at the end, unless its sum is an int.  Keys are
-    int tuples, in no particular order.
+    The orthant route, `_orthant_sums`, its keys decoded to int tuples once
+    each, in graded order.  Complete because any representation of a target
+    of degree at most ``bound`` itself has step cost at most ``bound``.
     """
     check_arity(phi, A.nsteps)
-    rows = list(zip(*(col.coords for col in A.columns)))
-    value = phi._value
-    sums: dict[tuple[int, ...], tuple[int, int]] = {}
-    for x in _orthant(cert.step_degrees, bound):
-        target = tuple(sum(map(mul, row, x)) for row in rows)
-        num, den = sums.get(target, (0, 1))
-        sums[target] = _accumulate(num, den, value(x))
-    return {t: num if den == 1 else Fraction(num, den) for t, (num, den) in sums.items()}
+    packing = _Packing(A, cert.functional.coords, bound)
+    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
+    return {packing.unpack(key): sums[key] for key in sorted(sums)}
 
 
 def _sweep(
@@ -231,22 +266,15 @@ def _sweep(
     paths = type(phi) is LatticePathCount
     ratios = phi.ratios if type(phi) is GeometricWeights else (Fraction(1),) * A.nsteps
     scale = math.lcm(*(q.denominator for q in ratios))
-    # Each target is also packed into one int, a digit in base `base` per
-    # coordinate shifted by `reach`, the first coordinate most significant:
-    # t +- a_j is then one int addition, and int order is lex order.  A target
-    # of degree <= bound, or one step below it, has coordinates within reach.
-    reach = (bound + 1) * max(abs(v) for col in A.columns for v in col.coords)
-    base = 2 * reach + 1
-    powers = [base**i for i in reversed(range(A.dim))]
+    packing = _Packing(A, cert.functional.coords, bound)  # each target also keyed by one int
     columns = [col.coords for col in A.columns]
-    deltas = [sum(map(mul, a, powers)) for a in columns]
     # q_j = mult_j / scale^degree_j; path counts read the predecessor's full sum
     mults = [q.numerator * scale**d // q.denominator for q, d in zip(ratios, cert.step_degrees)]
     picks = [A.nsteps - 1] * A.nsteps if paths else range(A.nsteps)
-    steps = list(zip(columns, deltas, cert.step_degrees, mults, picks))
+    steps = list(zip(columns, packing.deltas, cert.step_degrees, mults, picks))
     rows: dict[int, list[int]] = {}
     table: dict[tuple[int, ...], int | Fraction] = {}
-    layers = {0: {reach * sum(powers): (0,) * A.dim}} if bound >= 0 else {}
+    layers = {0: {packing.origin: (0,) * A.dim}} if bound >= 0 else {}
     while layers:  # at most max step degree layers are pending at once
         degree = min(layers)
         layer = layers.pop(degree)
@@ -278,14 +306,13 @@ def _graded_sums(
     representation, zero values included, keyed by int tuples in graded order.
 
     The table behind `partition_series` and the series command: `_sweep` for
-    the weights whose series factors over the steps, the orthant route, sorted
-    once, for every other weight.
+    the weights whose series factors over the steps, the orthant route for
+    every other weight.
     """
     check_arity(phi, A.nsteps)
     if type(phi) in (ConstantOne, GeometricWeights, LatticePathCount):
         return _sweep(A, cert, phi, bound)
-    sums = _weighted_sums(A, cert, phi, bound)
-    return {t: sums[t] for t in graded(sums, cert.functional.coords)}
+    return _weighted_sums(A, cert, phi, bound)
 
 
 def _count_table(

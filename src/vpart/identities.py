@@ -7,7 +7,9 @@ finite window.  Nothing here ever claims unbounded validity.  The weight's
 values are the two sides' shared input, not a route: `thm1` and `rec` read
 them once per window or degree layer as int numerators over one common
 denominator (`core._scaled_values`), run both sides on ints, and build a
-`Fraction` only for a value a report names.
+`Fraction` only for a value a report names.  `rec` (on x), `prop1` and `prop3`
+(on targets, `enumeration._Packing`) look points up by packed int keys and
+decode one to an int tuple only to read a weight, to a vector only to name it.
 """
 
 from __future__ import annotations
@@ -16,27 +18,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Sequence
 
-from .cone import ConeCertificate, certificate_from_functional
+from .cone import ConeCertificate
 from .core import (
-    ConstantOne,
     LatticePathCount,
     LatticeVector,
     MultinomialMonomial,
     RuleWeight,
     StepMatrix,
     WeightFunction,
+    _multinomial,
     _orthant,
+    _over_lcm,
     _scaled_values,
     check_arity,
     evaluate_weight,
     exact,
     graded,
-    multinomial,
 )
-from .enumeration import _weighted_sums, vector_partition
+from .enumeration import _orthant_sums, _Packing, _weighted_sums, vector_partition
 from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial
 
 
@@ -178,8 +180,8 @@ def verify_summation_identity(
     points = list(_orthant(costs, bound))
     numerators, den = _scaled_values(phi, points)
     weights = dict(zip(points, numerators))
-    scale = math.lcm(*(c.denominator for c in cs))
-    scaled = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(cs) if c]
+    bs, scale = _over_lcm(cs)
+    scaled = [(j, b) for j, b in enumerate(bs) if b]
 
     grading = LatticeVector(costs)
     one_minus = {(0,) * nvars: scale}  # each step costs at most the corner's degree
@@ -226,49 +228,53 @@ def _recurrence_mismatches(
     """Failures of phi(x) = sum_j phi(x - e_j) on the x >= (1,...,1) with cost <= bound.
 
     The cost of x is sum_j costs[j] * x[j]; points run in total-degree order,
-    each layer the successors x + e_j of the one below within the cost.  phi
-    is read once per layer, at its points and the next layer's predecessors,
-    as int numerators over the layer's own denominator, and the two layers
-    are compared by cross-multiplying; at most two layers are alive at once.
+    lex within a layer, each layer the successors x + e_j of the one below
+    within the cost.  x is packed into one int, a digit in radix bound + 2
+    per coordinate, so x +- e_j is +- one unit and int order is lex order.
+    phi is read once per layer, at its points and the next layer's
+    predecessors, decoded to int tuples only there, as int numerators over
+    the layer's own denominator; the two layers are compared by
+    cross-multiplying, and at most two are alive at once.
     """
     nvars = len(costs)
     check_arity(phi, nvars)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    radix = bound + 2  # above every coordinate read, each at most bound
+    units = [radix**j for j in reversed(range(nvars))]
 
-    def moved(x: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
-        return [x[:j] + (x[j] + step,) + x[j + 1 :] for j in range(nvars)]
+    def unpack(key: int) -> tuple[int, ...]:
+        return tuple([key // u % radix for u in units])
 
-    def read(points: set) -> tuple[dict, int]:
-        points = list(points)
-        numerators, den = _scaled_values(phi, points)
-        return dict(zip(points, numerators)), den
+    def read(keys: set[int]) -> tuple[dict[int, int], int]:
+        # iterating a set twice, unchanged, yields one order
+        numerators, den = _scaled_values(phi, [unpack(k) for k in keys])
+        return dict(zip(keys, numerators)), den
 
-    corner = (1,) * nvars
-    layer = [corner] if sum(costs) <= bound else []
-    lower = [moved(x, -1) for x in layer]
-    below, below_den = read({y for ys in lower for y in ys})
+    steps = list(zip(units, costs))
+    layer = {sum(units): sum(costs)} if sum(costs) <= bound else {}
+    below, below_den = read({k - u for k in layer for u in units})
     mismatches = []
     while layer:
-        higher = set()
-        for x in layer:
-            room = bound - sum(map(mul, costs, x))
-            higher.update(y for y, d in zip(moved(x, 1), costs) if d <= room)
-        higher = sorted(higher)
-        higher_lower = [moved(x, -1) for x in higher]
-        here, here_den = read({y for ys in higher_lower for y in ys}.union(layer))
-        for x, ys in zip(layer, lower):
-            lhs = here[x]
-            rhs = sum(map(below.__getitem__, ys))
+        higher = {k + u: c + d for k, c in layer.items() for u, d in steps if c + d <= bound}
+        here, here_den = read({k - u for k in higher for u in units}.union(layer))
+        for k in sorted(layer):
+            lhs = here[k]
+            rhs = sum([below[k - u] for u in units])
             if lhs * below_den != rhs * here_den:
-                violation = LatticeVector(x), Fraction(lhs, here_den), Fraction(rhs, below_den)
-                mismatches.append(violation)
-        layer, lower, below, below_den = higher, higher_lower, here, here_den
+                x = LatticeVector(unpack(k))
+                mismatches.append((x, Fraction(lhs, here_den), Fraction(rhs, below_den)))
+        layer, below, below_den = higher, here, here_den
     return mismatches
 
 
 def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
-    """Check phi(x) = sum_j phi(x - e_j) for all x >= (1,...,1), |x| <= bound."""
+    """Check phi(x) = sum_j phi(x - e_j) for all x >= (1,...,1), |x| <= bound.
+
+    Raises ValueError when ``nvars`` > ``bound``, a window that compares nothing.
+    """
+    if nvars > bound:
+        raise ValueError(f"bound: empty window, the corner has total degree {nvars} > {bound}")
     mismatches = _recurrence_mismatches(phi, (1,) * nvars, bound)
     window = f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
@@ -299,19 +305,21 @@ def verify_partition_recurrence(
         window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
         raise RecurrencePreconditionError(_report_from_mismatches(window, failures))
 
-    sums = _weighted_sums(A, cert, phi, bound)
-    # the window's targets are the corner plus every reachable target of degree <= bound - base
-    ell, steps = cert.functional.coords, [col.coords for col in A.columns]
-    targets = [
-        tuple(map(add, corner.coords, t)) for t in sums if sum(map(mul, ell, t)) <= bound - base
-    ]
-    zero = Fraction(0)
+    packing = _Packing(A, cert.functional.coords, bound)
+    deltas = packing.deltas
+    sums = _orthant_sums(cert.step_degrees, deltas, packing.origin, bound, phi._value)
+    # the window's targets are the corner plus every reachable target of
+    # degree <= bound - base; keys in int order are in graded order
+    corner_key, end = sum(deltas), (bound - base + 1) * packing.top
     mismatches = []
-    for t in graded(targets, ell):
-        lhs = sums.get(t, zero)
-        rhs = sum((sums.get(tuple(map(sub, t, a)), zero) for a in steps), zero)
+    for key in sorted(sums):
+        if key >= end:
+            break
+        t = key + corner_key
+        lhs = sums.get(t, 0)
+        rhs = sum([sums.get(t - d, 0) for d in deltas])
         if lhs != rhs:
-            mismatches.append((LatticeVector(t), lhs, rhs))
+            mismatches.append((LatticeVector(packing.unpack(t)), Fraction(lhs), Fraction(rhs)))
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
@@ -385,8 +393,9 @@ def verify_cb_vector_partition(
     of the sub-step-set with the counts weighted by the multinomial-monomial
     weight of axis j.  That weight is c_j times multinomial(x) * c ** x, so
     the left side reads one plain-count table of each sub-step-set and one
-    table of the shared weight, scaled by c_j; the right side enumerates the
-    representations of ``mu`` directly.
+    table of the shared weight, scaled by c_j, all on packed keys and ints
+    over scale^(degree(mu) + 1), scale the lcm of the coefficients'
+    denominators; the right side enumerates the representations of ``mu``.
     """
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
@@ -397,31 +406,29 @@ def verify_cb_vector_partition(
         raise ValueError(f"mu has dimension {mu.dim}, matrix has {A.dim}")
 
     budget = cert.degree(mu)
-    nums, dens = [c.numerator for c in cs], [c.denominator for c in cs]
-    shared = RuleWeight(  # multinomial(x) * cs ** x, one Fraction per value
-        lambda x: Fraction(
-            multinomial(x) * math.prod(map(pow, nums, x)), math.prod(map(pow, dens, x))
-        ),
-        A.nsteps,
-    )
-    weighted = _weighted_sums(A, cert, shared, budget)
-    lhs = zero = Fraction(0)
-    for j, c in enumerate(cs, start=1):
-        if A.nsteps == 1:
-            # dropping the only column leaves the empty step set, whose sole
-            # representable target is the origin, once
-            lhs += c * weighted.get(mu.coords, zero)
-            continue
-        rest = A.drop_column(j)
-        rest_cert = certificate_from_functional(rest, cert.functional)
-        counts = _weighted_sums(rest, rest_cert, ConstantOne(), budget)
-        lhs += c * sum(
-            (count * weighted.get(tuple(map(sub, mu.coords, nu)), zero) for nu, count in counts.items()),
-            zero,
-        )
-    rhs = Fraction(vector_partition(A, cert, mu))
+    numerators, scale = _over_lcm(cs)
+    # the shared weight over scale^budget: multinomial(x) * numerators^x *
+    # scale^(budget - |x|), an int, as |x| <= step cost <= budget
+    powers = [scale ** (budget - k) for k in range(budget + 1)]
+
+    def shared(x: tuple[int, ...]) -> int:
+        return _multinomial(x) * math.prod(map(pow, numerators, x)) * powers[sum(x)]
+
+    packing = _Packing(A, cert.functional.coords, budget, max(map(abs, mu.coords)))
+    costs, deltas, origin = cert.step_degrees, packing.deltas, packing.origin
+    weighted = _orthant_sums(costs, deltas, origin, budget, shared)
+    mu_key = packing.pack(mu.coords) + origin  # the key of mu - nu is mu_key - key(nu)
+    total = 0  # the left side times scale^(budget + 1)
+    for j, b in enumerate(numerators):
+        # the plain counts without column j; dropping the only column leaves
+        # the empty step set, whose sole representable target is the origin
+        rest = costs[:j] + costs[j + 1 :], deltas[:j] + deltas[j + 1 :]
+        counts = _orthant_sums(*rest, origin, budget, lambda x: 1)
+        total += b * sum([count * weighted.get(mu_key - key, 0) for key, count in counts.items()])
+    rhs = vector_partition(A, cert, mu)
+    den = scale ** max(budget + 1, 0)
     window = f"mu = {mu}"
-    mismatches = [] if lhs == rhs else [(mu, lhs, rhs)]
+    mismatches = [] if total == rhs * den else [(mu, Fraction(total, den), Fraction(rhs))]
     return _report_from_mismatches(window, mismatches)
 
 

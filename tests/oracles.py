@@ -10,8 +10,9 @@ integers, and the verifiers' sums and recurrence checks in `Fraction`
 arithmetic, one `evaluate_weight` call per point, where the library runs
 on int numerators over common denominators.  None of it shares code with
 the implementations under test beyond the series arithmetic and
-projections, the slab scans' span test and facet membership, and
-`forward_difference_apply`, which have tests of their own.
+projections, the slab scans' span test and facet membership,
+`forward_difference_apply` and the count behind the partition-of-unity
+splitting's right side, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from vpart import (
     ConeCertificate,
+    ConstantOne,
     LatticeVector,
     RuleWeight,
     StepMatrix,
@@ -30,6 +32,7 @@ from vpart import (
     VerificationReport,
     Violation,
     WeightFunction,
+    certificate_from_functional,
     cone_contains,
     evaluate_weight,
     exact,
@@ -37,8 +40,10 @@ from vpart import (
     full_support_part,
     integer_span_contains,
     iter_orthant,
+    multinomial,
     partition_series,
     substitute_monomial,
+    vector_partition,
     weight_series,
 )
 from vpart.core import check_arity, graded
@@ -495,7 +500,10 @@ def recurrence_mismatches_by_fractions(phi: WeightFunction, costs, bound: int) -
 def basic_recurrence_by_fractions(
     phi: WeightFunction, nvars: int, bound: int
 ) -> VerificationReport:
-    """`verify_basic_recurrence`'s report by `recurrence_mismatches_by_fractions`."""
+    """`verify_basic_recurrence`'s report by `recurrence_mismatches_by_fractions`.
+    Raises ValueError on the empty windows the verifier refuses."""
+    if nvars > bound:
+        raise ValueError(f"bound: empty window, the corner has total degree {nvars} > {bound}")
     mismatches = recurrence_mismatches_by_fractions(phi, (1,) * nvars, bound)
     return report(f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}", mismatches)
 
@@ -510,3 +518,34 @@ def partition_recurrence_precondition_by_fractions(
         return None
     window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
     return report(window, mismatches)
+
+
+def cb_vector_partition_by_fractions(
+    A: StepMatrix, cert: ConeCertificate, coeffs, mu: LatticeVector
+) -> VerificationReport:
+    """`verify_cb_vector_partition`'s report with its left side in `Fraction`
+    arithmetic: the shared weight multinomial(x) * coeffs ** x as a
+    `RuleWeight`, one `Fraction` per value, and the plain counts of each
+    sub-step-set, both summed over the step orthant by
+    `weighted_sums_by_fractions` and convolved at mu - nu on int tuples.  The
+    right side is `vector_partition`.  The coefficients' sum is not checked,
+    so a perturbed coefficient shows as a violation."""
+    cs = tuple(exact(c) for c in coeffs)
+    budget = cert.degree(mu)
+    shared = RuleWeight(lambda x: multinomial(x) * math.prod(map(pow, cs, x.coords)), A.nsteps)
+    weighted = weighted_sums_by_fractions(A, cert, shared, budget)
+    lhs = zero = Fraction(0)
+    for j, c in enumerate(cs, start=1):
+        if A.nsteps == 1:
+            # dropping the only column leaves the empty step set, whose sole
+            # representable target is the origin, once
+            lhs += c * weighted.get(mu.coords, zero)
+            continue
+        rest = A.drop_column(j)
+        counts = weighted_sums_by_fractions(
+            rest, certificate_from_functional(rest, cert.functional), ConstantOne(), budget
+        )
+        terms = (n * weighted.get(tuple(map(sub, mu.coords, nu)), zero) for nu, n in counts.items())
+        lhs += c * sum(terms, zero)
+    rhs = Fraction(vector_partition(A, cert, mu))
+    return report(f"mu = {mu}", [] if lhs == rhs else [(mu, lhs, rhs)])

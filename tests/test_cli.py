@@ -270,7 +270,8 @@ AT_THE_LIMIT = [
     (["verify", "prop1"], {"matrix": BASIS, "weight": PATHS, "bound": 6}, {"bound": 7}),
     (["verify", "prop3"], {"matrix": BASIS, "c": ["1/2", "1/2"], "target": [3, 3]}, {"target": [3, 4]}),
     (["verify", "rec"], {"weight": PATHS, "nvars": 2, "bound": 6}, {"bound": 7}),
-    (["verify", "rec"], {"weight": PATHS, "nvars": 20, "bound": 1}, {"nvars": 21}),
+    # bound = nvars: the window is the one point (1, ..., 1)
+    (["verify", "rec"], {"weight": PATHS, "nvars": 20, "bound": 20}, {"nvars": 21}),
     (["verify", "cb"], {"c": ["1/2", "1/2"], "target": [2, 2]}, {"target": [2, 3]}),
     (["verify", "cb1d"], {"c": ["1/2", "1/2"], "target": [9, 9]}, {"target": [9, 10]}),
 ]
@@ -313,10 +314,13 @@ class TestRefusals:
 
     def test_rec_window_counted_from_either_end(self):
         # C(41, 40) = 41 points, though C(41, 32) is far past the limit; and
-        # no points at all when nvars exceeds the bound
-        for nvars, bound in ((40, 41), (5, 3)):
-            doc = {"weight": PATHS, "nvars": nvars, "bound": bound}
-            assert run_cli(["verify", "rec"], stdin_text=json.dumps(doc))[0] == 0
+        # no points at all when nvars exceeds the bound: an empty window, refused
+        doc = {"weight": PATHS, "nvars": 40, "bound": 41}
+        assert run_cli(["verify", "rec"], stdin_text=json.dumps(doc))[0] == 0
+        doc = {"weight": PATHS, "nvars": 5, "bound": 3}
+        code, out, err = run_cli(["verify", "rec"], stdin_text=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: bound: empty window, the corner has total degree 5 > 3\n"
 
     @given(st.lists(st.integers(1, 4), max_size=3), st.integers(-2, 12))
     def test_orthant_volume_is_a_lower_bound(self, weights, budget):

@@ -419,7 +419,9 @@ class TestZeroEntriesMerged:
         def refuse(*args):
             raise AssertionError("graded() called on the sweep route")
 
-        monkeypatch.setattr(vpart.enumeration, "graded", refuse)
+        # the module sorts no table with graded() and so does not import it;
+        # an import added back would be replaced here
+        monkeypatch.setattr(vpart.enumeration, "graded", refuse, raising=False)
         for phi, expected in zip(weights, tables):
             assert (LatticeVector((1,)), 0) in expected
             assert list(generalized_vp_table(A, cert, phi, 9).items()) == expected

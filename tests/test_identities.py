@@ -2,6 +2,7 @@ import functools
 import gc
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from operator import mul
@@ -304,6 +305,11 @@ class TestBasicRecurrence:
     @settings(max_examples=120)
     def test_matches_the_fraction_route(self, seed, nvars, kind, bound):
         phi = cases.every_weight_kind(nvars, seed)[kind]
+        if bound < nvars:  # no x >= (1, ..., 1) in the window: both routes refuse
+            for route in (verify_basic_recurrence, oracles.basic_recurrence_by_fractions):
+                with pytest.raises(ValueError, match="empty window"):
+                    route(phi, nvars, bound)
+            return
         report = verify_basic_recurrence(phi, nvars, bound)
         assert report == oracles.basic_recurrence_by_fractions(phi, nvars, bound)
 
@@ -333,6 +339,19 @@ class TestBasicRecurrence:
         assert report.holds
         assert report == oracles.basic_recurrence_by_fractions(phi, 2, 8)
 
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 1, 1, 3), (2, 1, 3, 1), (3, 1), (1, 2, 2)]),
+        st.integers(0, 5),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=100)
+    def test_non_uniform_costs_match_the_fraction_route(self, seed, costs, kind, bound):
+        # every kind, failing ones included: the mismatches' order, count and values
+        phi = cases.every_weight_kind(len(costs), seed)[kind]
+        mismatches = identities._recurrence_mismatches(phi, costs, bound)
+        assert mismatches == oracles.recurrence_mismatches_by_fractions(phi, costs, bound)
+
     def test_wide_window_reads_only_the_layers(self):
         # 41 points above (1, ..., 1) in 40 variables, though the orthant below
         # total degree 41 holds C(81, 40) points
@@ -360,9 +379,44 @@ class TestPartitionRecurrence:
             verify_partition_recurrence(A, cert, phi, bound)
         assert excinfo.value.report == expected
 
+    @pytest.mark.parametrize("matrix", [cases.R3, StepMatrix([(2,), (1,), (3,), (1,)])])
+    @given(st.integers(0, 10**6), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=40)
+    def test_precondition_on_non_uniform_costs(self, matrix, seed, kind, extra):
+        # step costs (1, 1, 1, 3) and (2, 1, 3, 1); most weights fail here
+        A, cert = certified(matrix)
+        assert cert.step_degrees in ((1, 1, 1, 3), (2, 1, 3, 1))
+        bound = cert.degree(A.column_sum()) + extra
+        phi = cases.every_weight_kind(A.nsteps, seed)[kind]
+        expected = oracles.partition_recurrence_precondition_by_fractions(A, cert, phi, bound)
+        if expected is None:
+            assert verify_partition_recurrence(A, cert, phi, bound).holds
+            return
+        with pytest.raises(RecurrencePreconditionError) as excinfo:
+            verify_partition_recurrence(A, cert, phi, bound)
+        assert excinfo.value.report == expected
+
     def test_delannoy(self):
         A, cert = certified(cases.DELANNOY)
         assert verify_partition_recurrence(A, cert, LatticePathCount(), 5).holds
+
+    def test_window_reaches_the_bound(self, monkeypatch):
+        # one table entry off at (3, 2), of degree 5 = bound: only the
+        # identity at (3, 2) itself reads it inside the window
+        A, cert = certified(cases.DELANNOY)
+        key = enumeration._Packing(A, cert.functional.coords, 5).pack((3, 2))
+        orthant_sums = identities._orthant_sums
+
+        def one_off(*args):
+            sums = orthant_sums(*args)
+            sums[key] += 1
+            return sums
+
+        monkeypatch.setattr(identities, "_orthant_sums", one_off)
+        report = verify_partition_recurrence(A, cert, LatticePathCount(), 5)
+        violation = Violation(LatticeVector((3, 2)), Fraction(26), Fraction(25))
+        window = "targets in column sum + step semigroup, functional degree <= 5"
+        assert report == VerificationReport(False, window, violation, 1)
 
     def test_basis(self):
         A, cert = certified(cases.BASIS_2D)
@@ -548,6 +602,49 @@ class TestConePartitionOfUnity:
         A, cert = certified(cases.DELANNOY)
         for coords in [(0, 0), (1, 2), (3, 1), (2, 2)]:
             assert verify_cb_vector_partition(A, cert, coeffs, LatticeVector(coords)).holds
+
+
+    @given(st.integers(0, 10**6), st.integers(0, 3), st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=80)
+    def test_matches_the_fraction_route(self, seed, family, dim, nsteps):
+        # random pointed matrices, the mixed-sign and even-sum zoo entries and
+        # one column; coefficients with zeros and negatives summing to 1; mu
+        # drawn around the cone, some of it outside
+        rng = random.Random(seed)
+        A = [
+            cases.random_pointed_matrix(seed, dim, nsteps),
+            cases.MIXED_SIGN,
+            cases.EVEN_3D,
+            cases.random_pointed_matrix(seed, dim, 1),
+        ][family]
+        A, cert = certified(A)
+        cs = [rng.choice(cases.MIXED_RATIONALS) for _ in range(A.nsteps - 1)]
+        cs.append(1 - sum(cs))
+        x = [rng.randint(0, 2) for _ in range(A.nsteps)]
+        mu = A.apply(LatticeVector(x)) + LatticeVector([rng.randint(-2, 2) for _ in range(A.dim)])
+        if cert.degree(mu) > 8:  # keep the orthant small: mirror it out of the cone
+            mu = -mu
+        report = verify_cb_vector_partition(A, cert, cs, mu)
+        assert report == oracles.cb_vector_partition_by_fractions(A, cert, cs, mu)
+
+    def test_a_perturbed_coefficient_shows(self, monkeypatch):
+        # the left side reads the coefficients as numerators over their lcm:
+        # one numerator off by one must flip `holds`, to the fraction route's
+        # report for the perturbed coefficients
+        A, cert = certified(cases.DELANNOY)
+        mu = LatticeVector((2, 1))
+        assert verify_cb_vector_partition(A, cert, ("1/4", "1/4", "1/2"), mu).holds
+        over_lcm = identities._over_lcm
+
+        def perturbed(values):
+            numerators, den = over_lcm(values)
+            return [numerators[0] + 1, *numerators[1:]], den
+
+        monkeypatch.setattr(identities, "_over_lcm", perturbed)
+        report = verify_cb_vector_partition(A, cert, ("1/4", "1/4", "1/2"), mu)
+        assert not report.holds
+        perturbed_coeffs = ("1/2", "1/4", "1/2")  # the first is (1 + 1) / 4
+        assert report == oracles.cb_vector_partition_by_fractions(A, cert, perturbed_coeffs, mu)
 
 
 class TestMultidimPartitionOfUnity:
