@@ -54,7 +54,7 @@ from .identities import (
     verify_path_series,
     verify_summation_identity,
 )
-from .series import ratio_text, render_terms
+from .series import render_terms
 
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
@@ -223,10 +223,14 @@ def _slab_volume(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> int:
 
 
 def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
-    """Print (int tuple, value) terms as the text listing, or as JSON objects under ``field``."""
+    """Print (int tuple, value) terms as the text listing, or as JSON objects under
+    ``field``, the bytes of `json.dumps` from one `%` format built from the dimension."""
     terms = list(terms)
     if as_json:
-        print(json.dumps({field: [{key: list(e), value: ratio_text(v)} for e, v in terms]}))
+        exponent = ", ".join(["%d"] * (len(terms[0][0]) if terms else 0))
+        item = '{%s: [%s], %s: "%%d/%%d"}' % (json.dumps(key), exponent, json.dumps(value))
+        listed = ", ".join([item % (*e, v.numerator, v.denominator) for e, v in terms])
+        print("{%s: [%s]}" % (json.dumps(field), listed))
     elif terms:
         print(render_terms(terms))
 
@@ -279,7 +283,7 @@ def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
     # series lists no zero coefficient
     weight = spec.weight if spec.weight is not None else LatticePathCount()
     table = _graded_sums(matrix, cert, weight, bound)
-    _print_terms(((t, v) for t, v in table.items() if v), as_json, "terms", "exponent", "coefficient")
+    _print_terms([(t, v) for t, v in table.items() if v], as_json, "terms", "exponent", "coefficient")
     return 0
 
 

@@ -10,23 +10,21 @@ sum_f degree_f * x_f <= degree(t).
 
 Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order;
-a table read by int tuples decodes each target once, and vectors and
-fractions are built only where a public function returns them.  There are two
-routes.  The orthant route, `_orthant_sums`, streams every x >= 0 of step cost
-<= bound and adds phi(x) at the key of A x: bound^N points for any weight,
-summed on ints, one numerator and denominator per target.  The graded sweep,
-`_sweep`, serves the weights whose series factors over the steps:
-`ConstantOne` and `GeometricWeights` (prod_j 1 / (1 - q_j y^{a_j})) and
-`LatticePathCount` (1 / (1 - sum_j y^{a_j})).  It visits the targets a forward
-closure over the steps reaches, one degree layer at a time, and fills each
-target's value in the same visit from targets of lower degree: bound^rank
-targets, at most N operations each, in graded order, so nothing is sorted
-again.  The table and series commands take the sweep.  The verifiers of
-Propositions 1 and 3 (on the keys) and Proposition 2's table side (on tuples,
-`_weighted_sums`) stay on the orthant route (Theorem 1's right side sums over
-the step orthant too, in `identities`), so that each keeps a side that shares
-no code with the recurrence it checks (for path counts the sweep is
-Proposition 2's series side).
+a finished table is sorted once and decoded one coordinate column at a time,
+and vectors and fractions are built only where a public function returns
+them.  There are two routes.  The orthant route, `_orthant_sums`, streams
+every x >= 0 of step cost <= bound and adds phi(x) at the key of A x:
+bound^N points for any weight, summed on ints, one numerator and denominator
+per target.  The step passes, `_sweep`, serve the weights whose series has a
+closed form over the steps: `ConstantOne` and `GeometricWeights` multiply in
+one factor 1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order,
+and `LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in
+one ascending pass: bound^rank targets, a few int operations each.  The table
+and series commands take the passes.  The verifiers of Propositions 1 and 3
+and Proposition 2's table side stay on the orthant route (Theorem 1's right
+side sums over the step orthant too, in `identities`), so that each keeps a
+side that shares no code with the recurrence it checks (for path counts the
+passes are Proposition 2's series side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -192,7 +190,9 @@ class _Packing:
     key(t) = degree(t) * top + sum_i (t_i + reach) * base^(dim - 1 - i), with
     base = 2 reach + 1 and top = base^dim: int order is graded-lex order, and
     t +- a_j is one int addition of deltas[j].  ``reach`` covers the targets of
-    degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.
+    degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.  A key
+    has degree <= ``bound`` exactly when it is below (bound + 1) * top;
+    `decode` reads sorted keys back one coordinate column at a time.
     """
 
     def __init__(self, A: StepMatrix, ell: Sequence[int], bound: int, margin: int = 0):
@@ -208,8 +208,10 @@ class _Packing:
     def pack(self, t: Sequence[int]) -> int:
         return self.origin + sum(map(mul, t, self.units))
 
-    def unpack(self, key: int) -> tuple[int, ...]:
-        return tuple([key // p % self.base - self.reach for p in self.powers])
+    def decode(self, keys: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """The int tuples of ``keys``, in order, decoded one coordinate column at a time."""
+        base, reach = self.base, self.reach
+        return zip(*[[k // p % base - reach for k in keys] for p in self.powers])
 
 
 def _orthant_sums(
@@ -239,64 +241,74 @@ def _weighted_sums(
     check_arity(phi, A.nsteps)
     packing = _Packing(A, cert.functional.coords, bound)
     sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-    return {packing.unpack(key): sums[key] for key in sorted(sums)}
+    order = sorted(sums)
+    return dict(zip(packing.decode(order), map(sums.__getitem__, order)))
 
 
 def _sweep(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> dict[tuple[int, ...], int | Fraction]:
-    """The step recurrence for `ConstantOne`, `GeometricWeights` and `LatticePathCount`.
+    """The step recurrences for `ConstantOne`, `GeometricWeights` and
+    `LatticePathCount`, on `_Packing` keys, whose int order is graded order:
 
-    One graded sweep from the origin: it pops the degree layers in order,
-    sorts each once, and for each target t of the layer fills its value and
-    puts t + a_j into the layer of degree(t) + degree_j for every step that
-    stays within ``bound``.  The value reads only targets of lower degree:
-
-    - `ConstantOne` and `GeometricWeights`, prod_j 1 / (1 - q_j y^{a_j}): the
-      partial products P_j(t) = P_{j-1}(t) + q_j P_j(t - a_j), P_{-1} the
-      indicator of the origin, kept per target as one row of N numerators
-      over scale^degree(t), scale the lcm of the ratios' denominators;
-    - `LatticePathCount`, 1 / (1 - sum_j y^{a_j}) (Proposition 2): the
-      backward pull G(t) = sum_j G(t - a_j), seeded with G(0) = 1, kept in
-      the same row as its running partial sums.
+    - `ConstantOne` and `GeometricWeights`, prod_j 1 / (1 - q_j y^{a_j}): one
+      pass per step multiplies its factor in, P_j(t) = P_{j-1}(t) +
+      q_j P_j(t - a_j) from P_{-1} the indicator of the origin, on int
+      numerators over scale^degree(t), scale the lcm of the ratios'
+      denominators.  A pass walks the keys of P_{j-1} in ascending order, so
+      t - a_j is filled before t; from each key t it fills the chain
+      t + a_j, t + 2 a_j, ... of targets only step j reaches, up to the first
+      key of P_{j-1}, which fills itself in its turn;
+    - `LatticePathCount`, 1 / (1 - sum_j y^{a_j}) (Proposition 2): the same
+      chains give the reachable keys, sorted once, and one ascending pass
+      fills G(t) = sum_j G(t - a_j) from G(0) = 1.
 
     Returns every target that has a representation, zero values included,
-    in graded order; values are ints where the weight is integral.
+    in graded order, decoded by column; values are ints where the weight is
+    integral.
     """
-    paths = type(phi) is LatticePathCount
-    ratios = phi.ratios if type(phi) is GeometricWeights else (Fraction(1),) * A.nsteps
-    scale = math.lcm(*(q.denominator for q in ratios))
-    packing = _Packing(A, cert.functional.coords, bound)  # each target also keyed by one int
-    columns = [col.coords for col in A.columns]
-    # q_j = mult_j / scale^degree_j; path counts read the predecessor's full sum
-    mults = [q.numerator * scale**d // q.denominator for q, d in zip(ratios, cert.step_degrees)]
-    picks = [A.nsteps - 1] * A.nsteps if paths else range(A.nsteps)
-    steps = list(zip(columns, packing.deltas, cert.step_degrees, mults, picks))
-    rows: dict[int, list[int]] = {}
-    table: dict[tuple[int, ...], int | Fraction] = {}
-    layers = {0: {packing.origin: (0,) * A.dim}} if bound >= 0 else {}
-    while layers:  # at most max step degree layers are pending at once
-        degree = min(layers)
-        layer = layers.pop(degree)
-        ahead = [
-            (a, delta, layers.setdefault(degree + d, {}) if degree + d <= bound else None, m, k)
-            for a, delta, d, m, k in steps
-        ]
-        denominator = scale**degree
-        for key in sorted(layer):
-            t = layer[key]
-            value = 0 if degree else 1  # the origin is the only target of degree 0
-            row = []
-            for a, delta, higher, m, k in ahead:
-                before = rows.get(key - delta)
-                if before is not None:
-                    value += m * before[k]
-                row.append(value)
-                if higher is not None and key + delta not in higher:
-                    higher[key + delta] = tuple(map(add, t, a))
-            rows[key] = row
-            table[t] = value if scale == 1 else Fraction(value, denominator)
-    return table
+    if bound < 0:
+        return {}
+    packing = _Packing(A, cert.functional.coords, bound)
+    limit, deltas = (bound + 1) * packing.top, packing.deltas
+    values, scale = {packing.origin: 1}, 1
+    if type(phi) is LatticePathCount:
+        keys = {packing.origin}
+        for delta in deltas:
+            grown = []
+            for k in keys:
+                k += delta
+                while k < limit and k not in keys:
+                    grown.append(k)
+                    k += delta
+            keys.update(grown)
+        order = sorted(keys)
+        get = values.get
+        for k in order[1:]:
+            value = 0
+            for delta in deltas:
+                value += get(k - delta, 0)
+            values[k] = value
+    else:
+        ratios = phi.ratios if type(phi) is GeometricWeights else (1,) * A.nsteps
+        scale = math.lcm(*(q.denominator for q in ratios))
+        for delta, q, d in zip(deltas, ratios, cert.step_degrees):
+            m = q.numerator * scale**d // q.denominator  # q_j = m / scale^degree_j
+            before, values = values, {}
+            get = values.get
+            for k in sorted(before):
+                values[k] = value = before[k] + m * get(k - delta, 0)
+                k += delta
+                while k < limit and k not in before:
+                    values[k] = value = m * value
+                    k += delta
+        order = sorted(values)
+    targets = packing.decode(order)
+    if scale == 1:
+        return dict(zip(targets, map(values.__getitem__, order)))
+    denominators = [scale**d for d in range(bound + 1)]
+    top = packing.top
+    return dict(zip(targets, [Fraction(values[k], denominators[k // top]) for k in order]))
 
 
 def _graded_sums(
@@ -306,8 +318,8 @@ def _graded_sums(
     representation, zero values included, keyed by int tuples in graded order.
 
     The table behind `partition_series` and the series command: `_sweep` for
-    the weights whose series factors over the steps, the orthant route for
-    every other weight.
+    the weights whose series has a closed form over the steps, the orthant
+    route for every other weight.
     """
     check_arity(phi, A.nsteps)
     if type(phi) in (ConstantOne, GeometricWeights, LatticePathCount):
@@ -347,10 +359,10 @@ def generalized_vp_table(
     Iteration order is graded lexicographic (degree first, then lex).  The
     keys come from `_slab_points`, which walks exactly these lattice points
     and no others, so no candidate is tested for span or cone membership.
-    The counts come from the graded sweep for `ConstantOne`,
+    The counts come from the step passes for `ConstantOne`,
     `GeometricWeights` and `LatticePathCount` and from the step orthant for
     every other weight; `verify_path_series` reads its path-count table from
-    the orthant instead, to stay independent of the sweep.  The table is
+    the orthant instead, to stay independent of the passes.  The table is
     built on int tuples (`_count_table`, which the paths command prints), and
     becomes vectors and fractions only here.
     """

@@ -319,7 +319,8 @@ def verify_partition_recurrence(
         lhs = sums.get(t, 0)
         rhs = sum([sums.get(t - d, 0) for d in deltas])
         if lhs != rhs:
-            mismatches.append((LatticeVector(packing.unpack(t)), Fraction(lhs), Fraction(rhs)))
+            where = LatticeVector(next(packing.decode([t])))
+            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 
@@ -360,22 +361,21 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     path counts), and a tally of the walks themselves by walk length.  The
     table side stays on the orthant route so that it never shares code with
     the inverse; targets no walk reaches are 0 on all three sides and are not
-    listed.
+    listed.  All three are path counts, compared as ints; a `Fraction` is
+    built only for a reported mismatch.
     """
     inverse = geometric_inverse(A, cert, bound)
     table = _weighted_sums(A, cert, LatticePathCount(), bound)
     walks = _walk_counts(A, cert, bound)
 
-    keys = set(table) | set(inverse._coeffs) | set(walks)
+    coeffs = inverse._coeffs
     mismatches = []
-    for t in graded(keys, cert.functional.coords):
-        lhs = table.get(t, Fraction(0))
-        rhs = inverse.coefficient(t)
-        brute = Fraction(walks.get(t, 0))
+    for t in graded(set(table) | set(coeffs) | set(walks), cert.functional.coords):
+        lhs, rhs, brute = table.get(t, 0), coeffs.get(t, 0), walks.get(t, 0)  # ints
         if lhs != rhs:
-            mismatches.append((LatticeVector(t), lhs, rhs))
+            mismatches.append((LatticeVector(t), Fraction(lhs), Fraction(rhs)))
         elif rhs != brute:
-            mismatches.append((LatticeVector(t), rhs, brute))
+            mismatches.append((LatticeVector(t), Fraction(rhs), Fraction(brute)))
     window = f"functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 

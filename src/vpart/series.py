@@ -17,11 +17,12 @@ product on int numerators over a denominator it keeps itself, as the
 summation-identity verifier does.  `weight_series` reads the weight on int
 tuples.  `geometric_inverse` and `partition_series` with
 `ConstantOne`, `GeometricWeights` or `LatticePathCount` wrap the graded
-table of `enumeration`, where the paper's closed forms fill the window a few
-operations per target in graded order, so their terms are never sorted
-again; `partition_series` with any other weight sums over the step orthant.
-The verifiers of `identities` keep their own orthant-route sums, so the series
-they check is never compared with itself.
+table of `enumeration`, where the paper's closed forms fill the window in
+passes over packed int keys (one per step for the products), sorted once and
+decoded by column; `partition_series` with any other weight sums over the
+step orthant.  `render_terms` prints every term through one `%` format built
+from the dimension.  The verifiers of `identities` keep their own
+orthant-route sums, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations
@@ -44,15 +45,13 @@ from .core import (
 from .enumeration import _graded_sums, _sweep
 
 
-def ratio_text(value: int | Fraction) -> str:
-    """``value`` as 'num/den', the denominator written even when it is 1."""
-    return f"{value.numerator}/{value.denominator}"
-
-
 def render_terms(terms: Iterable[tuple[Sequence[int], int | Fraction]]) -> str:
-    """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term; an
-    exponent may be a lattice vector or an int tuple."""
-    return "\n".join(f"({','.join(map(str, e))}) : {ratio_text(v)}" for e, v in terms)
+    """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term, the
+    exponents all of one dimension k; an exponent may be a lattice vector or an
+    int tuple.  Each line is one `%` format, built once from k."""
+    terms = list(terms)
+    line = "(%s) : %%d/%%d" % ",".join(["%d"] * (len(tuple(terms[0][0])) if terms else 0))
+    return "\n".join([line % (*e, v.numerator, v.denominator) for e, v in terms])
 
 
 def _check_dim(exp: tuple[int, ...], nvars: int) -> None:
@@ -251,12 +250,12 @@ def partition_series(
 
     Wraps the graded int-tuple table that the series command prints.  For
     `ConstantOne`, `GeometricWeights` and `LatticePathCount` the series has a
-    closed form over the steps, and one graded sweep fills the coefficients
-    from it, a few operations per target and already in graded order; every
-    other weight sums phi over the step orthant, sorted once.  The verifiers
-    read their tables from the orthant (Propositions 1 and 3, Theorem 1's
-    right side, Proposition 2's table side), so that none compares the
-    recurrence with itself.
+    closed form over the steps, and the step passes of `enumeration` fill the
+    coefficients from it, a few int operations per target; every other
+    weight sums phi over the step orthant.  Either table is sorted once.  The
+    verifiers read their tables from the orthant (Propositions 1 and 3,
+    Theorem 1's right side, Proposition 2's table side), so that none
+    compares the recurrence with itself.
     """
     # every key is a reachable target of degree in [0, bound]
     table = _graded_sums(A, cert, phi, bound)
@@ -304,16 +303,15 @@ def substitute_monomial(
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:
     """The series G with (1 - sum of step monomials) * G = 1 up to ``bound``.
 
-    Computed by the graded sweep of `enumeration` over the targets a forward
-    closure over the steps reaches: the coefficient at a target is the sum of
-    the coefficients one step back, seeded with 1 at the origin, filled one
-    degree layer at a time, so the terms come in graded order and are never
-    sorted.  Pointedness well-orders the grading, so the recursion is
-    well-founded; the result's coefficient at a target is its number of
-    distinct step walks from 0.  It is the `LatticePathCount` table of
-    `partition_series`, by the same sweep; `verify_path_series` compares it
-    with path counts summed over the step orthant and with a walk tally,
-    neither of which runs this recursion.
+    Computed by `enumeration._sweep` over the targets the steps reach: the
+    coefficient at a target is the sum of the coefficients one step back,
+    seeded with 1 at the origin, filled in one pass in graded order.
+    Pointedness well-orders the grading, so the recursion is well-founded;
+    the result's coefficient at a target is its number of distinct step walks
+    from 0.  It is the `LatticePathCount` table of `partition_series`, by the
+    same pass; `verify_path_series` compares it with path counts summed over
+    the step orthant and with a walk tally, neither of which runs this
+    recursion.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")

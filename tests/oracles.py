@@ -4,7 +4,8 @@ Everything here is deliberately naive: box scans (of fibers and of the
 count table's slab), permutation counting,
 forward depth-first walk enumeration, textbook dynamic programming,
 inclusion-exclusion over series projections, series products over every
-pair of terms, cone membership as one linear program per point, solved by
+pair of terms, term listings by f-string and by `json.dumps`, cone
+membership as one linear program per point, solved by
 a phase-one simplex on a `Fraction` tableau where `certify_pointed` pivots
 integers, and the verifiers' sums and recurrence checks in `Fraction`
 arithmetic, one `evaluate_weight` call per point, where the library runs
@@ -18,6 +19,7 @@ splitting's right side, which have tests of their own.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from operator import mul, sub
@@ -549,3 +551,15 @@ def cb_vector_partition_by_fractions(
         lhs += c * sum(terms, zero)
     rhs = Fraction(vector_partition(A, cert, mu))
     return report(f"mu = {mu}", [] if lhs == rhs else [(mu, lhs, rhs)])
+
+
+def render_terms_by_fstring(terms) -> str:
+    """The text listing of (exponent, value) terms, one f-string per line."""
+    return "\n".join(f"({','.join(map(str, e))}) : {v.numerator}/{v.denominator}" for e, v in terms)
+
+
+def terms_by_json_dumps(terms, field: str, key: str, value: str) -> str:
+    """The JSON listing of (exponent, value) terms: `json.dumps` of a list of dicts."""
+    return json.dumps(
+        {field: [{key: list(e), value: f"{v.numerator}/{v.denominator}"} for e, v in terms]}
+    )

@@ -6,17 +6,20 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vpart import certify_pointed, cli
-from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _slab_volume, main
+from vpart import LatticeVector, certify_pointed, cli
+from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _print_terms, _slab_volume, main
 from vpart.core import _orthant
 from vpart.enumeration import _slab_points
+from vpart.series import render_terms
 
 import cases
+import oracles
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "demos" / "problems"
@@ -174,6 +177,53 @@ class TestPaths:
             "(6) : 2/1",
             "(7) : 1/1",
         ]
+
+
+_BIG = st.integers(10**199, 10**200 - 1).flatmap(lambda n: st.sampled_from([n, -n]))
+_VALUES = st.one_of(
+    st.integers(-50, 50),
+    _BIG,
+    st.builds(Fraction, st.one_of(st.integers(-50, 50), _BIG), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _term_tables(draw):
+    """A table of (int tuple, int or Fraction) terms of one dimension, maybe empty."""
+    dim = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(-30, 30)] * dim)
+    return draw(st.lists(st.tuples(exponents, _VALUES), max_size=12))
+
+
+class TestTermPrinters:
+    """`_print_terms` and `render_terms` print through one `%` format; their
+    bytes are those of an f-string per line and of `json.dumps`."""
+
+    @staticmethod
+    def printed(terms, as_json, names):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            _print_terms(terms, as_json, *names)
+        return out.getvalue()
+
+    @given(
+        _term_tables(),
+        st.sampled_from([("terms", "exponent", "coefficient"), ("entries", "target", "value")]),
+    )
+    @example([((-3, 0, 12, -1), Fraction(1 - 10**200, 7)), ((5, -5, 0, 0), 0)], ("a", "b", "c"))
+    @settings(max_examples=150)
+    def test_same_bytes_as_the_old_printers(self, terms, names):
+        text = oracles.render_terms_by_fstring(terms)
+        assert render_terms(terms) == text
+        assert render_terms((LatticeVector(e), v) for e, v in terms) == text
+        assert self.printed(terms, False, names) == (text + "\n" if terms else "")
+        assert self.printed(terms, True, names) == oracles.terms_by_json_dumps(terms, *names) + "\n"
+
+    def test_empty_table(self):
+        names = ("terms", "exponent", "coefficient")
+        assert render_terms([]) == ""
+        assert self.printed([], False, names) == ""
+        assert self.printed([], True, names) == '{"terms": []}\n'
 
 
 class TestVerify:

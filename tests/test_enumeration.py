@@ -11,6 +11,7 @@ from vpart import (
     LatticeVector,
     StepMatrix,
     TableWeight,
+    certificate_from_functional,
     certify_pointed,
     enumerate_solutions,
     generalized_vp,
@@ -333,6 +334,33 @@ class TestStepRecurrence:
         assert list(table) == graded(orthant, cert.functional.coords)
         assert all(type(v) in (int, Fraction) for v in table.values())
         assert _graded_sums(A, cert, phi, bound) == table
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(2, 5),
+        st.integers(2, 9),
+        st.integers(0, 2),
+        st.lists(
+            st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3]), min_size=5, max_size=5
+        ),
+        st.permutations(range(5)),
+    )
+    @settings(max_examples=120)
+    def test_independent_of_the_column_order(self, seed, dim, nsteps, bound, kind, ratios, perm):
+        # each pass fills the chains of targets only its step reaches, so the
+        # passes meet the keys in another order when the columns are permuted
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        order = [j for j in perm if j < nsteps]
+        B = StepMatrix([A.columns[j] for j in order])
+        cert_b = certificate_from_functional(B, cert.functional)
+        phi, phi_b = [
+            (ConstantOne(), ConstantOne()),
+            (LatticePathCount(), LatticePathCount()),
+            (GeometricWeights(ratios[:nsteps]), GeometricWeights([ratios[j] for j in order])),
+        ][kind]
+        table = _sweep(A, cert, phi, bound)
+        assert list(_sweep(B, cert_b, phi_b, bound).items()) == list(table.items())
 
     @pytest.mark.parametrize(
         "columns,bound",

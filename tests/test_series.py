@@ -449,7 +449,7 @@ class TestRendering:
 
 
 class TestGradedSweepOrder:
-    """The graded sweep already yields its terms in graded order, so neither
+    """The step passes already yield their terms in graded order, so neither
     the series nor the series command sorts them again."""
 
     def test_terms_and_the_command_never_sort(self, monkeypatch, tmp_path, capsys):
