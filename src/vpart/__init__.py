@@ -51,7 +51,6 @@ from .identities import (
     RecurrencePreconditionError,
     VerificationReport,
     Violation,
-    forward_difference_apply,
     verify_basic_recurrence,
     verify_cb_1d,
     verify_cb_multidim,
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_solutions",
     "evaluate_weight",
     "exact",
-    "forward_difference_apply",
     "full_support_part",
     "generalized_vp",
     "generalized_vp_table",

@@ -385,13 +385,28 @@ def _scaled_values(
     """``phi`` at nonnegative points of its arity as (numerators, D), with
     numerators[i] / D = phi(points[i]) and D the lcm of the denominators.
 
-    D divides the product of the distinct denominators read, so it has at
-    most their digits together.  For `GeometricWeights` and
-    `MultinomialMonomial` it divides prod_k den(q_k)^(m_k + 1), m_k the
-    largest k-th coordinate read; for a `TableWeight`, the lcm of its values'
-    denominators.
+    `GeometricWeights` and `MultinomialMonomial` are read from one power table
+    per axis k: for q_k = n_k / d_k, m_k the largest k-th coordinate read and
+    s_k = 1 on a multinomial's own axis, else 0, entry c is
+    n_k^(c + s_k) d_k^(m_k - c) over d_k^(m_k + s_k); one gcd then reduces the
+    product of those denominators to the lcm, and no `Fraction` is built.
+    Every other weight is read by `_value`, over the lcm (`_over_lcm`).
     """
-    return _over_lcm([phi._value(x) for x in points])
+    if type(phi) is GeometricWeights:
+        ratios, shifts, numerators = phi.ratios, [0] * phi.arity, [1] * len(points)
+    elif type(phi) is MultinomialMonomial:
+        ratios, numerators = phi.coeffs, list(map(_multinomial, points))
+        shifts = [int(k == phi.axis) for k in range(1, phi.arity + 1)]
+    else:
+        return _over_lcm([phi._value(x) for x in points])
+    den = 1
+    for q, s, column in zip(ratios, shifts, zip(*points)):
+        m, n, d = max(column), q.numerator, q.denominator
+        table = [n ** (c + s) * d ** (m - c) for c in range(m + 1)]
+        numerators = list(map(mul, numerators, map(table.__getitem__, column)))
+        den *= d ** (m + s)
+    g = math.gcd(den, *numerators)
+    return [v // g for v in numerators], den // g
 
 
 def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -423,6 +438,18 @@ def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]
     Vectors come out in lexicographic order.
     """
     return map(LatticeVector, _orthant(weights, budget))
+
+
+def _orthant_keys(
+    weights: Sequence[int], budget: int, units: Sequence[int], start: int = 0
+) -> list[int]:
+    """start + sum_j units[j] * x[j] for each x of `_orthant` (weights, budget), in
+    its order, ``units`` positive: one int range of keys per prefix of x."""
+    prefixes = [(start, budget)] if budget >= 0 else []
+    for w, u in zip(weights[:-1], units[:-1]):
+        prefixes = [(k + c * u, r - c * w) for k, r in prefixes for c in range(r // w + 1)]
+    w, u = weights[-1], units[-1]
+    return [k for key, r in prefixes for k in range(key, key + (r // w + 1) * u, u)]
 
 
 def _orthant(weights: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:

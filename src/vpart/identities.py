@@ -1,15 +1,15 @@
-"""A difference operator on weights, and exact identity verifiers.
+"""Exact identity verifiers.
 
 Every verifier recomputes its two sides through independent code paths (the
 series pipeline on one side, direct enumeration or direct summation on the
 other) and reports exact coefficient-level equality over an explicitly named
 finite window.  Nothing here ever claims unbounded validity.  The weight's
-values are the two sides' shared input, not a route: `thm1` and `rec` read
-them once per window or degree layer as int numerators over one common
-denominator (`core._scaled_values`), run both sides on ints, and build a
-`Fraction` only for a value a report names.  `rec` (on x), `prop1` and `prop3`
-(on targets, `enumeration._Packing`) look points up by packed int keys and
-decode one to an int tuple only to read a weight, to a vector only to name it.
+values are the two sides' shared input, not a route: `thm1`, `rec` and `cb`
+read them once per window, layer or axis as int numerators over one common
+denominator (`core._scaled_values`, power weights from power tables), run on
+ints, and build a `Fraction` only for a value a report names.  `thm1` and
+`rec` (on x), `thm1`, `prop1` and `prop3` (on targets, `enumeration._Packing`)
+look points up by packed int keys, decoded only to read a weight or name a point.
 """
 
 from __future__ import annotations
@@ -26,20 +26,19 @@ from .core import (
     LatticePathCount,
     LatticeVector,
     MultinomialMonomial,
-    RuleWeight,
     StepMatrix,
     WeightFunction,
     _multinomial,
     _orthant,
+    _orthant_keys,
     _over_lcm,
     _scaled_values,
     check_arity,
-    evaluate_weight,
     exact,
     graded,
 )
 from .enumeration import _orthant_sums, _Packing, _weighted_sums, vector_partition
-from .series import TruncatedSeries, full_support_part, geometric_inverse, substitute_monomial
+from .series import geometric_inverse
 
 
 @dataclass(frozen=True)
@@ -112,31 +111,6 @@ def _report_from_mismatches(
     return VerificationReport(False, window, Violation(loc, lhs, rhs), len(mismatches))
 
 
-def forward_difference_apply(
-    phi: WeightFunction, coeffs: Sequence[int | Fraction | str]
-) -> WeightFunction:
-    """The weight x -> phi(x + I) - sum_j coeffs[j] * phi(x + I - e_j).
-
-    With one variable and coefficient 1 this is the discrete derivative
-    x -> phi(x + 1) - phi(x); summing the result over representations of a
-    target is what makes the summation identity telescope.
-    """
-    cs = tuple(exact(c) for c in coeffs)
-    nvars = len(cs)
-    check_arity(phi, nvars)
-
-    def rule(x: LatticeVector) -> Fraction:
-        top = tuple(a + 1 for a in x.coords)
-        result = evaluate_weight(phi, LatticeVector(top))
-        for j, c in enumerate(cs):
-            if c:
-                lower = top[:j] + (top[j] - 1,) + top[j + 1 :]
-                result -= c * evaluate_weight(phi, LatticeVector(lower))
-        return result
-
-    return RuleWeight(rule, arity=nvars)
-
-
 def verify_summation_identity(
     A: StepMatrix,
     cert: ConeCertificate,
@@ -146,27 +120,19 @@ def verify_summation_identity(
 ) -> VerificationReport:
     """Check the master summation identity for the weighted counts, exactly.
 
-    Left side: take the generating series of phi in the step variables,
-    multiply by (1 - <coeffs, variables>), keep the full-support part, and
-    substitute each variable by its step monomial.  Right side: the
-    generating series of the counts weighted by the forward difference of
-    phi, attached at targets shifted by the sum of all steps (the image of
-    the all-ones corner of the step orthant).  Both sides are compared
-    coefficient by coefficient up to functional degree ``bound``.
-
-    The step-space series of the left side are graded by step cost,
-    sum_j step_degrees[j] * x[j], with the same ``bound``: that is exactly the
-    functional degree of the target A x, so the window holds every x that can
-    land on a compared target and nothing else, and the grading is positive,
-    so the product is exact on it.
-
-    Both sides run on ints: phi is read once on that window as numerators W
-    over one denominator D, and the coefficients as numerators b_j over their
-    lcm B.  The left side multiplies the series of B - sum_j b_j y_j and W;
-    the right side sums the forward differences B W(x + 1) - sum_j b_j
-    W(x + 1 - e_j) over the step orthant at A (x + 1).  Both are then over
-    B D.  Raises ValueError when the column-sum corner lies above ``bound``:
-    below it both sides vanish and nothing is compared.
+    Left side: phi's series in the step variables times 1 - <coeffs, variables>,
+    its full-support part, each variable replaced by its step monomial
+    (`_series_side`).  Right side: the counts weighted by the forward
+    difference of phi, shifted by the column sum.  Both are compared up to
+    functional degree ``bound``, over the step-space window of step cost
+    sum_j step_degrees[j] x_j <= bound (the degree of A x), and run on ints:
+    phi's values W over one denominator D (`core._scaled_values`, from power
+    tables for the power weights) and the coefficients b_j over their lcm B.
+    x is packed in radix bound + 2, so x +- e_j is one int addition, targets by
+    `enumeration._Packing`, whose keys sort in graded order; a key is decoded,
+    and a `Fraction` built, only for a reported mismatch.  Raises ValueError
+    when the column-sum corner lies above ``bound``: below it both sides
+    vanish and nothing is compared.
     """
     corner = A.column_sum()
     base = cert.degree(corner)
@@ -179,37 +145,53 @@ def verify_summation_identity(
 
     points = list(_orthant(costs, bound))
     numerators, den = _scaled_values(phi, points)
-    weights = dict(zip(points, numerators))
+    units = [(bound + 2) ** j for j in reversed(range(nvars))]  # above every x_j + 1
+    weights = dict(zip(_orthant_keys(costs, bound, units), numerators))
     bs, scale = _over_lcm(cs)
-    scaled = [(j, b) for j, b in enumerate(bs) if b]
-
-    grading = LatticeVector(costs)
-    one_minus = {(0,) * nvars: scale}  # each step costs at most the corner's degree
-    for j, b in scaled:
-        one_minus[tuple(int(k == j) for k in range(nvars))] = -b
-    differenced = TruncatedSeries._wrap(nvars, grading, bound, one_minus) * TruncatedSeries._wrap(
-        nvars, grading, bound, weights
-    )
-    lhs = substitute_monomial(full_support_part(differenced), A, cert, bound)._coeffs
+    shifts = [(u, b) for u, b in zip(units, bs) if b]
+    packing = _Packing(A, cert.functional.coords, bound)
+    targets = _orthant_keys(costs, bound, packing.deltas, packing.origin)
+    lhs = _series_side(points, targets, weights, shifts, scale)
 
     # x + 1 has step cost at most bound, so it and each x + 1 - e_j are in the window
-    rows = list(zip(*(col.coords for col in A.columns)))
-    rhs: dict[tuple[int, ...], int] = {}
-    for x in _orthant(costs, bound - base):
-        top = tuple(a + 1 for a in x)
-        value = scale * weights[top]
-        for j, b in scaled:
-            value -= b * weights[top[:j] + (top[j] - 1,) + top[j + 1 :]]
-        target = tuple(sum(map(mul, row, top)) for row in rows)
+    tops = _orthant_keys(costs, bound - base, units, sum(units))
+    targets = _orthant_keys(costs, bound - base, packing.deltas, packing.pack(corner.coords))
+    rhs: dict[int, int] = {}
+    for top, target in zip(tops, targets):
+        value = scale * weights[top] - sum([b * weights[top - u] for u, b in shifts])
         rhs[target] = rhs.get(target, 0) + value
 
     total = scale * den
-    differ = [t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0)]
+    differ = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0))
     mismatches = [
-        (LatticeVector(t), Fraction(lhs.get(t, 0), total), Fraction(rhs.get(t, 0), total))
-        for t in graded(differ, cert.functional.coords)
+        (LatticeVector(t), Fraction(lhs.get(k, 0), total), Fraction(rhs.get(k, 0), total))
+        for k, t in zip(differ, packing.decode(differ))
     ]
     return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
+
+
+def _series_side(
+    points: list[tuple[int, ...]], targets: list[int], weights: dict[int, int], shifts, scale: int
+) -> dict[int, int]:
+    """Theorem 1's left side: numerators over scale * D at packed target keys.
+
+    ``weights`` maps the key of each window point x to W(x), in the order of
+    ``points``, and ``targets`` holds the key of each A x.  The product
+    (scale - sum_j b_j y_j) W is scattered within the window, ``shifts``
+    pairing the key of e_j with b_j; the window is closed downward, so x + e_j
+    is in it exactly when ``weights`` holds its key.  Each term with full
+    support is then added at its target.
+    """
+    product = {k: scale * w for k, w in weights.items()}
+    for k, w in weights.items():
+        for u, b in shifts:
+            if k + u in product:
+                product[k + u] -= b * w
+    sums: dict[int, int] = {}
+    for x, value, target in zip(points, product.values(), targets):  # in the order of points
+        if all(x):
+            sums[target] = sums.get(target, 0) + value
+    return sums
 
 
 def _require_corner(base: int, bound: int) -> None:
@@ -440,6 +422,8 @@ def verify_cb_multidim(
     sum over axes j and over 0 <= nu <= mu with nu_j = 0 of
     multinomial(mu - nu) * coeffs ** (mu - nu + e_j) must equal 1 exactly.
     Uses the convention 0 ** 0 = 1, so degenerate coefficient vectors are fine.
+    Axis j reads its weight on the x <= mu with x_j = mu_j from power tables
+    (`core._scaled_values`); the int sums are added over their lcm D.
     """
     cs = tuple(exact(c) for c in coeffs)
     if sum(cs) != 1:
@@ -449,14 +433,14 @@ def verify_cb_multidim(
     if not mu.is_nonnegative():
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
-    total = Fraction(0)
+    total, den = 0, 1  # the sum is total / den, compared with 1 = den / den
     for j in range(1, len(cs) + 1):
-        phi = MultinomialMonomial(cs, axis=j)
-        ranges = [range(m + 1) if k != j else (0,) for k, m in enumerate(mu.coords, start=1)]
-        for nu in product(*ranges):
-            total += evaluate_weight(phi, mu - LatticeVector(nu))
+        ranges = [range(m + 1) if k != j else (m,) for k, m in enumerate(mu.coords, start=1)]
+        numerators, d = _scaled_values(MultinomialMonomial(cs, axis=j), list(product(*ranges)))
+        lcm = math.lcm(den, d)
+        total, den = total * (lcm // den) + sum(numerators) * (lcm // d), lcm
     window = f"mu = {mu}"
-    mismatches = [] if total == 1 else [(mu, total, Fraction(1))]
+    mismatches = [] if total == den else [(mu, Fraction(total, den), Fraction(1))]
     return _report_from_mismatches(window, mismatches)
 
 

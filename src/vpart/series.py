@@ -12,17 +12,15 @@ degree can be positive even on exponents with negative coordinates.
 
 Inside, a series keys its exact coefficients (ints or fractions) by int
 tuples; `terms`, `support` and `coefficient` are the boundary where vectors
-and fractions are built.  The arithmetic takes either, so a caller may run a
-product on int numerators over a denominator it keeps itself, as the
-summation-identity verifier does.  `weight_series` reads the weight on int
-tuples.  `geometric_inverse` and `partition_series` with
-`ConstantOne`, `GeometricWeights` or `LatticePathCount` wrap the graded
-table of `enumeration`, where the paper's closed forms fill the window in
-passes over packed int keys (one per step for the products), sorted once and
-decoded by column; `partition_series` with any other weight sums over the
-step orthant.  `render_terms` prints every term through one `%` format built
-from the dimension.  The verifiers of `identities` keep their own
-orthant-route sums, so the series they check is never compared with itself.
+and fractions are built.  `weight_series` reads the weight on int tuples.
+`geometric_inverse` and `partition_series` with `ConstantOne`,
+`GeometricWeights` or `LatticePathCount` wrap the graded table of
+`enumeration`, where the paper's closed forms fill the window in passes over
+packed int keys (one per step for the products), sorted once and decoded by
+column; `partition_series` with any other weight sums over the step orthant.
+`render_terms` prints every term through one `%` format built from the
+dimension.  The verifiers of `identities` keep their own sums on packed
+keys, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations

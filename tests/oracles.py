@@ -11,9 +11,9 @@ integers, and the verifiers' sums and recurrence checks in `Fraction`
 arithmetic, one `evaluate_weight` call per point, where the library runs
 on int numerators over common denominators.  None of it shares code with
 the implementations under test beyond the series arithmetic and
-projections, the slab scans' span test and facet membership,
-`forward_difference_apply` and the count behind the partition-of-unity
-splitting's right side, which have tests of their own.
+projections, the slab scans' span test and facet membership and the
+count behind the partition-of-unity splitting's right side, which have
+tests of their own.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from vpart import (
     ConeCertificate,
     ConstantOne,
     LatticeVector,
+    MultinomialMonomial,
     RuleWeight,
     StepMatrix,
     TruncatedSeries,
@@ -38,7 +39,6 @@ from vpart import (
     cone_contains,
     evaluate_weight,
     exact,
-    forward_difference_apply,
     full_support_part,
     integer_span_contains,
     iter_orthant,
@@ -134,6 +134,29 @@ def shift_apply(phi: WeightFunction, mu: LatticeVector) -> WeightFunction:
     """
     check_arity(phi, mu.dim)
     return RuleWeight(lambda x: evaluate_weight(phi, x + mu), arity=mu.dim)
+
+
+def forward_difference_apply(phi: WeightFunction, coeffs) -> WeightFunction:
+    """The weight x -> phi(x + I) - sum_j coeffs[j] * phi(x + I - e_j).
+
+    With one variable and coefficient 1 this is the discrete derivative
+    x -> phi(x + 1) - phi(x); summing the result over representations of a
+    target is what makes the summation identity telescope.
+    """
+    cs = tuple(exact(c) for c in coeffs)
+    nvars = len(cs)
+    check_arity(phi, nvars)
+
+    def rule(x: LatticeVector) -> Fraction:
+        top = tuple(a + 1 for a in x.coords)
+        result = evaluate_weight(phi, LatticeVector(top))
+        for j, c in enumerate(cs):
+            if c:
+                lower = top[:j] + (top[j] - 1,) + top[j + 1 :]
+                result -= c * evaluate_weight(phi, LatticeVector(lower))
+        return result
+
+    return RuleWeight(rule, arity=nvars)
 
 
 def orderings_count(x: LatticeVector) -> int:
@@ -551,6 +574,20 @@ def cb_vector_partition_by_fractions(
         lhs += c * sum(terms, zero)
     rhs = Fraction(vector_partition(A, cert, mu))
     return report(f"mu = {mu}", [] if lhs == rhs else [(mu, lhs, rhs)])
+
+
+def cb_multidim_by_fractions(coeffs, mu: LatticeVector) -> VerificationReport:
+    """`verify_cb_multidim`'s report in `Fraction` arithmetic: one
+    `evaluate_weight` of each axis's `MultinomialMonomial` at mu - nu per
+    term, added as a `Fraction`.  The coefficients' sum is not checked."""
+    cs = tuple(exact(c) for c in coeffs)
+    total = Fraction(0)
+    for j in range(1, len(cs) + 1):
+        phi = MultinomialMonomial(cs, axis=j)
+        ranges = [range(m + 1) if k != j else (0,) for k, m in enumerate(mu.coords, start=1)]
+        for nu in itertools.product(*ranges):
+            total += evaluate_weight(phi, mu - LatticeVector(nu))
+    return report(f"mu = {mu}", [] if total == 1 else [(mu, total, Fraction(1))])
 
 
 def render_terms_by_fstring(terms) -> str:

@@ -23,7 +23,6 @@ from vpart import (
     certify_pointed,
     enumerate_solutions,
     evaluate_weight,
-    forward_difference_apply,
     full_support_part,
     generalized_vp,
     geometric_inverse,
@@ -100,7 +99,7 @@ def test_one_variable_reduction_and_telescoping():
         assert lhs == expected
 
         # partial sums of the forward difference telescope back to phi
-        psi = forward_difference_apply(phi, (1,))
+        psi = oracles.forward_difference_apply(phi, (1,))
         for x in range(BOUND + 1):
             partial = sum(
                 (evaluate_weight(psi, LatticeVector((k,))) for k in range(x)), Fraction(0)

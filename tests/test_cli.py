@@ -328,10 +328,11 @@ AT_THE_LIMIT = [
 
 
 class TestRefusals:
-    def test_the_seven_documents(self):
+    def test_the_pinned_documents(self):
         names = sorted(path.stem for path in REFUSALS.glob("*.json"))
         assert names == [
-            "count", "paths", "series", "verify-cb", "verify-cb1d", "verify-prop2", "verify-rec"
+            "count", "paths", "series", "verify-cb", "verify-cb1d", "verify-prop1",
+            "verify-prop2", "verify-prop3", "verify-rec", "verify-thm1",
         ]
 
     @pytest.mark.parametrize("path", sorted(REFUSALS.glob("*.json")), ids=lambda p: p.stem)

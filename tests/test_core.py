@@ -198,6 +198,51 @@ class TestScaledValues:
             multinomial(vector) * math.prod(map(pow, q, x)) * q[1]
         )
 
+    # denominators sharing the primes 2 and 3, so the product of the power
+    # tables' denominators is not the lcm; zero, negative and integral ratios
+    SHARED_PRIMES = [Fraction(1, 2), Fraction(3, 4), Fraction(-1, 6), Fraction(5, 12), 0, -3, 2, 1]
+
+    @given(
+        st.lists(st.sampled_from(SHARED_PRIMES), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.lists(st.tuples(*[st.integers(0, 5)] * 4), max_size=10),
+    )
+    @settings(max_examples=150)
+    def test_power_tables_reduce_to_the_lcm(self, ratios, axis, points):
+        points = [p[: len(ratios)] for p in points]
+        axis = axis % len(ratios) + 1
+        for phi in (GeometricWeights(ratios), MultinomialMonomial(ratios, axis=axis)):
+            numerators, den = _scaled_values(phi, points)
+            values = [evaluate_weight(phi, LatticeVector(p)) for p in points]
+            assert all(type(n) is int for n in numerators) and type(den) is int
+            assert [Fraction(n, den) for n in numerators] == values
+            assert den == math.lcm(*(v.denominator for v in values))
+
+    @pytest.mark.parametrize(
+        "phi,points,expected",
+        [
+            # 2^2 * 4 = 16 before the reduction; the values are 1/4 and 3/4
+            (GeometricWeights(("1/2", "3/4")), [(2, 0), (0, 1)], ([1, 3], 4)),
+            # the first axis reads only 0: its table is [1] over 1
+            (GeometricWeights(("-1/6", "5/12")), [(0, 0), (0, 3)], ([1728, 125], 1728)),
+            # 0^0 = 1, and a zero ratio leaves no denominator of its own
+            (GeometricWeights((0, "3/4")), [(0, 1), (1, 1), (2, 0)], ([3, 0, 0], 4)),
+            (GeometricWeights((-3, 2)), [(1, 2), (0, 0)], ([-12, 1], 1)),
+            # the multinomial's own axis reads one power more, even at coordinate 0
+            (MultinomialMonomial(("1/2", "3/4"), axis=1), [(0, 0)], ([1], 2)),
+            (MultinomialMonomial(("1/2", "3/4"), axis=2), [(1, 0), (1, 1)], ([6, 9], 16)),
+            (MultinomialMonomial(("-1/6", "5/12"), axis=2), [(0, 0)], ([5], 12)),
+        ],
+    )
+    def test_power_table_examples(self, phi, points, expected):
+        assert _scaled_values(phi, points) == expected
+
+    @pytest.mark.parametrize(
+        "phi", [GeometricWeights(("1/2", "3/4")), MultinomialMonomial(("-1/6", "5/12"), axis=2)]
+    )
+    def test_no_points_read(self, phi):
+        assert _scaled_values(phi, []) == ([], 1)
+
     def test_integral_weights_stay_ints(self):
         assert type(LatticePathCount()._value((2, 2))) is int
         assert type(ConstantOne()._value((3,))) is int

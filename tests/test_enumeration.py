@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
@@ -315,17 +315,25 @@ class TestTableMatchesSeries:
 class TestStepRecurrence:
     @given(
         st.integers(0, 10**6),
-        st.integers(1, 3),
-        st.integers(1, 5),
-        st.integers(0, 7),
+        st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(0, 7)),
+            # dimension >= 2, >= 3 steps and bound >= 4: where a pass that
+            # met its keys out of ascending order would read t - a_j unfilled
+            st.tuples(st.integers(2, 3), st.integers(3, 5), st.integers(4, 7)),
+        ),
         st.integers(0, 2),
         st.lists(
             st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3]), min_size=5, max_size=5
         ),
     )
+    # draws on which a pass walked in insertion order differs from the orthant
+    @example(0, (2, 4, 4), 0, [1, 1, 1, 1, 1])
+    @example(16, (2, 3, 4), 2, [Fraction(1, 2), -1, 3, 0, 1])
+    @example(3, (2, 4, 4), 2, [Fraction(-2, 3), 3, Fraction(1, 2), -1, 1])
     @settings(max_examples=120)
-    def test_matches_the_orthant_route(self, seed, dim, nsteps, bound, kind, ratios):
+    def test_matches_the_orthant_route(self, seed, shape, kind, ratios):
         # zero and negative ratios give zero values, which must stay listed
+        dim, nsteps, bound = shape
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = [ConstantOne(), LatticePathCount(), GeometricWeights(ratios[:nsteps])][kind]
         orthant = _weighted_sums(A, cert, phi, bound)

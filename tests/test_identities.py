@@ -25,7 +25,6 @@ from vpart import (
     certificate_from_functional,
     certify_pointed,
     evaluate_weight,
-    forward_difference_apply,
     generalized_vp,
     geometric_inverse,
     iter_orthant,
@@ -115,17 +114,17 @@ class TestShift:
 
 class TestForwardDifference:
     def test_annihilates_path_counts_at_unit_coefficients(self):
-        psi = forward_difference_apply(LatticePathCount(), (1, 1, 1))
+        psi = oracles.forward_difference_apply(LatticePathCount(), (1, 1, 1))
         for coords in [(0, 0, 0), (1, 0, 2), (2, 1, 1), (0, 3, 0)]:
             assert evaluate_weight(psi, LatticeVector(coords)) == 0
 
     def test_one_variable_discrete_derivative(self):
         phi = TableWeight((4,), [1, 4, 9, 16, 25])
-        psi = forward_difference_apply(phi, (1,))
+        psi = oracles.forward_difference_apply(phi, (1,))
         assert [evaluate_weight(psi, LatticeVector((k,))) for k in range(4)] == [3, 5, 7, 9]
 
     def test_constant_weight_with_unit_sum(self):
-        psi = forward_difference_apply(ConstantOne(), (Fraction(1, 4), Fraction(3, 4)))
+        psi = oracles.forward_difference_apply(ConstantOne(), (Fraction(1, 4), Fraction(3, 4)))
         for coords in [(0, 0), (1, 2), (3, 3)]:
             assert evaluate_weight(psi, LatticeVector(coords)) == 0
 
@@ -134,7 +133,7 @@ class TestForwardDifference:
         # both readings keeps the interpreter's free lists out of the count
         tracemalloc.start()
         try:
-            psi = forward_difference_apply(LatticePathCount(), (1, 1, 1))
+            psi = oracles.forward_difference_apply(LatticePathCount(), (1, 1, 1))
             points = 0
             for x in iter_orthant((1, 1, 1), 40):
                 evaluate_weight(psi, x)
@@ -163,7 +162,7 @@ class TestSummationIdentity:
         report = verify_summation_identity(A, cert, LatticePathCount(), (1, 1, 1), 5)
         assert report.holds
         # the right side vanishes identically here; so must the left
-        psi = forward_difference_apply(LatticePathCount(), (1, 1, 1))
+        psi = oracles.forward_difference_apply(LatticePathCount(), (1, 1, 1))
         table = partition_series(A, cert, psi, 5)
         assert table.is_zero()
 
@@ -233,20 +232,23 @@ class TestSummationIdentity:
         phi = GeometricWeights(("1/2", "-2/3", "3/5"))
         coeffs = (Fraction(1, 3), Fraction(-5, 7), Fraction(2))
         corner = A.column_sum()
-        psi = forward_difference_apply(phi, coeffs)
+        psi = oracles.forward_difference_apply(phi, coeffs)
         rhs = oracles.weighted_sums_by_fractions(A, cert, psi, 6 - cert.degree(corner))
         late, early = (3, 2), (2, 2)  # degrees 5 and 4, in this order in no table
         true = {t: rhs[tuple(map(lambda a, b: a - b, t, corner.coords))] for t in (late, early)}
         assert all(true.values())
-        original = identities.substitute_monomial
+        original = identities._series_side
+
+        packing = enumeration._Packing(A, cert.functional.coords, 6)
 
         def a_seventh_off(*args):
-            result = original(*args)
-            for t in (late, early):
-                result._coeffs[t] += Fraction(result._coeffs[t], 7)
-            return result
+            # the left side's int numerators, keyed by packed target
+            sums = original(*args)
+            for key in map(packing.pack, (late, early)):
+                sums[key] += Fraction(sums[key], 7)
+            return sums
 
-        monkeypatch.setattr(identities, "substitute_monomial", a_seventh_off)
+        monkeypatch.setattr(identities, "_series_side", a_seventh_off)
         report = verify_summation_identity(A, cert, phi, coeffs, 6)
         violation = Violation(LatticeVector(early), true[early] * Fraction(8, 7), true[early])
         assert report == VerificationReport(False, "functional degree <= 6", violation, 2)
@@ -666,6 +668,38 @@ class TestMultidimPartitionOfUnity:
             verify_cb_multidim((Fraction(1, 2), Fraction(1, 2)), LatticeVector((1, -1)))
         with pytest.raises(ValueError):
             verify_cb_multidim((Fraction(1, 2), Fraction(1, 2)), LatticeVector((1, 1, 1)))
+
+    @given(
+        st.lists(
+            st.sampled_from([0, 2, -1, *map(Fraction, ("1/2", "3/4", "-1/6", "5/12"))]), max_size=3
+        ),
+        st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    )
+    @settings(max_examples=80)
+    def test_matches_the_fraction_route(self, free, mu):
+        # denominators that share primes, so the axes' own denominators differ
+        # and their lcm is not their product; zero, negative and integral entries
+        cs = [*free, 1 - sum(free)]
+        mu = LatticeVector(mu[: len(cs)])
+        report = verify_cb_multidim(cs, mu)
+        assert report == oracles.cb_multidim_by_fractions(cs, mu)
+        assert report.holds
+
+    def test_an_axis_off_shows_exactly(self, monkeypatch):
+        # one numerator of the first axis one too large: the sum is 1 + 1 / D_1
+        read = []
+        scaled_values = identities._scaled_values
+
+        def one_off(phi, points):
+            numerators, den = scaled_values(phi, points)
+            read.append(den)
+            return ([numerators[0] + 1, *numerators[1:]] if len(read) == 1 else numerators), den
+
+        monkeypatch.setattr(identities, "_scaled_values", one_off)
+        mu = LatticeVector((2, 1, 3))
+        report = verify_cb_multidim(("1/2", "1/3", "1/6"), mu)
+        violation = Violation(mu, 1 + Fraction(1, read[0]), Fraction(1))
+        assert report == VerificationReport(False, "mu = (2, 1, 3)", violation, 1)
 
     def test_agrees_with_basis_cone_splitting(self):
         # with unit steps the cone identity term-for-term becomes the direct sum
