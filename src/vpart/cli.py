@@ -291,6 +291,10 @@ def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
     _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+    # the slab's facets: one candidate per rank - 1 of the columns, and its
+    # first elimination level pairs up as many lower and upper constraints
+    rank = len(_echelon(matrix)[1])
+    _refuse_runaway("matrix", math.comb(matrix.nsteps, rank - 1) ** 2)
     weight = spec.weight if spec.weight is not None else LatticePathCount()
     table = _count_table(matrix, cert, weight, bound)  # generalized_vp_table's, on int tuples
     _print_terms(table.items(), as_json, "entries", "target", "value")
@@ -374,6 +378,8 @@ def _load_document(path: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ProblemError(f"parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ProblemError("parse error: arrays or objects nested too deeply") from err
 
 
 @functools.cache

@@ -7,9 +7,14 @@ then has degree at least one.  `certify_pointed` decides the defining
 inequalities exactly with a phase-one simplex and Bland's smallest-index
 pivot rule, so the certificate returned for a fixed matrix never changes
 between runs, and an infeasible system yields a witness that the cone
-contains a line.  The simplex pivots integers over one common denominator
-and builds a `Fraction` only for the optimum, solution and duals it
-returns.
+contains a line.
+
+Every pivot of an exact linear solve in the package is one fraction-free
+step, `_pivot` (Edmonds 1967, Bareiss 1968): the simplex's, and those of
+the Gauss-Jordan elimination `_eliminate` behind the facets here and
+`enumeration._echelon`'s inverse.  Their rows stay integers over one
+positive common denominator, reduced by a gcd only in what they return, so
+no `Fraction` is built.
 
 Membership in the real cone, pointed or not, reads the cone's integer
 H-representation, computed once per matrix: equalities cutting out the
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -91,17 +95,19 @@ def certify_pointed(A: StepMatrix) -> ConeCertificate:
         row = [*col.coords, *(-c for c in col.coords)] + [0] * N
         row[2 * n + j] = -1
         rows.append(row)
-    value, solution, duals = _phase1(rows, [1] * N)
+    value, solution, duals, d = _phase1(rows, [1] * N)
 
     if value > 0:
-        witness = LatticeVector(_integerize(duals))
+        g = math.gcd(*duals, d)
+        witness = LatticeVector([v // g for v in duals])
         combo = A.apply(witness)
         if not (witness.is_nonnegative() and sum(witness.coords) > 0 and combo.is_zero()):
             raise RuntimeError("inconsistent infeasibility certificate")
         raise NotPointedError(witness)
 
     y = [solution[i] - solution[n + i] for i in range(n)]
-    functional = LatticeVector(_integerize(y))
+    g = math.gcd(*y, d)
+    functional = LatticeVector([v // g for v in y])
     return certificate_from_functional(A, functional)
 
 
@@ -153,59 +159,86 @@ def _facets(A: StepMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
 
 
 def _nullspace(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """A basis of {h in Q^n : row . h = 0 for every row}, as primitive integer vectors."""
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    pending = [[Fraction(v) for v in row] for row in rows]
-    for c in range(n):  # Gauss-Jordan elimination to reduced row echelon form
-        p = next((i for i, row in enumerate(pending) if row[c]), None)
-        if p is None:
-            continue
-        lead = pending.pop(p)
-        lead = [v / lead[c] for v in lead]
-        pending = [[a - row[c] * b for a, b in zip(row, lead)] for row in pending]
-        reduced = [[a - row[c] * b for a, b in zip(row, lead)] for row in reduced]
-        reduced.append(lead)
-        pivots.append(c)
+    """A basis of {h in Q^n : row . h = 0 for every row}, as primitive integer vectors.
+
+    One vector per free column f of the reduced rows, d e_f minus each pivot
+    row's entry in column f at its pivot, turned primitive by its gcd; as
+    d > 0, its entry at f is positive.
+    """
+    reduced, pivots, d = _eliminate(rows, n)
     basis = []
     for f in range(n):
         if f in pivots:
             continue
-        h = [Fraction(int(c == f)) for c in range(n)]
+        h = [d if c == f else 0 for c in range(n)]
         for row, c in zip(reduced, pivots):
             h[c] = -row[f]
-        ints = _integerize(h)
-        g = math.gcd(*ints)
-        basis.append(tuple(v // g for v in ints))
+        g = math.gcd(*h)
+        basis.append(tuple(v // g for v in h))
     return basis
 
 
-def _integerize(values: Sequence[Fraction]) -> list[int]:
-    scale = math.lcm(*(v.denominator for v in values))
-    return [int(v * scale) for v in values]
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free pivot on p = rows[r][c], over the common denominator d.
+
+    Keeps row r and sets every other row i to (p * rows[i] - rows[i][c] *
+    rows[r]) // d; returns p, the denominator after it (Edmonds 1967, Bareiss
+    1968).  Every entry is then, up to sign, an integer minor of the input
+    rows, so each division is exact.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+    return p
 
 
-def _phase1(
-    rows: list[list[int]], rhs: list[int]
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+def _eliminate(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over the first ``ncols`` columns.
+
+    Returns (reduced, pivots, d): reduced[i] / d is row i of the reduced row
+    echelon form, with its leading 1 in column pivots[i], so reduced[i] holds
+    d there and 0 at every other pivot column.  Each pivot column takes the
+    first row not yet pivoted that is nonzero there, negated if that entry is
+    negative, so every pivot and d are positive.  Rows that reduce to zero
+    are dropped.
+    """
+    work = [list(row) for row in rows]
+    pending = list(range(len(work)))
+    order, pivots, d = [], [], 1
+    for c in range(ncols):
+        r = next((i for i in pending if work[i][c]), None)
+        if r is None:
+            continue
+        pending.remove(r)
+        if work[r][c] < 0:
+            work[r] = [-a for a in work[r]]
+        d = _pivot(work, r, c, d)
+        order.append(r)
+        pivots.append(c)
+    return [work[i] for i in order], pivots, d
+
+
+def _phase1(rows: list[list[int]], rhs: list[int]) -> tuple[int, list[int], list[int], int]:
     """Minimise the artificial total for {t >= 0 : rows . t = rhs}, exactly.
 
     ``rows`` are one or more integer rows and ``rhs`` is a nonnegative
     integer vector (callers flip row signs).  Returns (optimum, structural
-    solution, row duals).  The optimum is zero exactly when the system is
+    solution, row duals, d), the first three as int numerators over the one
+    denominator d > 0.  The optimum is zero exactly when the system is
     feasible; otherwise the duals certify infeasibility.  Bland's rule on
     both the entering and the leaving choice rules out cycling and fixes the
     pivots.
 
-    Fraction-free pivoting (Edmonds 1967, Bareiss 1968): the tableau T, the
-    reduced costs as its last row, holds integers over d = det(B) > 0 for the
-    basis B, starting at B = I.  A pivot on p = T[r][c] > 0 keeps row r, sets
-    every other row i to (p * T[i] - T[i][c] * T[r]) // d, and then d = p.
-    Each entry of T is an integer minor of the input (the rows are adj(B)
-    times it), so every division is exact.  As d > 0, reduced costs keep
-    their signs and ratios compare by cross-multiplying, so Bland's rule
-    takes the pivots a `Fraction` tableau T / d takes.  Only the returned
-    values are built as `Fraction`s.
+    The tableau T, the reduced costs as its last row, holds integers over
+    d = det(B) > 0 for the basis B, starting at B = I, and each pivot is one
+    `_pivot` on an entry p > 0, after which d = p.  As d > 0, reduced costs
+    keep their signs and ratios compare by cross-multiplying, so Bland's rule
+    takes the pivots a `Fraction` tableau T / d takes.
     """
     m, k = len(rows), len(rows[0])
     width = k + m
@@ -237,19 +270,12 @@ def _phase1(
                 leave = i
         if leave is None:
             raise RuntimeError("unbounded phase-one objective; cannot happen")
-        prow = tab[leave]
-        p = prow[enter]
-        for i, row in enumerate(tab):
-            if i != leave:
-                f = row[enter]
-                tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
-        d = p
 
-    value = Fraction(-tab[m][-1], d)
-    solution = [Fraction(0)] * k
+    solution = [0] * k
     for i in range(m):
         if basis[i] < k:
-            solution[basis[i]] = Fraction(tab[i][-1], d)
-    duals = [Fraction(d - tab[m][k + i], d) for i in range(m)]
-    return value, solution, duals
+            solution[basis[i]] = tab[i][-1]
+    duals = [d - tab[m][k + i] for i in range(m)]
+    return -tab[m][-1], solution, duals, d

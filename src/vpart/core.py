@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -442,14 +443,16 @@ def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]
 
 def _orthant_keys(
     weights: Sequence[int], budget: int, units: Sequence[int], start: int = 0
-) -> list[int]:
+) -> Iterator[int]:
     """start + sum_j units[j] * x[j] for each x of `_orthant` (weights, budget), in
-    its order, ``units`` positive: one int range of keys per prefix of x."""
+    its order, ``units`` positive: a chain of int ranges, one per prefix of x."""
     prefixes = [(start, budget)] if budget >= 0 else []
+    if not weights:  # the orthant of no steps is its origin
+        return iter([k for k, _ in prefixes])
     for w, u in zip(weights[:-1], units[:-1]):
         prefixes = [(k + c * u, r - c * w) for k, r in prefixes for c in range(r // w + 1)]
     w, u = weights[-1], units[-1]
-    return [k for key, r in prefixes for k in range(key, key + (r // w + 1) * u, u)]
+    return chain.from_iterable(range(k, k + (r // w + 1) * u, u) for k, r in prefixes)
 
 
 def _orthant(weights: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:

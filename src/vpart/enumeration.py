@@ -3,10 +3,11 @@
 One exact lattice kernel, `_echelon`, serves every count and the integer-span
 test.  The fiber {x >= 0 : A x = t} is scanned over the N - rank free
 multiplicities only; for each, the pivot multiplicities are the unique rational
-solution of the rest, kept when they are nonnegative integers.  The scan is
-complete: under the cone certificate every solution has total step degree
-degree(t), each step costing at least one, so its free part lies in the slice
-sum_f degree_f * x_f <= degree(t).
+solution of the rest, int numerators over one int scale from the inverse that
+`cone._eliminate` computes fraction-free, kept when they are nonnegative
+integers.  The scan is complete: under the cone certificate every solution has
+total step degree degree(t), each step costing at least one, so its free part
+lies in the slice sum_f degree_f * x_f <= degree(t).
 
 Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order;
@@ -44,7 +45,7 @@ from itertools import product
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .cone import ConeCertificate, _facets
+from .cone import ConeCertificate, _eliminate, _facets
 from .core import (
     ConstantOne,
     GeometricWeights,
@@ -53,6 +54,7 @@ from .core import (
     StepMatrix,
     WeightFunction,
     _orthant,
+    _orthant_keys,
     check_arity,
 )
 
@@ -77,7 +79,11 @@ def _echelon(A: StepMatrix):
     lattice they generate, gives its column echelon ``basis`` as (lead row,
     column) pairs with positive leads.  ``pivots`` are the columns that raised
     the rank, ``free`` the others.  For a target with basis coordinates y, the
-    pivot multiplicities are (solve . y - coupling . x_free) / scale.
+    pivot multiplicities are (solve . y - coupling . x_free) / scale.  With T
+    the basis coordinates of the pivot columns, solve / scale is T^-1 in
+    lowest terms, scale > 0: `cone._eliminate` reduces [T | I] to
+    [d I | d T^-1] on integers, and scale = d / g and solve = d T^-1 / g for
+    g the gcd of d and the entries of d T^-1.
     """
     rows: dict[int, list[int]] = {}
     pivots, free = [], []
@@ -99,19 +105,14 @@ def _echelon(A: StepMatrix):
             free.append(j)
     basis = tuple((row, tuple(rows[row])) for row in sorted(rows))
 
-    # Gauss-Jordan on [T | I]; column i of T holds the basis coordinates of pivot i
+    # column i of T holds the basis coordinates of pivot i
     r = len(pivots)
     T = [_coordinates(basis, A.columns[p].coords) for p in pivots]
-    aug = [[Fraction(c[k]) for c in T] + [Fraction(i == k) for i in range(r)] for k in range(r)]
-    for c in range(r):
-        p = next(i for i in range(c, r) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [a / aug[c][c] for a in aug[c]]
-        for i in range(r):
-            if i != c and aug[i][c]:
-                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
-    scale = math.lcm(*(a.denominator for row in aug for a in row[r:]))
-    solve = tuple(tuple(int(a * scale) for a in row[r:]) for row in aug)
+    aug = [[c[k] for c in T] + [int(i == k) for i in range(r)] for k in range(r)]
+    reduced, _, d = _eliminate(aug, r)
+    g = math.gcd(d, *(a for row in reduced for a in row[r:]))
+    scale = d // g
+    solve = tuple(tuple(a // g for a in row[r:]) for row in reduced)
     free_coords = [_coordinates(basis, A.columns[f].coords) for f in free]
     coupling = tuple(tuple(sum(map(mul, row, y)) for y in free_coords) for row in solve)
     return basis, tuple(pivots), tuple(free), scale, solve, coupling
@@ -218,12 +219,11 @@ def _orthant_sums(
     costs: Sequence[int], deltas: Sequence[int], origin: int, bound: int, value
 ) -> dict[int, int | Fraction]:
     """value(x) summed at origin + sum_j x_j deltas[j] over every x >= 0 of step
-    cost <= ``bound``, streamed from `_orthant`: each key keeps one int
-    numerator and denominator (`_accumulate`), a `Fraction` only at the end
-    unless its sum is an int."""
+    cost <= ``bound``, streamed from `_orthant` beside its keys from
+    `_orthant_keys`: each key keeps one int numerator and denominator
+    (`_accumulate`), a `Fraction` only at the end unless its sum is an int."""
     sums: dict[int, tuple[int, int]] = {}
-    for x in _orthant(costs, bound):
-        key = origin + sum(map(mul, deltas, x))
+    for key, x in zip(_orthant_keys(costs, bound, deltas, origin), _orthant(costs, bound)):
         num, den = sums.get(key, (0, 1))
         sums[key] = _accumulate(num, den, value(x))
     return {key: num if den == 1 else Fraction(num, den) for key, (num, den) in sums.items()}

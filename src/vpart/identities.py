@@ -15,11 +15,12 @@ look points up by packed int keys, decoded only to read a weight or name a point
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cone import ConeCertificate
 from .core import (
@@ -171,7 +172,11 @@ def verify_summation_identity(
 
 
 def _series_side(
-    points: list[tuple[int, ...]], targets: list[int], weights: dict[int, int], shifts, scale: int
+    points: list[tuple[int, ...]],
+    targets: Iterable[int],
+    weights: dict[int, int],
+    shifts,
+    scale: int,
 ) -> dict[int, int]:
     """Theorem 1's left side: numerators over scale * D at packed target keys.
 
@@ -404,8 +409,8 @@ def verify_cb_vector_partition(
     for j, b in enumerate(numerators):
         # the plain counts without column j; dropping the only column leaves
         # the empty step set, whose sole representable target is the origin
-        rest = costs[:j] + costs[j + 1 :], deltas[:j] + deltas[j + 1 :]
-        counts = _orthant_sums(*rest, origin, budget, lambda x: 1)
+        keys = _orthant_keys(costs[:j] + costs[j + 1 :], budget, deltas[:j] + deltas[j + 1 :], origin)
+        counts = Counter(keys)
         total += b * sum([count * weighted.get(mu_key - key, 0) for key, count in counts.items()])
     rhs = vector_partition(A, cert, mu)
     den = scale ** max(budget + 1, 0)

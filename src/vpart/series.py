@@ -255,6 +255,8 @@ def partition_series(
     Theorem 1's right side, Proposition 2's table side), so that none
     compares the recurrence with itself.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     # every key is a reachable target of degree in [0, bound]
     table = _graded_sums(A, cert, phi, bound)
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)

@@ -7,13 +7,15 @@ inclusion-exclusion over series projections, series products over every
 pair of terms, term listings by f-string and by `json.dumps`, cone
 membership as one linear program per point, solved by
 a phase-one simplex on a `Fraction` tableau where `certify_pointed` pivots
-integers, and the verifiers' sums and recurrence checks in `Fraction`
+integers, Gauss-Jordan elimination on `Fraction`s for the null spaces,
+facets, certificates and lattice kernel that `cone._eliminate` computes
+fraction-free, and the verifiers' sums and recurrence checks in `Fraction`
 arithmetic, one `evaluate_weight` call per point, where the library runs
 on int numerators over common denominators.  None of it shares code with
 the implementations under test beyond the series arithmetic and
-projections, the slab scans' span test and facet membership and the
-count behind the partition-of-unity splitting's right side, which have
-tests of their own.
+projections, the slab scans' span test and facet membership, the
+count behind the partition-of-unity splitting's right side and the
+lattice kernel's coordinate reader, which have tests of their own.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from vpart import (
     ConstantOne,
     LatticeVector,
     MultinomialMonomial,
+    NotPointedError,
     RuleWeight,
     StepMatrix,
     TruncatedSeries,
@@ -49,6 +52,7 @@ from vpart import (
     weight_series,
 )
 from vpart.core import check_arity, graded
+from vpart.enumeration import _coordinates
 
 
 def box_scan_solutions(
@@ -321,6 +325,131 @@ def phase1_by_fractions(
     rc = reduced_costs()
     duals = [Fraction(1) - rc[k + i] for i in range(m)]
     return value, solution, duals
+
+
+def integerize(values) -> list[int]:
+    """The rationals ``values`` times the lcm of their denominators."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+def certify_pointed_by_fractions(A: StepMatrix) -> ConeCertificate:
+    """`certify_pointed` on `phase1_by_fractions`: the same system, and the
+    functional or witness cleared of the `Fraction` tableau's denominators."""
+    n, N = A.dim, A.nsteps
+    rows = []
+    for j, col in enumerate(A.columns):
+        row = [*col.coords, *(-c for c in col.coords)] + [0] * N
+        row[2 * n + j] = -1
+        rows.append(row)
+    value, solution, duals = phase1_by_fractions(rows, [1] * N)
+    if value > 0:
+        raise NotPointedError(LatticeVector(integerize(duals)))
+    y = [solution[i] - solution[n + i] for i in range(n)]
+    return certificate_from_functional(A, LatticeVector(integerize(y)))
+
+
+def rref_by_fractions(rows, n: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form on `Fraction`s: (nonzero rows, pivot columns).
+
+    Gauss-Jordan, each pivot column taking the first remaining row nonzero
+    there, divided by its pivot.
+    """
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    pending = [[Fraction(v) for v in row] for row in rows]
+    for c in range(n):
+        p = next((i for i, row in enumerate(pending) if row[c]), None)
+        if p is None:
+            continue
+        lead = pending.pop(p)
+        lead = [v / lead[c] for v in lead]
+        pending = [[a - row[c] * b for a, b in zip(row, lead)] for row in pending]
+        reduced = [[a - row[c] * b for a, b in zip(row, lead)] for row in reduced]
+        reduced.append(lead)
+        pivots.append(c)
+    return reduced, pivots
+
+
+def nullspace_by_fractions(rows, n: int) -> list[tuple[int, ...]]:
+    """A basis of {h in Q^n : row . h = 0 for every row}, one primitive
+    integer vector per free column f of `rref_by_fractions`, with h_f > 0."""
+    reduced, pivots = rref_by_fractions(rows, n)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        h = [Fraction(int(c == f)) for c in range(n)]
+        for row, c in zip(reduced, pivots):
+            h[c] = -row[f]
+        ints = integerize(h)
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def facets_by_fractions(A: StepMatrix):
+    """`cone._facets` on `nullspace_by_fractions`: the complement of the column
+    span, then the normal of every rank - 1 independent columns that has all
+    columns on one side, turned towards them, each listed once."""
+    columns = [col.coords for col in A.columns]
+    equalities = nullspace_by_fractions(columns, A.dim)
+    rank = A.dim - len(equalities)
+    inequalities: list[tuple[int, ...]] = []
+    for subset in itertools.combinations(columns, rank - 1):
+        normal = nullspace_by_fractions(list(subset) + equalities, A.dim)
+        if len(normal) != 1:
+            continue
+        h = normal[0]
+        sides = [sum(map(mul, h, col)) for col in columns]
+        if all(s <= 0 for s in sides):
+            h = tuple(-v for v in h)
+        elif not all(s >= 0 for s in sides):
+            continue
+        if h not in inequalities:
+            inequalities.append(h)
+    return tuple(equalities), tuple(inequalities)
+
+
+def echelon_by_fractions(A: StepMatrix):
+    """`enumeration._echelon` with T^-1 from `Fraction` Gauss-Jordan on [T | I]:
+    the column echelon basis by gcd column operations, coordinates in it read
+    by `enumeration._coordinates`, and scale the lcm of T^-1's denominators,
+    solve = scale * T^-1."""
+    rows: dict[int, list[int]] = {}
+    pivots, free = [], []
+    for j, col in enumerate(A.columns):
+        v = list(col.coords)
+        for row in range(A.dim):
+            if v[row] == 0:
+                continue
+            b = rows.get(row)
+            if b is None:
+                rows[row] = v if v[row] > 0 else [-a for a in v]
+                pivots.append(j)
+                break
+            while v[row]:
+                q = b[row] // v[row]
+                b, v = v, [x - q * y for x, y in zip(b, v)]
+            rows[row] = b if b[row] > 0 else [-a for a in b]
+        else:
+            free.append(j)
+    basis = tuple((row, tuple(rows[row])) for row in sorted(rows))
+    r = len(pivots)
+    T = [_coordinates(basis, A.columns[p].coords) for p in pivots]
+    aug = [[Fraction(c[k]) for c in T] + [Fraction(i == k) for i in range(r)] for k in range(r)]
+    for c in range(r):
+        p = next(i for i in range(c, r) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [a / aug[c][c] for a in aug[c]]
+        for i in range(r):
+            if i != c and aug[i][c]:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
+    scale = math.lcm(*(a.denominator for row in aug for a in row[r:]))
+    solve = tuple(tuple(int(a * scale) for a in row[r:]) for row in aug)
+    free_coords = [_coordinates(basis, A.columns[f].coords) for f in free]
+    coupling = tuple(tuple(sum(map(mul, row, y)) for y in free_coords) for row in solve)
+    return basis, tuple(pivots), tuple(free), scale, solve, coupling
 
 
 def lattice_points_in_box(A: StepMatrix, radius: int) -> set[tuple[int, ...]]:

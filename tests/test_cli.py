@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -313,6 +314,9 @@ PATHS = {"kind": "paths"}
 # for cb, (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
 AT_THE_LIMIT = [
     (["paths"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
+    # rank 2: C(4, 1)^2 = 16 facet candidate pairs, then C(5, 1)^2 = 25
+    (["paths"], {"matrix": [[1, 0, 1, 2], [0, 1, 1, 1]], "bound": 1},
+     {"matrix": [[1, 0, 1, 2, 1], [0, 1, 1, 1, 2]]}),
     (["series"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
     (["verify", "prop2"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
     (["count"], {"matrix": [[1, 0, 1], [0, 1, 1]], "target": [20, 20]}, {"target": [21, 21]}),
@@ -383,6 +387,57 @@ class TestRefusals:
         A = cases.random_pointed_matrix(seed, dim, nsteps)
         cert = certify_pointed(A)
         assert _slab_volume(A, cert, bound) <= len(list(_slab_points(A, cert, bound)))
+
+
+# nested past the JSON decoder's recursion limit
+NESTED = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def _wide_paths_document(nrows: int, ncols: int) -> str:
+    """A pointed nrows x ncols matrix of entries in 1..3 at bound 1: a tiny
+    slab, but C(ncols, nrows - 1) facet candidates (8,008 for 7 x 16, 346,104
+    for 8 x 24), which took seconds to minutes before the first line."""
+    rng = random.Random(1)
+    return json.dumps(
+        {"matrix": [[rng.randint(1, 3) for _ in range(ncols)] for _ in range(nrows)], "bound": 1}
+    )
+
+
+HOSTILE = {
+    "nested": (["pointed"], NESTED),
+    "wide-7x16": (["paths"], _wide_paths_document(7, 16)),
+    "wide-8x24": (["paths"], _wide_paths_document(8, 24)),
+}
+
+
+class TestHostileDocuments:
+    def test_deep_nesting_is_a_parse_error(self):
+        for command in (["pointed"], ["paths"], ["verify", "thm1"]):
+            code, out, err = run_cli(command, stdin_text=NESTED)
+            assert (code, out) == (2, "")
+            assert err == "error: parse error: arrays or objects nested too deeply\n"
+
+    def test_wide_matrix_refused_by_its_shape(self):
+        code, out, err = run_cli(["paths"], stdin_text=HOSTILE["wide-7x16"][1])
+        assert (code, out) == (2, "")
+        estimate = math.comb(16, 6) ** 2  # rank 7
+        assert err == f"error: matrix: work estimate {estimate} exceeds the limit {MAX_WORK}\n"
+
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_refused_at_once_in_a_fresh_process(self, name):
+        command, text = HOSTILE[name]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "vpart", *command],
+            input=text,
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            timeout=5,
+        )
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 def _json_placements(command, path):

@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vpart import (
     LatticeVector,
@@ -13,7 +14,8 @@ from vpart import (
     cone_contains,
 )
 from vpart import cone
-from vpart.cone import _facets, _phase1
+from vpart.cone import _eliminate, _facets, _nullspace, _phase1
+from vpart.enumeration import _echelon
 
 import cases
 import oracles
@@ -202,6 +204,14 @@ def _columns(max_dim, max_steps, span):
     )
 
 
+def _phase1_exact(rows, rhs):
+    """`_phase1`'s optimum, solution and duals as exact values, after checking
+    that they are ints over a positive int denominator."""
+    value, solution, duals, d = _phase1(rows, rhs)
+    assert all(type(v) is int for v in [value, *solution, *duals, d]) and d > 0
+    return Fraction(value, d), [Fraction(v, d) for v in solution], [Fraction(v, d) for v in duals]
+
+
 class TestIntegerSimplex:
     """`cone._phase1` pivots integers over one common denominator; the
     `Fraction` tableau of `oracles.phase1_by_fractions` must give the same
@@ -217,7 +227,7 @@ class TestIntegerSimplex:
                 pass
         rows, rhs = spy.call_args.args
         assert all(type(v) is int for row in rows for v in row + rhs)
-        assert _phase1(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
+        assert _phase1_exact(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
 
     @given(
         _columns(5, 8, 5).flatmap(
@@ -230,7 +240,7 @@ class TestIntegerSimplex:
     def test_membership_systems_match_the_fraction_tableau(self, case):
         columns, target = case
         rows, rhs = oracles.membership_system(StepMatrix(columns), target)
-        assert _phase1(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
+        assert _phase1_exact(rows, rhs) == oracles.phase1_by_fractions(rows, rhs)
 
     def test_negative_right_hand_side_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -269,3 +279,93 @@ class TestIntegerSimplex:
         with pytest.raises(NotPointedError) as excinfo:
             certify_pointed(StepMatrix(columns))
         assert excinfo.value.witness.coords == witness
+
+
+@st.composite
+def _int_matrices(draw, max_rows=5, max_cols=6, span=4):
+    """Integer row lists: zero rows and negative leading entries come from the
+    entry range, rank deficiency from up to two appended combinations of
+    drawn rows."""
+    n = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-span, span), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=max_rows))
+    term = st.tuples(st.integers(0, len(rows) - 1), st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        (i, a), (j, b) = draw(term), draw(term)
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    return rows
+
+
+def _with_repeats(columns):
+    """Columns with some of them repeated, at the end."""
+    return st.lists(st.sampled_from(columns), max_size=3).map(lambda extra: columns + extra)
+
+
+FRACTION_FREE_FIXTURES = [
+    cases.MIXED_SIGN,
+    cases.EVEN_3D,
+    cases.REPEATED_3D,
+    StepMatrix([(2, -1), (-1, 2), (2, -1), (-1, 2)]),
+    StepMatrix([(1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+    LINE_2D,
+    HALF_PLANE,
+]
+
+
+class TestFractionFreeElimination:
+    """`cone._eliminate` and everything on it against the `Fraction`
+    Gauss-Jordan routines of `oracles`, for exact equality."""
+
+    @given(_int_matrices())
+    @example([[0, 0, 0]])
+    @example([[-2, 1, 0], [4, -2, 0], [0, 0, -3]])
+    @example([[0, -3, 6], [0, 0, 0], [0, 2, -4]])
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_rows_are_the_rref_over_a_positive_d(self, rows):
+        n = len(rows[0])
+        reduced, pivots, d = _eliminate(rows, n)
+        expected, expected_pivots = oracles.rref_by_fractions(rows, n)
+        assert d > 0 and pivots == expected_pivots
+        assert [[Fraction(a, d) for a in row] for row in reduced] == expected
+        for i, row in enumerate(reduced):
+            assert [row[c] for c in pivots] == [d * (i == k) for k in range(len(pivots))]
+
+    @given(_int_matrices())
+    @example([[0, 0, 0]])
+    @example([[-1, 2], [-3, 6]])
+    @example([[0, -2, 1, 3], [0, 4, -2, -6]])
+    @settings(max_examples=300, deadline=None)
+    def test_nullspace_of_rows_and_of_columns(self, rows):
+        columns = [list(c) for c in zip(*rows)]
+        assert _nullspace(rows, len(rows[0])) == oracles.nullspace_by_fractions(rows, len(rows[0]))
+        assert _nullspace(columns, len(rows)) == oracles.nullspace_by_fractions(columns, len(rows))
+
+    @given(_columns(5, 7, 4).flatmap(_with_repeats))
+    @settings(max_examples=200, deadline=None)
+    def test_echelon_matches_the_fraction_inverse(self, columns):
+        A = StepMatrix(columns)
+        kernel = _echelon(A)
+        assert kernel == oracles.echelon_by_fractions(A)
+        assert kernel[3] > 0
+
+    @given(_columns(4, 7, 3).flatmap(_with_repeats))
+    @settings(max_examples=150, deadline=None)
+    def test_facets_and_certificates_on_random_matrices(self, columns):
+        self._agree(StepMatrix(columns))
+
+    @pytest.mark.parametrize("matrix", FRACTION_FREE_FIXTURES)
+    def test_facets_and_certificates_on_fixtures(self, matrix):
+        self._agree(matrix)
+        assert _echelon(matrix) == oracles.echelon_by_fractions(matrix)
+
+    @staticmethod
+    def _agree(A):
+        assert _facets(A) == oracles.facets_by_fractions(A)
+        try:
+            found = certify_pointed(A)
+        except NotPointedError as err:
+            with pytest.raises(NotPointedError) as expected:
+                oracles.certify_pointed_by_fractions(A)
+            assert err.witness == expected.value.witness
+        else:
+            assert found == oracles.certify_pointed_by_fractions(A)

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vpart import (
     ConstantOne,
@@ -18,7 +19,7 @@ from vpart import (
     iter_orthant,
     multinomial,
 )
-from vpart.core import _scaled_values
+from vpart.core import _orthant, _orthant_keys, _scaled_values
 
 import cases
 import oracles
@@ -277,3 +278,23 @@ class TestIterOrthant:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             list(iter_orthant((0, 1), 3))
+
+
+class TestOrthantKeys:
+    """`_orthant_keys` lists start + sum_j units_j x_j over `_orthant`, in its order."""
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 50)), max_size=4),
+        st.integers(-3, 9),
+        st.integers(-100, 100),
+    )
+    @example([], 0, 7)
+    @example([], -1, 7)
+    @example([(2, 5)], -1, 0)
+    @settings(max_examples=200)
+    def test_matches_the_dot_products(self, steps, budget, start):
+        weights, units = [w for w, _ in steps], [u for _, u in steps]
+        keys = _orthant_keys(weights, budget, units, start)
+        assert not isinstance(keys, list)  # streamed
+        expected = [start + sum(map(mul, units, x)) for x in _orthant(weights, budget)]
+        assert list(keys) == expected

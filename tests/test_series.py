@@ -16,6 +16,7 @@ from vpart import (
     certify_pointed,
     full_support_part,
     generalized_vp,
+    generalized_vp_table,
     geometric_inverse,
     iter_orthant,
     multinomial,
@@ -471,3 +472,22 @@ class TestGradedSweepOrder:
     def test_other_series_still_sort(self):
         s = oracles.with_total_degree(2, 2, {(1, 0): 1, (0, 0): 2, (0, 1): 3})
         assert s.support() == [LatticeVector(e) for e in [(0, 0), (0, 1), (1, 0)]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda A, cert: partition_series(A, cert, ConstantOne(), -1),
+        lambda A, cert: partition_series(A, cert, cases.random_table_weight(3, 3), -1),
+        lambda A, cert: geometric_inverse(A, cert, -1),
+        lambda A, cert: generalized_vp_table(A, cert, ConstantOne(), -1),
+        lambda A, cert: weight_series(ConstantOne(), 3, -1),
+        lambda A, cert: TruncatedSeries(2, LatticeVector((1, 1)), -1, {}),
+    ],
+    ids=["partition_series", "partition_series-table", "geometric_inverse",
+         "generalized_vp_table", "weight_series", "TruncatedSeries"],
+)
+def test_negative_bound_refused_alike(build):
+    A = cases.DELANNOY
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        build(A, certify_pointed(A))
