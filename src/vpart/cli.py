@@ -6,7 +6,9 @@ output) to stdout.  Diagnostics go to stderr.  Exit codes: 0 for success or
 a verified identity, 1 for a violated identity or a non-pointed step set,
 2 for unusable input.  A command whose work, estimated from the document
 alone before any work starts, exceeds `MAX_WORK` is refused as unusable
-input, so that no document runs for hours without output.
+input, so that no document runs for hours without output; the count
+table's slab elimination, whose growth no closed form follows, counts its
+work as it goes and is refused against the same `enumeration.MAX_WORK`.
 
 The argparse tree is built once per process, on the first `main` call, and
 reused after it.  That saves its cost only for callers that run `main`
@@ -37,6 +39,8 @@ from .core import (
     WeightFunction,
 )
 from .enumeration import (
+    MAX_WORK,
+    STEP_PASS_WEIGHTS,
     _count_table,
     _echelon,
     _graded_sums,
@@ -59,12 +63,6 @@ from .series import render_terms
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-# The most work a command may start, in the units of its estimate: lattice
-# points, orthant points, or terms times their size.  Far above every
-# benchmark job (the largest estimate among them is about 10^4), and
-# reached by documents that would run for minutes to hours.
-MAX_WORK = 10**7
 
 
 class ProblemError(ValueError):
@@ -222,6 +220,14 @@ def _slab_volume(matrix: StepMatrix, cert: ConeCertificate, bound: int) -> int:
     return _orthant_volume([cert.step_degrees[p] for p in _echelon(matrix)[1]], bound)
 
 
+def _refuse_table(matrix: StepMatrix, cert: ConeCertificate, bound: int, orthant: bool) -> None:
+    """Refuse a table up to ``bound`` whose targets, or, when it is summed over
+    the step orthant (``orthant``), whose orthant points exceed `MAX_WORK`."""
+    _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+    if orthant:
+        _refuse_runaway("bound", _orthant_volume(cert.step_degrees, bound))
+
+
 def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
     """Print (int tuple, value) terms as the text listing, or as JSON objects under
     ``field``, the bytes of `json.dumps` from one `%` format built from the dimension."""
@@ -278,24 +284,26 @@ def cmd_count(spec: ProblemSpec, as_json: bool) -> int:
 def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
-    _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+    weight = spec.weight if spec.weight is not None else LatticePathCount()
+    _refuse_table(matrix, cert, bound, type(weight) not in STEP_PASS_WEIGHTS)
     # the graded table that geometric_inverse and partition_series wrap; a
     # series lists no zero coefficient
-    weight = spec.weight if spec.weight is not None else LatticePathCount()
-    table = _graded_sums(matrix, cert, weight, bound)
-    _print_terms([(t, v) for t, v in table.items() if v], as_json, "terms", "exponent", "coefficient")
+    packing, table = _graded_sums(matrix, cert, weight, bound)
+    terms = [(t, v) for t, v in packing.decoded(table) if v]
+    _print_terms(terms, as_json, "terms", "exponent", "coefficient")
     return 0
 
 
 def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
     matrix, cert = _certified(spec)
     bound = _require(spec, "bound")
-    _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+    weight = spec.weight if spec.weight is not None else LatticePathCount()
+    _refuse_table(matrix, cert, bound, type(weight) not in STEP_PASS_WEIGHTS)
     # the slab's facets: one candidate per rank - 1 of the columns, and its
-    # first elimination level pairs up as many lower and upper constraints
+    # first elimination level pairs up as many lower and upper constraints;
+    # `_slab` counts the pairs of every level as it eliminates
     rank = len(_echelon(matrix)[1])
     _refuse_runaway("matrix", math.comb(matrix.nsteps, rank - 1) ** 2)
-    weight = spec.weight if spec.weight is not None else LatticePathCount()
     table = _count_table(matrix, cert, weight, bound)  # generalized_vp_table's, on int tuples
     _print_terms(table.items(), as_json, "entries", "target", "value")
     return 0
@@ -330,7 +338,7 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
     if kind == "prop2":
         matrix, cert = _certified(spec)
         bound = _require(spec, "bound")
-        _refuse_runaway("bound", _slab_volume(matrix, cert, bound))
+        _refuse_table(matrix, cert, bound, True)  # the table side sums over the orthant
         return verify_path_series(matrix, cert, bound)
     if kind == "prop3":
         matrix, cert = _certified(spec)

@@ -10,30 +10,35 @@ total step degree degree(t), each step costing at least one, so its free part
 lies in the slice sum_f degree_f * x_f <= degree(t).
 
 Weighted tables over every target of degree <= bound run on packed int keys
-(`_Packing`), so t +- a_j is one int addition and int order is graded order;
-a finished table is sorted once and decoded one coordinate column at a time,
-and vectors and fractions are built only where a public function returns
-them.  There are two routes.  The orthant route, `_orthant_sums`, streams
-every x >= 0 of step cost <= bound and adds phi(x) at the key of A x:
-bound^N points for any weight, summed on ints, one numerator and denominator
-per target.  The step passes, `_sweep`, serve the weights whose series has a
-closed form over the steps: `ConstantOne` and `GeometricWeights` multiply in
-one factor 1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order,
-and `LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in
-one ascending pass: bound^rank targets, a few int operations each.  The table
-and series commands take the passes.  The verifiers of Propositions 1 and 3
-and Proposition 2's table side stay on the orthant route (Theorem 1's right
-side sums over the step orthant too, in `identities`), so that each keeps a
-side that shares no code with the recurrence it checks (for path counts the
+(`_Packing`), so t +- a_j is one int addition and int order is graded order:
+every builder returns its table by ascending key, so how a target is keyed
+and ordered is decided in `_Packing` alone.  A table is decoded once, one
+coordinate column at a time (`_Packing.decoded`), where a public function or
+a command needs int tuples; vectors and fractions are built only where a
+public function returns them.  There are two routes.  The orthant route,
+`_orthant_sums`, streams every x >= 0 of step cost <= bound and adds phi(x)
+at the key of A x: bound^N points for any weight, summed on ints, one
+numerator and denominator per target.  The step passes, `_sweep`, serve the
+`STEP_PASS_WEIGHTS`, whose series has a closed form over the steps:
+`ConstantOne` and `GeometricWeights` multiply in one factor
+1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order, and
+`LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in one
+ascending pass: bound^rank targets, a few int operations each.  The table and
+series commands take the passes.  The verifiers of Propositions 1 and 3 and
+Proposition 2's table side stay on the orthant route (Theorem 1's right side
+sums over the step orthant too, in `identities`), so that each keeps a side
+that shares no code with the recurrence it checks (for path counts the
 passes are Proposition 2's series side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
 reaches.  `_slab` turns the cone's facets and the degree bound into nested
 integer ranges over the coordinates of `_echelon`'s basis by Fourier-Motzkin
-elimination, once per matrix and functional, and `_slab_points` walks them:
-every point visited is a slab point, so nothing is tested for span or cone
-membership and the walk's size is the table's.
+elimination, once per matrix and functional, refusing an elimination past
+`MAX_WORK` constraint pairs, and `_slab_keys` walks them on packed keys, one
+int addition per basis step: every point visited is a slab point, so nothing
+is tested for span or cone membership and the walk's size is the table's.
+The table is the sorted slab keys, each with its sum or 0.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Collection, Iterator, Sequence
 
 from .cone import ConeCertificate, _eliminate, _facets
 from .core import (
@@ -57,6 +62,15 @@ from .core import (
     _orthant_keys,
     check_arity,
 )
+
+# The most work a command may start, in the units of its estimate: lattice
+# points, orthant points, constraint pairs, or terms times their size.  Far
+# above every benchmark job (the largest estimate among them is about 10^4),
+# and reached by documents that would run for minutes to hours.
+MAX_WORK = 10**7
+
+# the weights whose series has a closed form over the steps, filled by `_sweep`
+STEP_PASS_WEIGHTS = (ConstantOne, GeometricWeights, LatticePathCount)
 
 
 def _coordinates(basis, t: tuple[int, ...]) -> list[int] | None:
@@ -192,8 +206,10 @@ class _Packing:
     base = 2 reach + 1 and top = base^dim: int order is graded-lex order, and
     t +- a_j is one int addition of deltas[j].  ``reach`` covers the targets of
     degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.  A key
-    has degree <= ``bound`` exactly when it is below (bound + 1) * top;
-    `decode` reads sorted keys back one coordinate column at a time.
+    has degree <= ``bound`` exactly when it is below (bound + 1) * top, and
+    degree key // top.  `decode` reads keys back one coordinate column at a
+    time; `decoded` is a table's one decode, where a public function or a
+    command returns it.
     """
 
     def __init__(self, A: StepMatrix, ell: Sequence[int], bound: int, margin: int = 0):
@@ -209,10 +225,16 @@ class _Packing:
     def pack(self, t: Sequence[int]) -> int:
         return self.origin + sum(map(mul, t, self.units))
 
-    def decode(self, keys: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    def decode(self, keys: Collection[int]) -> Iterator[tuple[int, ...]]:
         """The int tuples of ``keys``, in order, decoded one coordinate column at a time."""
         base, reach = self.base, self.reach
         return zip(*[[k // p % base - reach for k in keys] for p in self.powers])
+
+    def decoded(
+        self, table: dict[int, int | Fraction]
+    ) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+        """The (int tuple, value) items of ``table``, in its order."""
+        return zip(self.decode(table), table.values())
 
 
 def _orthant_sums(
@@ -221,7 +243,9 @@ def _orthant_sums(
     """value(x) summed at origin + sum_j x_j deltas[j] over every x >= 0 of step
     cost <= ``bound``, streamed from `_orthant` beside its keys from
     `_orthant_keys`: each key keeps one int numerator and denominator
-    (`_accumulate`), a `Fraction` only at the end unless its sum is an int."""
+    (`_accumulate`), a `Fraction` only at the end unless its sum is an int.
+    Complete for a table up to ``bound``: any representation of a target of
+    degree at most ``bound`` itself has step cost at most ``bound``."""
     sums: dict[int, tuple[int, int]] = {}
     for key, x in zip(_orthant_keys(costs, bound, deltas, origin), _orthant(costs, bound)):
         num, den = sums.get(key, (0, 1))
@@ -229,27 +253,12 @@ def _orthant_sums(
     return {key: num if den == 1 else Fraction(num, den) for key, (num, den) in sums.items()}
 
 
-def _weighted_sums(
-    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[tuple[int, ...], int | Fraction]:
-    """phi-weighted representation counts for every target of degree <= bound.
-
-    The orthant route, `_orthant_sums`, its keys decoded to int tuples once
-    each, in graded order.  Complete because any representation of a target
-    of degree at most ``bound`` itself has step cost at most ``bound``.
-    """
-    check_arity(phi, A.nsteps)
-    packing = _Packing(A, cert.functional.coords, bound)
-    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-    order = sorted(sums)
-    return dict(zip(packing.decode(order), map(sums.__getitem__, order)))
-
-
 def _sweep(
-    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[tuple[int, ...], int | Fraction]:
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, packing: _Packing, bound: int
+) -> dict[int, int | Fraction]:
     """The step recurrences for `ConstantOne`, `GeometricWeights` and
-    `LatticePathCount`, on `_Packing` keys, whose int order is graded order:
+    `LatticePathCount`, on the keys of ``packing``, whose int order is graded
+    order:
 
     - `ConstantOne` and `GeometricWeights`, prod_j 1 / (1 - q_j y^{a_j}): one
       pass per step multiplies its factor in, P_j(t) = P_{j-1}(t) +
@@ -264,12 +273,10 @@ def _sweep(
       fills G(t) = sum_j G(t - a_j) from G(0) = 1.
 
     Returns every target that has a representation, zero values included,
-    in graded order, decoded by column; values are ints where the weight is
-    integral.
+    by ascending key; values are ints where the weight is integral.
     """
     if bound < 0:
         return {}
-    packing = _Packing(A, cert.functional.coords, bound)
     limit, deltas = (bound + 1) * packing.top, packing.deltas
     values, scale = {packing.origin: 1}, 1
     if type(phi) is LatticePathCount:
@@ -303,49 +310,41 @@ def _sweep(
                     values[k] = value = m * value
                     k += delta
         order = sorted(values)
-    targets = packing.decode(order)
     if scale == 1:
-        return dict(zip(targets, map(values.__getitem__, order)))
+        return {k: values[k] for k in order}
     denominators = [scale**d for d in range(bound + 1)]
     top = packing.top
-    return dict(zip(targets, [Fraction(values[k], denominators[k // top]) for k in order]))
+    return {k: Fraction(values[k], denominators[k // top]) for k in order}
 
 
 def _graded_sums(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[tuple[int, ...], int | Fraction]:
+) -> tuple[_Packing, dict[int, int | Fraction]]:
     """phi-weighted counts of every target of degree <= bound that has a
-    representation, zero values included, keyed by int tuples in graded order.
+    representation, zero values included: (packing, table by ascending key).
 
     The table behind `partition_series` and the series command: `_sweep` for
-    the weights whose series has a closed form over the steps, the orthant
-    route for every other weight.
+    the `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps,
+    the orthant route, sorted once, for every other weight.
     """
     check_arity(phi, A.nsteps)
-    if type(phi) in (ConstantOne, GeometricWeights, LatticePathCount):
-        return _sweep(A, cert, phi, bound)
-    return _weighted_sums(A, cert, phi, bound)
+    packing = _Packing(A, cert.functional.coords, bound)
+    if type(phi) in STEP_PASS_WEIGHTS:
+        return packing, _sweep(A, cert, phi, packing, bound)
+    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
+    return packing, {k: sums[k] for k in sorted(sums)}
 
 
 def _count_table(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
 ) -> dict[tuple[int, ...], int | Fraction]:
-    """`generalized_vp_table` on int tuples: `_graded_sums` plus a zero entry at
-    every slab point no representation reaches, in graded order."""
+    """`generalized_vp_table` on int tuples: the value of `_graded_sums`, or 0,
+    at every key of the slab, in graded order."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    sums = _graded_sums(A, cert, phi, bound)
-    zeros = [(t, 0) for t in _slab_points(A, cert, bound) if t not in sums]
-    if not zeros:
-        return sums
-    ell = cert.functional.coords
-
-    def key(entry):
-        return sum(map(mul, ell, entry[0])), entry[0]
-
-    # the table is already graded and the few zero entries are sorted alone:
-    # on two sorted runs, `sorted` is one linear merge
-    return dict(sorted([*sums.items(), *sorted(zeros, key=key)], key=key))
+    packing, sums = _graded_sums(A, cert, phi, bound)
+    keys = sorted(_slab_keys(A, cert, packing, bound))
+    return dict(packing.decoded({k: sums.get(k, 0) for k in keys}))
 
 
 def generalized_vp_table(
@@ -357,14 +356,14 @@ def generalized_vp_table(
     of the columns and have functional degree between 0 and ``bound``;
     targets without any nonnegative representation appear with value 0.
     Iteration order is graded lexicographic (degree first, then lex).  The
-    keys come from `_slab_points`, which walks exactly these lattice points
+    keys come from `_slab_keys`, which walks exactly these lattice points
     and no others, so no candidate is tested for span or cone membership.
     The counts come from the step passes for `ConstantOne`,
     `GeometricWeights` and `LatticePathCount` and from the step orthant for
     every other weight; `verify_path_series` reads its path-count table from
     the orthant instead, to stay independent of the passes.  The table is
-    built on int tuples (`_count_table`, which the paths command prints), and
-    becomes vectors and fractions only here.
+    built on packed keys and decoded once to int tuples (`_count_table`,
+    which the paths command prints); vectors and fractions are built only here.
     """
     return {LatticeVector(t): Fraction(v) for t, v in _count_table(A, cert, phi, bound).items()}
 
@@ -390,6 +389,10 @@ def _slab(A: StepMatrix, ell: tuple[int, ...]):
     and dropped (Chernikov's rule): without it a rank-5 cone with 9 facets
     keeps 10,707 constraints at level 0 instead of 5.
 
+    Each level pairs len(lower) * len(upper) constraints; once the pairs of
+    the levels so far exceed `MAX_WORK`, raises ValueError instead of
+    eliminating further.
+
     Returns (columns, levels) with levels[k] = (lower, upper), each a tuple
     of (a_0 .. a_{k-1}, |a_k|, c).
     """
@@ -399,10 +402,13 @@ def _slab(A: StepMatrix, ell: tuple[int, ...]):
     facets = [tuple(sum(map(mul, h, b)) for b in columns) for h in _facets(A)[1]]
     system = {(a, 0): frozenset((i,)) for i, a in enumerate(facets)}
     system[tuple(-sum(map(mul, ell, b)) for b in columns), 1] = frozenset((len(facets),))
-    levels = []
+    levels, work = [], 0
     for k in reversed(range(r)):
         lower = [(a, c, o) for (a, c), o in system.items() if a[k] > 0]
         upper = [(a, c, o) for (a, c), o in system.items() if a[k] < 0]
+        work += len(lower) * len(upper)
+        if work > MAX_WORK:
+            raise ValueError(f"matrix: work estimate {work} exceeds the limit {MAX_WORK}")
         system = {key: o for key, o in system.items() if not key[0][k]}
         for (a1, c1, o1), (a2, c2, o2) in product(lower, upper):
             origin = o1 | o2
@@ -426,31 +432,36 @@ def _slab(A: StepMatrix, ell: tuple[int, ...]):
     return tuple(columns), tuple(levels)
 
 
-def _slab_points(A: StepMatrix, cert: ConeCertificate, bound: int) -> Iterator[tuple[int, ...]]:
-    """Every lattice point t of the cone with 0 <= degree(t) <= bound, as int tuples.
+def _slab_keys(
+    A: StepMatrix, cert: ConeCertificate, packing: _Packing, bound: int
+) -> Iterator[int]:
+    """The key in ``packing`` of every lattice point t of the cone with
+    0 <= degree(t) <= bound, in the order of the walk, not sorted.
 
-    Walks the nested integer ranges of `_slab`: each point is an integer
-    combination of the lattice basis, so in the integer span, and the ranges
-    hold every facet inequality and the degree bound, so it is in the slab.
-    Complete, because the ranges contain every integer point of the real
-    slab's projections; a prefix with no integer extension just ends.
+    Walks the nested integer ranges of `_slab`, stepping a key by the packed
+    delta of each basis column: each point is an integer combination of the
+    lattice basis, so in the integer span, and the ranges hold every facet
+    inequality and the degree bound, so it is in the slab.  Complete, because
+    the ranges contain every integer point of the real slab's projections; a
+    prefix with no integer extension just ends.  Keys are linear in t, so a
+    step is exact wherever the walk is; a slab point has |t_i| <= bound * span,
+    within the packing's reach, so its key decodes to it.
     """
     columns, levels = _slab(A, cert.functional.coords)
+    deltas = [packing.pack(b) - packing.origin for b in columns]
     last = len(columns) - 1
 
-    def descend(k: int, y: list[int], t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def descend(k: int, y: list[int], key: int) -> Iterator[int]:
         lower, upper = levels[k]
         lo = max(-((sum(map(mul, a, y)) + c * bound) // m) for a, m, c in lower)
         hi = min((sum(map(mul, a, y)) + c * bound) // m for a, m, c in upper)
-        b = columns[k]
-        if lo > hi:
-            return
-        t = tuple(u + lo * v for u, v in zip(t, b))
+        delta = deltas[k]
+        key += lo * delta
         for yk in range(lo, hi + 1):
             if k == last:
-                yield t
+                yield key
             else:
-                yield from descend(k + 1, y + [yk], t)
-            t = tuple(map(add, t, b))
+                yield from descend(k + 1, y + [yk], key)
+            key += delta
 
-    yield from descend(0, [], (0,) * A.dim)
+    yield from descend(0, [], packing.origin)

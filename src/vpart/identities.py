@@ -8,8 +8,9 @@ values are the two sides' shared input, not a route: `thm1`, `rec` and `cb`
 read them once per window, layer or axis as int numerators over one common
 denominator (`core._scaled_values`, power weights from power tables), run on
 ints, and build a `Fraction` only for a value a report names.  `thm1` and
-`rec` (on x), `thm1`, `prop1` and `prop3` (on targets, `enumeration._Packing`)
-look points up by packed int keys, decoded only to read a weight or name a point.
+`rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on targets,
+`enumeration._Packing`) look points up by packed int keys, decoded only to
+read a weight or name a point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
 from typing import Iterable, Sequence
 
 from .cone import ConeCertificate
@@ -36,10 +36,8 @@ from .core import (
     _scaled_values,
     check_arity,
     exact,
-    graded,
 )
-from .enumeration import _orthant_sums, _Packing, _weighted_sums, vector_partition
-from .series import geometric_inverse
+from .enumeration import _orthant_sums, _Packing, _sweep, vector_partition
 
 
 @dataclass(frozen=True)
@@ -312,28 +310,30 @@ def verify_partition_recurrence(
     return _report_from_mismatches(window, mismatches)
 
 
-def _walk_counts(A: StepMatrix, cert: ConeCertificate, bound: int) -> dict[tuple[int, ...], int]:
-    """Endpoint tally of every step walk from the origin, layer by walk length.
+def _walk_counts(cert: ConeCertificate, packing: _Packing, bound: int) -> dict[int, int]:
+    """Endpoint tally of every step walk from the origin, layer by walk length,
+    on the keys of ``packing``.
 
-    The walks of k + 1 steps are those of k steps extended by one column, so
-    each layer maps an endpoint to its number of walks of one length; a walk's
-    functional degree is the sum of its step degrees, so the layers end once
-    no extension stays within ``bound``.  Counting walks forward by length
-    shares no logic with the graded recursion it is compared against.
+    The walks of k + 1 steps are those of k steps extended by one column, its
+    key + delta, so each layer maps an endpoint to its number of walks of one
+    length; a walk's functional degree, key // top, is the sum of its step
+    degrees, so the layers end once no extension stays within ``bound``.  An
+    endpoint of degree <= bound has |t_i| <= bound * span, within the
+    packing's reach, so its key reads its degree.  Counting walks forward by
+    length shares no logic with the graded recursion it is compared against.
     """
-    steps = [(col.coords, d) for col, d in zip(A.columns, cert.step_degrees)]
-    ell = cert.functional.coords
-    counts: dict[tuple[int, ...], int] = {}
-    layer = {(0,) * A.dim: 1}
+    steps = list(zip(packing.deltas, cert.step_degrees))
+    top = packing.top
+    counts: dict[int, int] = {}
+    layer = {packing.origin: 1}
     while layer:
-        longer: dict[tuple[int, ...], int] = {}
-        for position, walks in layer.items():
-            counts[position] = counts.get(position, 0) + walks
-            room = bound - sum(map(mul, ell, position))
-            for col, d in steps:
+        longer: dict[int, int] = {}
+        for key, walks in layer.items():
+            counts[key] = counts.get(key, 0) + walks
+            room = bound - key // top
+            for delta, d in steps:
                 if d <= room:
-                    end = tuple(map(add, position, col))
-                    longer[end] = longer.get(end, 0) + walks
+                    longer[key + delta] = longer.get(key + delta, 0) + walks
         layer = longer
     return counts
 
@@ -343,26 +343,29 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
 
     Three quantities must agree at every target with functional degree up to
     ``bound``: the path-count weighted partition sums over the step orthant
-    (enumeration route), the graded inverse of 1 minus the step monomials
-    (series route, the step recurrence that `partition_series` also runs for
-    path counts), and a tally of the walks themselves by walk length.  The
-    table side stays on the orthant route so that it never shares code with
-    the inverse; targets no walk reaches are 0 on all three sides and are not
-    listed.  All three are path counts, compared as ints; a `Fraction` is
-    built only for a reported mismatch.
+    (`_orthant_sums`, the enumeration route), the graded inverse of 1 minus
+    the step monomials (`_sweep`, the series route, the step recurrence that
+    `partition_series` and `geometric_inverse` run for path counts), and a
+    tally of the walks themselves by walk length (`_walk_counts`).  The table
+    side stays on the orthant route so that it never shares code with the
+    inverse; targets no walk reaches are 0 on all three sides and are not
+    listed.  All three are path counts, compared as ints on the keys of one
+    `_Packing`, whose order is graded order; a key is decoded, and a
+    `Fraction` built, only for a reported mismatch.
     """
-    inverse = geometric_inverse(A, cert, bound)
-    table = _weighted_sums(A, cert, LatticePathCount(), bound)
-    walks = _walk_counts(A, cert, bound)
+    packing, paths = _Packing(A, cert.functional.coords, bound), LatticePathCount()
+    table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
+    inverse = _sweep(A, cert, paths, packing, bound)
+    walks = _walk_counts(cert, packing, bound)
 
-    coeffs = inverse._coeffs
     mismatches = []
-    for t in graded(set(table) | set(coeffs) | set(walks), cert.functional.coords):
-        lhs, rhs, brute = table.get(t, 0), coeffs.get(t, 0), walks.get(t, 0)  # ints
+    for k in sorted(table.keys() | inverse.keys() | walks.keys()):
+        lhs, rhs, brute = table.get(k, 0), inverse.get(k, 0), walks.get(k, 0)
+        if lhs == rhs:  # then the inverse is compared with the walks
+            lhs, rhs = rhs, brute
         if lhs != rhs:
-            mismatches.append((LatticeVector(t), Fraction(lhs), Fraction(rhs)))
-        elif rhs != brute:
-            mismatches.append((LatticeVector(t), Fraction(rhs), Fraction(brute)))
+            where = LatticeVector(next(packing.decode([k])))
+            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
     window = f"functional degree <= {bound}"
     return _report_from_mismatches(window, mismatches)
 

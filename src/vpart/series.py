@@ -13,11 +13,12 @@ degree can be positive even on exponents with negative coordinates.
 Inside, a series keys its exact coefficients (ints or fractions) by int
 tuples; `terms`, `support` and `coefficient` are the boundary where vectors
 and fractions are built.  `weight_series` reads the weight on int tuples.
-`geometric_inverse` and `partition_series` with `ConstantOne`,
-`GeometricWeights` or `LatticePathCount` wrap the graded table of
-`enumeration`, where the paper's closed forms fill the window in passes over
-packed int keys (one per step for the products), sorted once and decoded by
-column; `partition_series` with any other weight sums over the step orthant.
+`partition_series` wraps the graded table of `enumeration`, built on packed
+int keys in graded order and decoded to int tuples once, by column: with
+`ConstantOne`, `GeometricWeights` or `LatticePathCount` the paper's closed
+forms fill the window in passes over the keys (one per step for the
+products), with any other weight it sums over the step orthant.
+`geometric_inverse` is its `LatticePathCount` series.
 `render_terms` prints every term through one `%` format built from the
 dimension.  The verifiers of `identities` keep their own sums on packed
 keys, so the series they check is never compared with itself.
@@ -40,7 +41,7 @@ from .core import (
     exact,
     graded,
 )
-from .enumeration import _graded_sums, _sweep
+from .enumeration import _graded_sums
 
 
 def render_terms(terms: Iterable[tuple[Sequence[int], int | Fraction]]) -> str:
@@ -246,19 +247,20 @@ def partition_series(
 ) -> TruncatedSeries:
     """Generating series of the phi-weighted counts over targets up to ``bound``.
 
-    Wraps the graded int-tuple table that the series command prints.  For
-    `ConstantOne`, `GeometricWeights` and `LatticePathCount` the series has a
-    closed form over the steps, and the step passes of `enumeration` fill the
-    coefficients from it, a few int operations per target; every other
-    weight sums phi over the step orthant.  Either table is sorted once.  The
-    verifiers read their tables from the orthant (Propositions 1 and 3,
-    Theorem 1's right side, Proposition 2's table side), so that none
-    compares the recurrence with itself.
+    Wraps the graded table that the series command prints, decoded from
+    packed keys to int tuples once.  For `ConstantOne`, `GeometricWeights`
+    and `LatticePathCount` the series has a closed form over the steps, and
+    the step passes of `enumeration` fill the coefficients from it, a few int
+    operations per target; every other weight sums phi over the step orthant.
+    Either table is sorted once.  The verifiers read their tables from the
+    orthant (Propositions 1 and 3, Theorem 1's right side, Proposition 2's
+    table side), so that none compares the recurrence with itself.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    # every key is a reachable target of degree in [0, bound]
-    table = _graded_sums(A, cert, phi, bound)
+    # every key is a reachable target of degree in [0, bound], in graded order
+    packing, table = _graded_sums(A, cert, phi, bound)
+    table = dict(packing.decoded(table))
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)
 
 
@@ -303,17 +305,14 @@ def substitute_monomial(
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:
     """The series G with (1 - sum of step monomials) * G = 1 up to ``bound``.
 
-    Computed by `enumeration._sweep` over the targets the steps reach: the
+    It is `partition_series` with `LatticePathCount`: the step pass of
+    `enumeration._sweep` over the targets the steps reach, where the
     coefficient at a target is the sum of the coefficients one step back,
     seeded with 1 at the origin, filled in one pass in graded order.
     Pointedness well-orders the grading, so the recursion is well-founded;
     the result's coefficient at a target is its number of distinct step walks
-    from 0.  It is the `LatticePathCount` table of `partition_series`, by the
-    same pass; `verify_path_series` compares it with path counts summed over
-    the step orthant and with a walk tally, neither of which runs this
-    recursion.
+    from 0.  `verify_path_series` runs the same pass and compares it with path
+    counts summed over the step orthant and with a walk tally, neither of
+    which runs this recursion.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    table = _sweep(A, cert, LatticePathCount(), bound)
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)
+    return partition_series(A, cert, LatticePathCount(), bound)

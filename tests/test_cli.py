@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from vpart import LatticeVector, certify_pointed, cli
 from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _print_terms, _slab_volume, main
 from vpart.core import _orthant
-from vpart.enumeration import _slab_points
+from vpart.enumeration import _Packing, _slab_keys
 from vpart.series import render_terms
 
 import cases
@@ -386,7 +386,8 @@ class TestRefusals:
     def test_slab_volume_is_a_lower_bound(self, seed, dim, nsteps, bound):
         A = cases.random_pointed_matrix(seed, dim, nsteps)
         cert = certify_pointed(A)
-        assert _slab_volume(A, cert, bound) <= len(list(_slab_points(A, cert, bound)))
+        packing = _Packing(A, cert.functional.coords, bound)
+        assert _slab_volume(A, cert, bound) <= len(list(_slab_keys(A, cert, packing, bound)))
 
 
 # nested past the JSON decoder's recursion limit
@@ -396,17 +397,27 @@ NESTED = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
 def _wide_paths_document(nrows: int, ncols: int) -> str:
     """A pointed nrows x ncols matrix of entries in 1..3 at bound 1: a tiny
     slab, but C(ncols, nrows - 1) facet candidates (8,008 for 7 x 16, 346,104
-    for 8 x 24), which took seconds to minutes before the first line."""
+    for 8 x 24), which took seconds to minutes before the first line; on the
+    6 x 14 matrix (2,002 candidates) the slab's elimination ran for minutes."""
     rng = random.Random(1)
     return json.dumps(
         {"matrix": [[rng.randint(1, 3) for _ in range(ncols)] for _ in range(nrows)], "bound": 1}
     )
 
 
+# all-ones steps in 8 variables at bound 30: 31 targets, but C(38, 8) =
+# 48,903,492 points in the step orthant that prop2's table side sums over
+ONES_8 = {"matrix": [[1] * 8], "bound": 30}
+TABLE_8 = {"kind": "table", "box": [0] * 8, "values": [1]}
+
+# (command, document, seconds allowed in a fresh process)
 HOSTILE = {
-    "nested": (["pointed"], NESTED),
-    "wide-7x16": (["paths"], _wide_paths_document(7, 16)),
-    "wide-8x24": (["paths"], _wide_paths_document(8, 24)),
+    "nested": (["pointed"], NESTED, 1),
+    "wide-7x16": (["paths"], _wide_paths_document(7, 16), 1),
+    "wide-8x24": (["paths"], _wide_paths_document(8, 24), 1),
+    # refused inside the slab's elimination, after its facets are computed
+    "wide-6x14": (["paths"], _wide_paths_document(6, 14), 5),
+    "prop2-ones-8": (["verify", "prop2"], json.dumps(ONES_8), 1),
 }
 
 
@@ -423,9 +434,36 @@ class TestHostileDocuments:
         estimate = math.comb(16, 6) ** 2  # rank 7
         assert err == f"error: matrix: work estimate {estimate} exceeds the limit {MAX_WORK}\n"
 
+    def test_slab_elimination_refused_by_its_work(self):
+        # the shape estimate C(14, 5)^2 = 4,008,004 admits the matrix; the
+        # elimination's levels pair 812, 159,642 and then 16,201,373 constraints
+        code, out, err = run_cli(["paths"], stdin_text=HOSTILE["wide-6x14"][1])
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix: work estimate 16361827 exceeds the limit {MAX_WORK}\n"
+
+    @pytest.mark.parametrize(
+        "command,weight",
+        [(["verify", "prop2"], None), (["series"], TABLE_8), (["paths"], TABLE_8)],
+        ids=["prop2", "series-table", "paths-table"],
+    )
+    def test_orthant_route_refused_by_its_points(self, command, weight):
+        doc = ONES_8 if weight is None else {**ONES_8, "weight": weight}
+        A = cli.parse_problem(doc).matrix
+        assert _slab_volume(A, certify_pointed(A), 30) == 30
+        estimate = _orthant_volume((1,) * 8, 30)
+        code, out, err = run_cli(command, stdin_text=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: bound: work estimate {estimate} exceeds the limit {MAX_WORK}\n"
+
+    @pytest.mark.parametrize("command", [["series"], ["paths"]])
+    def test_step_passes_not_refused_by_the_orthant(self, command):
+        # path counts take the step passes: 31 targets, whatever the orthant
+        code, out, _ = run_cli(command, stdin_text=json.dumps(ONES_8))
+        assert code == 0 and out.endswith(f"(30) : {8**30}/1\n")
+
     @pytest.mark.parametrize("name", HOSTILE)
     def test_refused_at_once_in_a_fresh_process(self, name):
-        command, text = HOSTILE[name]
+        command, text, seconds = HOSTILE[name]
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "vpart", *command],
@@ -435,7 +473,7 @@ class TestHostileDocuments:
             cwd=REPO,
             timeout=5,
         )
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < seconds
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 

@@ -23,7 +23,15 @@ from vpart import (
 import vpart
 from vpart.cli import main as cli_main
 from vpart.core import graded
-from vpart.enumeration import _count_table, _graded_sums, _slab, _slab_points, _sweep, _weighted_sums
+from vpart.enumeration import (
+    _count_table,
+    _graded_sums,
+    _orthant_sums,
+    _Packing,
+    _slab,
+    _slab_keys,
+    _sweep,
+)
 
 import cases
 import oracles
@@ -31,6 +39,39 @@ import oracles
 
 def certified(matrix):
     return matrix, certify_pointed(matrix)
+
+
+def packing_for(A, cert, bound):
+    return _Packing(A, cert.functional.coords, bound)
+
+
+def orthant_table(A, cert, phi, bound):
+    """The orthant route's table by ascending key, decoded: what `_graded_sums`
+    gives every weight that the step passes do not serve."""
+    packing = packing_for(A, cert, bound)
+    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
+    return dict(packing.decoded({k: sums[k] for k in sorted(sums)}))
+
+
+def sweep_table(A, cert, phi, bound):
+    """`_sweep`'s table, its keys checked ascending, decoded."""
+    packing = packing_for(A, cert, bound)
+    table = _sweep(A, cert, phi, packing, bound)
+    assert list(table) == sorted(table)
+    return dict(packing.decoded(table))
+
+
+def graded_table(A, cert, phi, bound):
+    """`_graded_sums`'s table, its keys checked ascending, decoded."""
+    packing, table = _graded_sums(A, cert, phi, bound)
+    assert list(table) == sorted(table)
+    return dict(packing.decoded(table))
+
+
+def slab_points(A, cert, bound):
+    """The decoded keys of `_slab_keys`, in the order of the walk."""
+    packing = packing_for(A, cert, bound)
+    return list(packing.decode(list(_slab_keys(A, cert, packing, bound))))
 
 
 class TestEnumerate:
@@ -196,7 +237,7 @@ class TestWeightedCounts:
 
 
 class TestOrthantRouteOnInts:
-    """`_weighted_sums` and `generalized_vp` keep one int numerator and
+    """`_orthant_sums` and `generalized_vp` keep one int numerator and
     denominator per target; the `Fraction` route is the oracle."""
 
     @given(
@@ -210,7 +251,7 @@ class TestOrthantRouteOnInts:
     def test_matches_the_fraction_route(self, seed, dim, nsteps, kind, bound):
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = cases.every_weight_kind(nsteps, seed)[kind]
-        sums = _weighted_sums(A, cert, phi, bound)
+        sums = orthant_table(A, cert, phi, bound)
         assert sums == oracles.weighted_sums_by_fractions(A, cert, phi, bound)
         assert all(type(v) in (int, Fraction) for v in sums.values())
         for target in sorted(sums)[:4]:
@@ -336,12 +377,12 @@ class TestStepRecurrence:
         dim, nsteps, bound = shape
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = [ConstantOne(), LatticePathCount(), GeometricWeights(ratios[:nsteps])][kind]
-        orthant = _weighted_sums(A, cert, phi, bound)
-        table = _sweep(A, cert, phi, bound)
+        orthant = orthant_table(A, cert, phi, bound)
+        table = sweep_table(A, cert, phi, bound)
         assert table == orthant  # key for key, value for value
         assert list(table) == graded(orthant, cert.functional.coords)
         assert all(type(v) in (int, Fraction) for v in table.values())
-        assert _graded_sums(A, cert, phi, bound) == table
+        assert list(graded_table(A, cert, phi, bound).items()) == list(table.items())
 
     @given(
         st.integers(0, 10**6),
@@ -367,8 +408,8 @@ class TestStepRecurrence:
             (LatticePathCount(), LatticePathCount()),
             (GeometricWeights(ratios[:nsteps]), GeometricWeights([ratios[j] for j in order])),
         ][kind]
-        table = _sweep(A, cert, phi, bound)
-        assert list(_sweep(B, cert_b, phi_b, bound).items()) == list(table.items())
+        table = sweep_table(A, cert, phi, bound)
+        assert list(sweep_table(B, cert_b, phi_b, bound).items()) == list(table.items())
 
     @pytest.mark.parametrize(
         "columns,bound",
@@ -379,32 +420,33 @@ class TestStepRecurrence:
         # any target, where a too narrow digit would borrow into a real target
         A, cert = certified(StepMatrix(columns))
         for phi in [ConstantOne(), LatticePathCount()]:
-            assert _sweep(A, cert, phi, bound) == _weighted_sums(A, cert, phi, bound)
+            assert sweep_table(A, cert, phi, bound) == orthant_table(A, cert, phi, bound)
 
     @pytest.mark.parametrize("ratios", [(1, -1), (0, 1), (Fraction(1, 2), Fraction(-1, 2))])
     def test_cancelling_ratios_keep_their_keys(self, ratios):
         # 1 / ((1 - y)(1 + y)) = 1 / (1 - y^2): every odd coefficient cancels to 0
         A, cert = certified(cases.TWO_ONES)
         phi = GeometricWeights(ratios)
-        table = _sweep(A, cert, phi, 6)
+        table = sweep_table(A, cert, phi, 6)
         assert list(table) == [(k,) for k in range(7)]
-        assert table == _weighted_sums(A, cert, phi, 6)
+        assert table == orthant_table(A, cert, phi, 6)
         if ratios == (1, -1):
             assert list(table.values()) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_other_weights_take_the_orthant_route(self):
         A, cert = certified(cases.DELANNOY)
         phi = cases.random_table_weight(5, A.nsteps)
-        orthant = _weighted_sums(A, cert, phi, 5)
-        table = _graded_sums(A, cert, phi, 5)
+        orthant = orthant_table(A, cert, phi, 5)
+        table = graded_table(A, cert, phi, 5)
         assert table == orthant
         assert list(table) == graded(orthant, cert.functional.coords)
 
     def test_negative_bound_is_empty(self):
         A, cert = certified(cases.R3)
-        assert _sweep(A, cert, ConstantOne(), -1) == {}
-        assert _sweep(A, cert, LatticePathCount(), -1) == {}
-        assert _graded_sums(A, cert, GeometricWeights((1, 2, 3, 4)), -1) == {}
+        packing = packing_for(A, cert, -1)
+        assert _sweep(A, cert, ConstantOne(), packing, -1) == {}
+        assert _sweep(A, cert, LatticePathCount(), packing, -1) == {}
+        assert _graded_sums(A, cert, GeometricWeights((1, 2, 3, 4)), -1)[1] == {}
 
     def test_arity_checked(self):
         A, cert = certified(cases.DELANNOY)
@@ -423,7 +465,7 @@ class TestZeroEntries:
         A, cert = certified(matrix)
         phi, bound = GeometricWeights(ratios), 6
         table = generalized_vp_table(A, cert, phi, bound)
-        slab = set(_slab_points(A, cert, bound))
+        slab = set(slab_points(A, cert, bound))
         assert {t.coords for t in table} == slab
         assert all(type(v) is Fraction for v in table.values())
         assert any(v == 0 for v in table.values())
@@ -472,20 +514,38 @@ SLAB_FIXTURES = [cases.MIXED_SIGN, cases.GAPPED, cases.TWO_ONES, cases.REPEATED_
 
 
 class TestSlabWalk:
-    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5), st.integers(0, 4))
+    @given(
+        st.one_of(
+            st.sampled_from([cases.MIXED_SIGN, cases.EVEN_3D]),
+            st.builds(
+                cases.random_pointed_matrix,
+                st.integers(0, 10**6),
+                st.integers(1, 3),
+                st.integers(1, 5),
+            ),
+        ),
+        st.integers(0, 4),
+    )
+    @example(cases.MIXED_SIGN, 4)
+    @example(cases.EVEN_3D, 2)
     @settings(max_examples=60)
-    def test_walk_matches_the_simplex_oracle(self, seed, dim, nsteps, bound):
-        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
-        bound = min(bound, {1: 4, 2: 3, 3: 2}[dim])  # keeps the oracle's box small
-        points = list(_slab_points(A, cert, bound))
-        assert len(points) == len(set(points))
+    def test_walk_matches_the_simplex_oracle(self, matrix, bound):
+        A, cert = certified(matrix)
+        bound = min(bound, {1: 4, 2: 3, 3: 2}[A.dim])  # keeps the oracle's box small
+        packing = packing_for(A, cert, bound)
+        keys = list(_slab_keys(A, cert, packing, bound))
+        assert len(keys) == len(set(keys))
+        points = list(packing.decode(keys))
+        assert [packing.pack(t) for t in points] == keys
         assert set(points) == oracles.slab_points_by_simplex(A, cert, bound)
+        ordered = list(packing.decode(sorted(keys)))
+        assert ordered == graded(points, cert.functional.coords)
 
     @pytest.mark.parametrize("matrix", SLAB_FIXTURES)
     @pytest.mark.parametrize("bound", [0, 1, 2, 4])
     def test_fixtures_match_the_simplex_oracle(self, matrix, bound):
         A, cert = certified(matrix)
-        points = list(_slab_points(A, cert, bound))
+        points = slab_points(A, cert, bound)
         assert len(points) == len(set(points))
         assert set(points) == oracles.slab_points_by_simplex(A, cert, bound)
 
@@ -531,15 +591,29 @@ class TestSlabWalk:
             and integer_span_contains(A, t)
             and oracles.cone_contains_by_simplex(A, t)
         }
-        assert set(_slab_points(A, cert, 1)) == expected
+        assert set(slab_points(A, cert, 1)) == expected
+
+    def test_elimination_refused_past_the_work_limit(self, monkeypatch):
+        # the pairs of every level count: EVEN_3D eliminates three levels
+        A, cert = certified(cases.EVEN_3D)
+        ell = cert.functional.coords
+        levels = _slab(A, ell)[1]
+        work = sum(len(lower) * len(upper) for lower, upper in levels)
+        assert len(levels) == 3 and work > max(len(lower) * len(upper) for lower, upper in levels)
+        _slab.cache_clear()
+        monkeypatch.setattr(vpart.enumeration, "MAX_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"^matrix: work estimate {work} exceeds the limit"):
+            generalized_vp_table(A, cert, ConstantOne(), 2)
+        monkeypatch.setattr(vpart.enumeration, "MAX_WORK", work)
+        assert _slab(A, ell)[1] == levels
 
     def test_cached_per_matrix_and_functional(self):
         A, cert = certified(cases.DELANNOY)
         _slab.cache_clear()
         for bound in range(5):
-            list(_slab_points(A, cert, bound))
+            slab_points(A, cert, bound)
         assert _slab.cache_info().misses == 1
-        list(_slab_points(A, vpart.certificate_from_functional(A, LatticeVector((1, 2))), 3))
+        slab_points(A, vpart.certificate_from_functional(A, LatticeVector((1, 2))), 3)
         assert _slab.cache_info().misses == 2
 
 

@@ -39,7 +39,7 @@ from vpart import (
     verify_path_series,
     verify_summation_identity,
 )
-from vpart import enumeration, identities, series
+from vpart import enumeration, identities
 from vpart.identities import _walk_counts
 
 import cases
@@ -525,14 +525,18 @@ class TestPathSeries:
     @settings(max_examples=60)
     def test_walk_tally_matches_walk_enumeration(self, seed, dim, nsteps, bound):
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
-        walks = {LatticeVector(t): n for t, n in _walk_counts(A, cert, bound).items()}
+        packing = enumeration._Packing(A, cert.functional.coords, bound)
+        counts = _walk_counts(cert, packing, bound)
+        walks = dict(zip(map(LatticeVector, packing.decode(counts)), counts.values()))
         assert walks == oracles.walk_endpoint_counts(A, cert, bound)
+        assert [packing.pack(t.coords) for t in walks] == list(counts)
 
     def test_walk_tally_on_a_long_window(self):
         # 65,918,161 walks end in this window; the tally never lists them
         A, cert = certified(cases.DELANNOY)
         assert cert.step_degrees == (1, 1, 2)
-        walks = _walk_counts(A, cert, 20)
+        packing = enumeration._Packing(A, cert.functional.coords, 20)
+        walks = dict(packing.decoded(_walk_counts(cert, packing, 20)))
         assert set(walks) == {(a, b) for a in range(21) for b in range(21 - a)}
         for target, count in walks.items():
             assert count == oracles.delannoy_number(*target)
@@ -543,13 +547,13 @@ class TestPathSeries:
         A, cert = certified(cases.DELANNOY)
         recursion = enumeration._sweep
 
-        def one_wrong(*args):
-            table = recursion(*args)
-            table[(1, 1)] += 1
+        def one_wrong(A, cert, phi, packing, bound):
+            table = recursion(A, cert, phi, packing, bound)
+            table[packing.pack((1, 1))] += 1
             return table
 
-        monkeypatch.setattr(series, "_sweep", one_wrong)
-        assert geometric_inverse(A, cert, 4).coefficient((1, 1)) == 4
+        monkeypatch.setattr(identities, "_sweep", one_wrong)
+        assert geometric_inverse(A, cert, 4).coefficient((1, 1)) == 3
         report = verify_path_series(A, cert, 4)
         assert not report.holds
         assert report.first_violation == Violation(LatticeVector((1, 1)), Fraction(3), Fraction(4))
