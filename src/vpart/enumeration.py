@@ -60,6 +60,7 @@ from .core import (
     WeightFunction,
     _orthant,
     _orthant_keys,
+    _scaled_values,
     check_arity,
 )
 
@@ -172,12 +173,11 @@ def vector_partition(A: StepMatrix, cert: ConeCertificate, target: LatticeVector
 def generalized_vp(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector, phi: WeightFunction
 ) -> Fraction:
-    """Sum of ``phi`` over all representations of ``target``."""
+    """Sum of ``phi`` over all representations of ``target``, read as int
+    numerators over one denominator (`core._scaled_values`)."""
     check_arity(phi, A.nsteps)
-    num, den = 0, 1
-    for x in enumerate_solutions(A, cert, target):
-        num, den = _accumulate(num, den, phi._value(x.coords))
-    return Fraction(num, den)
+    numerators, den = _scaled_values(phi, [x.coords for x in enumerate_solutions(A, cert, target)])
+    return Fraction(sum(numerators), den)
 
 
 def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) -> bool:

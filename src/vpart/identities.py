@@ -9,8 +9,12 @@ read them once per window, layer or axis as int numerators over one common
 denominator (`core._scaled_values`, power weights from power tables), run on
 ints, and build a `Fraction` only for a value a report names.  `thm1` and
 `rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on targets,
-`enumeration._Packing`) look points up by packed int keys, decoded only to
-read a weight or name a point.
+`enumeration._Packing`, whose int order is graded order) look points up by
+packed int keys, decoded only to read a weight or name a point.  `thm1`,
+`prop1` and `prop2` build each side as a table on target keys and report
+through one comparison, `_mismatches`: the keys where the sides differ, in
+graded order, decoded in one call.  `rec` compares its layers itself, each
+over its own denominator.
 """
 
 from __future__ import annotations
@@ -110,6 +114,28 @@ def _report_from_mismatches(
     return VerificationReport(False, window, Violation(loc, lhs, rhs), len(mismatches))
 
 
+def _mismatches(decode, *sides, den: int = 1) -> list[tuple[LatticeVector, Fraction, Fraction]]:
+    """Every packed key where two adjacent ``sides`` differ, in ascending order,
+    as (point, lhs, rhs) with the first adjacent pair that differs there.
+
+    Each side maps packed keys to int (or `Fraction`) numerators over ``den``,
+    a missing key reading 0; ``decode`` turns a list of keys into their int
+    tuples, in order.  The differing keys are found by one comprehension per
+    adjacent pair, sorted once and decoded in one call, and a `Fraction` is
+    built only at them.
+    """
+    differ = [
+        {k: (a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)}
+        for a, b in zip(sides, sides[1:])
+    ]
+    keys = sorted(set().union(*differ))
+    first = [next(d[k] for d in differ if k in d) for k in keys]
+    return [
+        (LatticeVector(t), Fraction(lhs, den), Fraction(rhs, den))
+        for t, (lhs, rhs) in zip(decode(keys), first)
+    ]
+
+
 def verify_summation_identity(
     A: StepMatrix,
     cert: ConeCertificate,
@@ -128,8 +154,8 @@ def verify_summation_identity(
     phi's values W over one denominator D (`core._scaled_values`, from power
     tables for the power weights) and the coefficients b_j over their lcm B.
     x is packed in radix bound + 2, so x +- e_j is one int addition, targets by
-    `enumeration._Packing`, whose keys sort in graded order; a key is decoded,
-    and a `Fraction` built, only for a reported mismatch.  Raises ValueError
+    `enumeration._Packing`; the two sides meet in `_mismatches`, which decodes
+    a key, and builds a `Fraction`, only for a mismatch.  Raises ValueError
     when the column-sum corner lies above ``bound``: below it both sides
     vanish and nothing is compared.
     """
@@ -160,12 +186,7 @@ def verify_summation_identity(
         value = scale * weights[top] - sum([b * weights[top - u] for u, b in shifts])
         rhs[target] = rhs.get(target, 0) + value
 
-    total = scale * den
-    differ = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0))
-    mismatches = [
-        (LatticeVector(t), Fraction(lhs.get(k, 0), total), Fraction(rhs.get(k, 0), total))
-        for k, t in zip(differ, packing.decode(differ))
-    ]
+    mismatches = _mismatches(packing.decode, lhs, rhs, den=scale * den)
     return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
 
 
@@ -223,8 +244,6 @@ def _recurrence_mismatches(
     """
     nvars = len(costs)
     check_arity(phi, nvars)
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
     radix = bound + 2  # above every coordinate read, each at most bound
     units = [radix**j for j in reversed(range(nvars))]
 
@@ -296,18 +315,11 @@ def verify_partition_recurrence(
     # the window's targets are the corner plus every reachable target of
     # degree <= bound - base; keys in int order are in graded order
     corner_key, end = sum(deltas), (bound - base + 1) * packing.top
-    mismatches = []
-    for key in sorted(sums):
-        if key >= end:
-            break
-        t = key + corner_key
-        lhs = sums.get(t, 0)
-        rhs = sum([sums.get(t - d, 0) for d in deltas])
-        if lhs != rhs:
-            where = LatticeVector(next(packing.decode([t])))
-            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
+    lhs, rhs = {}, {}
+    for t in [key + corner_key for key in sums if key < end]:
+        lhs[t], rhs[t] = sums.get(t, 0), sum([sums.get(t - d, 0) for d in deltas])
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
-    return _report_from_mismatches(window, mismatches)
+    return _report_from_mismatches(window, _mismatches(packing.decode, lhs, rhs))
 
 
 def _walk_counts(cert: ConeCertificate, packing: _Packing, bound: int) -> dict[int, int]:
@@ -349,25 +361,18 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     tally of the walks themselves by walk length (`_walk_counts`).  The table
     side stays on the orthant route so that it never shares code with the
     inverse; targets no walk reaches are 0 on all three sides and are not
-    listed.  All three are path counts, compared as ints on the keys of one
-    `_Packing`, whose order is graded order; a key is decoded, and a
-    `Fraction` built, only for a reported mismatch.
+    listed.  All three are path counts on the keys of one `_Packing`, passed
+    to `_mismatches` in the order table, inverse, walks: a target where they
+    differ reports the table against the inverse if those two differ, else
+    the inverse against the walks, and the first such target in graded order
+    is the first violation.
     """
     packing, paths = _Packing(A, cert.functional.coords, bound), LatticePathCount()
     table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
     inverse = _sweep(A, cert, paths, packing, bound)
     walks = _walk_counts(cert, packing, bound)
-
-    mismatches = []
-    for k in sorted(table.keys() | inverse.keys() | walks.keys()):
-        lhs, rhs, brute = table.get(k, 0), inverse.get(k, 0), walks.get(k, 0)
-        if lhs == rhs:  # then the inverse is compared with the walks
-            lhs, rhs = rhs, brute
-        if lhs != rhs:
-            where = LatticeVector(next(packing.decode([k])))
-            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
-    window = f"functional degree <= {bound}"
-    return _report_from_mismatches(window, mismatches)
+    mismatches = _mismatches(packing.decode, table, inverse, walks)
+    return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
 
 
 def verify_cb_vector_partition(
@@ -417,9 +422,8 @@ def verify_cb_vector_partition(
         total += b * sum([count * weighted.get(mu_key - key, 0) for key, count in counts.items()])
     rhs = vector_partition(A, cert, mu)
     den = scale ** max(budget + 1, 0)
-    window = f"mu = {mu}"
     mismatches = [] if total == rhs * den else [(mu, Fraction(total, den), Fraction(rhs))]
-    return _report_from_mismatches(window, mismatches)
+    return _report_from_mismatches(f"mu = {mu}", mismatches)
 
 
 def verify_cb_multidim(
@@ -447,9 +451,8 @@ def verify_cb_multidim(
         numerators, d = _scaled_values(MultinomialMonomial(cs, axis=j), list(product(*ranges)))
         lcm = math.lcm(den, d)
         total, den = total * (lcm // den) + sum(numerators) * (lcm // d), lcm
-    window = f"mu = {mu}"
     mismatches = [] if total == den else [(mu, Fraction(total, den), Fraction(1))]
-    return _report_from_mismatches(window, mismatches)
+    return _report_from_mismatches(f"mu = {mu}", mismatches)
 
 
 def verify_cb_1d(
@@ -471,11 +474,15 @@ def verify_cb_1d(
         raise ValueError("mu1 and mu2 must be nonnegative")
 
     def horner(num: int, den: int, m: int) -> int:
-        # sum_v C(mu1 + mu2 - v, m - v) num^(m - v) den^v, in powers of num by Horner
-        total, power = 0, 1
+        # sum_v C(n - v, m - v) num^(m - v) den^v, n = mu1 + mu2, in powers of
+        # num by Horner; C(n - v - 1, m - v - 1) = C(n - v, m - v) (m - v) / (n - v)
+        # exactly, and at v = m = n the next binomial is never read
+        n = mu1 + mu2
+        total, power, binomial = 0, 1, math.comb(n, m)
         for v in range(m + 1):
-            total = total * num + math.comb(mu1 + mu2 - v, m - v) * power
+            total = total * num + binomial * power
             power *= den
+            binomial = binomial * (m - v) // max(n - v, 1)
         return total
 
     # both sums times q^(mu1+1) s^(mu2+1), for a = p/q and b = r/s
@@ -483,7 +490,6 @@ def verify_cb_1d(
     numerator = r ** (mu2 + 1) * q * horner(p, q, mu1) + p ** (mu1 + 1) * s * horner(r, s, mu2)
     denominator = q ** (mu1 + 1) * s ** (mu2 + 1)
     location = LatticeVector((mu1, mu2))
-    window = f"mu = {location}"
     total = Fraction(numerator, denominator)
     mismatches = [] if numerator == denominator else [(location, total, Fraction(1))]
-    return _report_from_mismatches(window, mismatches)
+    return _report_from_mismatches(f"mu = {location}", mismatches)

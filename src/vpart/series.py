@@ -103,16 +103,17 @@ class TruncatedSeries:
         nvars: int,
         grading: LatticeVector,
         bound: int,
-        table: Mapping[tuple[int, ...], int | Fraction],
+        items: Iterable[tuple[tuple[int, ...], int | Fraction]],
         ordered: bool = False,
     ) -> "TruncatedSeries":
-        """A series over an int-tuple table already in its window; ``ordered``
-        says the table iterates in graded order, so `terms` need not sort it."""
+        """A series over (int tuple, value) items already in its window, zero
+        values dropped; ``ordered`` says the items come in graded order, so
+        `terms` need not sort them."""
         series = cls.__new__(cls)
         series.nvars = nvars
         series.grading = grading
         series.bound = bound
-        series._coeffs = {e: v for e, v in table.items() if v}
+        series._coeffs = {e: v for e, v in items if v}
         series._ordered = ordered
         return series
 
@@ -145,7 +146,7 @@ class TruncatedSeries:
             raise ValueError("series windows are incompatible")
 
     def _like(self, table: Mapping[tuple[int, ...], int | Fraction]) -> "TruncatedSeries":
-        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table)
+        return TruncatedSeries._wrap(self.nvars, self.grading, self.bound, table.items())
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -239,7 +240,7 @@ def weight_series(
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")
     table = {x: phi._value(x) for x in _orthant(weights.coords, bound)}
-    return TruncatedSeries._wrap(nvars, weights, bound, table)
+    return TruncatedSeries._wrap(nvars, weights, bound, table.items())
 
 
 def partition_series(
@@ -260,8 +261,8 @@ def partition_series(
         raise ValueError("bound must be nonnegative")
     # every key is a reachable target of degree in [0, bound], in graded order
     packing, table = _graded_sums(A, cert, phi, bound)
-    table = dict(packing.decoded(table))
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table, ordered=True)
+    items = packing.decoded(table)  # decoded once, straight into the series
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, items, ordered=True)
 
 
 def substitute_monomial(
@@ -299,7 +300,7 @@ def substitute_monomial(
             continue
         target = tuple(sum(map(mul, row, x)) for row in rows)
         table[target] = table.get(target, 0) + value
-    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table)
+    return TruncatedSeries._wrap(A.dim, cert.functional, bound, table.items())
 
 
 def geometric_inverse(A: StepMatrix, cert: ConeCertificate, bound: int) -> TruncatedSeries:

@@ -11,11 +11,14 @@ integers, Gauss-Jordan elimination on `Fraction`s for the null spaces,
 facets, certificates and lattice kernel that `cone._eliminate` computes
 fraction-free, and the verifiers' sums and recurrence checks in `Fraction`
 arithmetic, one `evaluate_weight` call per point, where the library runs
-on int numerators over common denominators.  None of it shares code with
+on int numerators over common denominators, and one comparison loop per
+identity for Theorem 1 and Propositions 1 and 2, where the library has
+one comparison of packed-key tables.  None of it shares code with
 the implementations under test beyond the series arithmetic and
 projections, the slab scans' span test and facet membership, the
-count behind the partition-of-unity splitting's right side and the
-lattice kernel's coordinate reader, which have tests of their own.
+count behind the partition-of-unity splitting's right side, the
+lattice kernel's coordinate reader and the packed keys' decoder, which
+have tests of their own.
 """
 
 from __future__ import annotations
@@ -589,6 +592,51 @@ def report(window: str, mismatches) -> VerificationReport:
     if not mismatches:
         return VerificationReport(True, window, None, 0)
     return VerificationReport(False, window, Violation(*mismatches[0]), len(mismatches))
+
+
+def summation_mismatches_by_loop(packing, lhs: dict, rhs: dict, den: int) -> list:
+    """Theorem 1's two packed-key sides compared by their own loop: the
+    differing keys sorted, decoded together, both values over ``den``."""
+    differ = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0))
+    return [
+        (LatticeVector(t), Fraction(lhs.get(k, 0), den), Fraction(rhs.get(k, 0), den))
+        for k, t in zip(differ, packing.decode(differ))
+    ]
+
+
+def partition_recurrence_mismatches_by_loop(packing, sums: dict, base: int, bound: int) -> list:
+    """Proposition 1's window compared by its own loop: one key of ``sums``
+    at a time, in ascending order up to degree bound - base, each shifted by
+    the column sum (of degree ``base``) and checked against its step
+    predecessors."""
+    deltas = packing.deltas
+    corner_key, end = sum(deltas), (bound - base + 1) * packing.top
+    mismatches = []
+    for key in sorted(sums):
+        if key >= end:
+            break
+        t = key + corner_key
+        lhs = sums.get(t, 0)
+        rhs = sum([sums.get(t - d, 0) for d in deltas])
+        if lhs != rhs:
+            where = LatticeVector(next(packing.decode([t])))
+            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
+    return mismatches
+
+
+def path_series_mismatches_by_loop(packing, table: dict, inverse: dict, walks: dict) -> list:
+    """Proposition 2's three tables compared by their own loop: at each key in
+    ascending order, the table against the inverse, or, where those agree,
+    the inverse against the walks."""
+    mismatches = []
+    for k in sorted(table.keys() | inverse.keys() | walks.keys()):
+        lhs, rhs, brute = table.get(k, 0), inverse.get(k, 0), walks.get(k, 0)
+        if lhs == rhs:  # then the inverse is compared with the walks
+            lhs, rhs = rhs, brute
+        if lhs != rhs:
+            where = LatticeVector(next(packing.decode([k])))
+            mismatches.append((where, Fraction(lhs), Fraction(rhs)))
+    return mismatches
 
 
 def summation_identity_by_fractions(

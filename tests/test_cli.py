@@ -40,6 +40,9 @@ RUNS = [
     (("verify", "cb"), "partition_of_unity"),
     (("verify", "prop3"), "cone_partition_of_unity"),
     (("verify", "rec"), "recurrence_failure"),
+    (("verify", "prop1"), "delannoy_paths"),
+    (("verify", "prop2"), "king_walk_series"),
+    (("verify", "cb1d"), "two_part_unity"),
 ]
 
 

@@ -564,6 +564,128 @@ class TestPathSeries:
             assert generalized_vp(A, cert, LatticeVector((k,)), LatticePathCount()) == 2**k
 
 
+class TestOneComparison:
+    """thm1, prop1 and prop2 report through `identities._mismatches`: with one
+    side perturbed at up to three keys, each report must equal the one their
+    former comparison loops (`tests/oracles.py`) give on the same tables."""
+
+    @staticmethod
+    def perturb(table, rng):
+        # each chosen key moved by a nonzero amount or dropped, so that it reads 0
+        keys = sorted(table)
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
+            if rng.random() < 0.25:
+                del table[key]
+            else:
+                table[key] += rng.choice([-2, -1, 1, 2, Fraction(1, 7)])
+        return table
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.lists(st.sampled_from(cases.MIXED_RATIONALS), min_size=4, max_size=4),
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60)
+    def test_summation_identity(self, seed, dim, nsteps, kind, coeffs, bound, rng):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        if cert.degree(A.column_sum()) > bound:
+            return
+        phi = cases.every_weight_kind(nsteps, seed)[kind]
+        series_side, mismatches, seen = identities._series_side, identities._mismatches, []
+
+        def recording(decode, *sides, den=1):
+            seen.append((sides, den))
+            return mismatches(decode, *sides, den=den)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identities, "_series_side", lambda *args: self.perturb(series_side(*args), rng))
+            mp.setattr(identities, "_mismatches", recording)
+            report = verify_summation_identity(A, cert, phi, coeffs[:nsteps], bound)
+        [((lhs, rhs), den)] = seen
+        packing = enumeration._Packing(A, cert.functional.coords, bound)
+        expected = oracles.summation_mismatches_by_loop(packing, lhs, rhs, den)
+        assert report == oracles.report(f"functional degree <= {bound}", expected)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60)
+    def test_partition_recurrence(self, seed, dim, nsteps, bound, rng):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        base = cert.degree(A.column_sum())
+        if base > bound:
+            return
+        orthant_sums, seen = identities._orthant_sums, []
+
+        def perturbed(*args):
+            seen.append(self.perturb(orthant_sums(*args), rng))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identities, "_orthant_sums", perturbed)
+            report = verify_partition_recurrence(A, cert, LatticePathCount(), bound)
+        packing = enumeration._Packing(A, cert.functional.coords, bound)
+        expected = oracles.partition_recurrence_mismatches_by_loop(packing, seen[0], base, bound)
+        window = f"targets in column sum + step semigroup, functional degree <= {bound}"
+        assert report == oracles.report(window, expected)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 6),
+        st.sampled_from(["_orthant_sums", "_sweep", "_walk_counts"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60)
+    def test_path_series(self, seed, dim, nsteps, bound, side, rng):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        tables = {}
+
+        def capture(name, build):
+            def wrapped(*args):
+                table = build(*args)
+                tables[name] = self.perturb(table, rng) if name == side else table
+                return tables[name]
+
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_orthant_sums", "_sweep", "_walk_counts"):
+                mp.setattr(identities, name, capture(name, getattr(identities, name)))
+            report = verify_path_series(A, cert, bound)
+        packing = enumeration._Packing(A, cert.functional.coords, bound)
+        expected = oracles.path_series_mismatches_by_loop(
+            packing, tables["_orthant_sums"], tables["_sweep"], tables["_walk_counts"]
+        )
+        assert report == oracles.report(f"functional degree <= {bound}", expected)
+
+    def test_walks_alone_off_report_the_inverse_against_the_walks(self, monkeypatch):
+        # table and inverse agree everywhere, so each mismatch pairs the inverse
+        # with the walks; the later key is perturbed first
+        A, cert = certified(cases.DELANNOY)
+        walk_counts = identities._walk_counts
+
+        def two_off(cert, packing, bound):
+            walks = walk_counts(cert, packing, bound)
+            walks[packing.pack((2, 1))] += 2
+            walks[packing.pack((1, 1))] += 1
+            return walks
+
+        monkeypatch.setattr(identities, "_walk_counts", two_off)
+        report = verify_path_series(A, cert, 4)
+        violation = Violation(LatticeVector((1, 1)), Fraction(3), Fraction(4))
+        assert report == VerificationReport(False, "functional degree <= 4", violation, 2)
+
+
 class TestConePartitionOfUnity:
     def test_basis_hand_expansion(self):
         A, cert = certified(cases.BASIS_2D)
