@@ -144,12 +144,7 @@ def _parse_weight(value, where: str) -> WeightFunction:
             return LatticePathCount()
         if kind == "table":
             box = _parse_int_list(value.get("box"), f"{where}.box")
-            values = value.get("values")
-            if not isinstance(values, list):
-                raise ProblemError(f"{where}.values: expected an array of rationals")
-            return TableWeight(
-                box, [_parse_rational(v, f"{where}.values[{i}]") for i, v in enumerate(values)]
-            )
+            return TableWeight(box, _parse_rational_list(value.get("values"), f"{where}.values"))
     except ValueError as err:
         if isinstance(err, ProblemError):
             raise

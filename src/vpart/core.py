@@ -18,10 +18,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 
 def exact(value: int | Fraction | str) -> Fraction:
-    """Convert ``value`` to an exact rational, refusing floats outright."""
+    """Convert ``value`` to an exact rational, refusing floats outright; a
+    `Fraction` is immutable and comes back as it is, not copied."""
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an int, Fraction or 'p/q' string")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class LatticeVector:

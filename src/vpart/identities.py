@@ -11,10 +11,10 @@ ints, and build a `Fraction` only for a value a report names.  `thm1` and
 `rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on targets,
 `enumeration._Packing`, whose int order is graded order) look points up by
 packed int keys, decoded only to read a weight or name a point.  `thm1`,
-`prop1` and `prop2` build each side as a table on target keys and report
-through one comparison, `_mismatches`: the keys where the sides differ, in
-graded order, decoded in one call.  `rec` compares its layers itself, each
-over its own denominator.
+`prop1` and `prop2` build each side as a table on target keys, and `rec`
+each layer on its x keys, over the two layers' denominators; every window
+verifier reports through one comparison, `_mismatches`: the keys where the
+sides differ, in ascending key order, decoded in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cone import ConeCertificate
 from .core import (
@@ -120,13 +120,14 @@ def _mismatches(decode, *sides, den: int = 1) -> list[tuple[LatticeVector, Fract
 
     Each side maps packed keys to int (or `Fraction`) numerators over ``den``,
     a missing key reading 0; ``decode`` turns a list of keys into their int
-    tuples, in order.  The differing keys are found by one comprehension per
-    adjacent pair, sorted once and decoded in one call, and a `Fraction` is
-    built only at them.
+    tuples, in order.  A pair of equal dicts is skipped by one `!=`; the
+    differing keys of the others are found by one comprehension per pair,
+    sorted once and decoded in one call, and a `Fraction` is built only at them.
     """
     differ = [
         {k: (a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)}
         for a, b in zip(sides, sides[1:])
+        if a != b
     ]
     keys = sorted(set().union(*differ))
     first = [next(d[k] for d in differ if k in d) for k in keys]
@@ -238,21 +239,22 @@ def _recurrence_mismatches(
     within the cost.  x is packed into one int, a digit in radix bound + 2
     per coordinate, so x +- e_j is +- one unit and int order is lex order.
     phi is read once per layer, at its points and the next layer's
-    predecessors, decoded to int tuples only there, as int numerators over
-    the layer's own denominator; the two layers are compared by
-    cross-multiplying, and at most two are alive at once.
+    predecessors, decoded one coordinate column at a time, as int numerators
+    over the layer's own denominator; at most two layers are alive at once.
+    Each layer's two sides meet in `_mismatches` over the product of the two
+    layers' denominators.
     """
     nvars = len(costs)
     check_arity(phi, nvars)
     radix = bound + 2  # above every coordinate read, each at most bound
     units = [radix**j for j in reversed(range(nvars))]
 
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple([key // u % radix for u in units])
+    def decode(keys) -> Iterator[tuple[int, ...]]:
+        return zip(*[[k // u % radix for k in keys] for u in units])
 
     def read(keys: set[int]) -> tuple[dict[int, int], int]:
         # iterating a set twice, unchanged, yields one order
-        numerators, den = _scaled_values(phi, [unpack(k) for k in keys])
+        numerators, den = _scaled_values(phi, list(decode(keys)))
         return dict(zip(keys, numerators)), den
 
     steps = list(zip(units, costs))
@@ -262,12 +264,9 @@ def _recurrence_mismatches(
     while layer:
         higher = {k + u: c + d for k, c in layer.items() for u, d in steps if c + d <= bound}
         here, here_den = read({k - u for k in higher for u in units}.union(layer))
-        for k in sorted(layer):
-            lhs = here[k]
-            rhs = sum([below[k - u] for u in units])
-            if lhs * below_den != rhs * here_den:
-                x = LatticeVector(unpack(k))
-                mismatches.append((x, Fraction(lhs, here_den), Fraction(rhs, below_den)))
+        lhs = {k: here[k] * below_den for k in layer}
+        rhs = {k: sum([below[k - u] for u in units]) * here_den for k in layer}
+        mismatches += _mismatches(decode, lhs, rhs, den=here_den * below_den)
         layer, below, below_den = higher, here, here_den
     return mismatches
 
@@ -279,8 +278,9 @@ def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> Veri
     """
     if nvars > bound:
         raise ValueError(f"bound: empty window, the corner has total degree {nvars} > {bound}")
-    mismatches = _recurrence_mismatches(phi, (1,) * nvars, bound)
+    # named first: a vector of no coordinate is refused before any read
     window = f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}"
+    mismatches = _recurrence_mismatches(phi, (1,) * nvars, bound)
     return _report_from_mismatches(window, mismatches)
 
 
@@ -365,8 +365,11 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     to `_mismatches` in the order table, inverse, walks: a target where they
     differ reports the table against the inverse if those two differ, else
     the inverse against the walks, and the first such target in graded order
-    is the first violation.
+    is the first violation.  Raises ValueError for a negative ``bound``, a
+    window that holds no target although the walk tally counts the empty walk.
     """
+    if bound < 0:
+        raise ValueError(f"bound: empty window, {bound} < 0")
     packing, paths = _Packing(A, cert.functional.coords, bound), LatticePathCount()
     table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
     inverse = _sweep(A, cert, paths, packing, bound)

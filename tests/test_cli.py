@@ -541,6 +541,46 @@ class TestValidation:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize(
+        "argv,document,message",
+        [
+            (["pointed"], {"matrix": [[1]], "c": [True]}, "c[0]: expected a rational, got a boolean"),
+            (
+                ["pointed"],
+                {"matrix": [[1]], "weight": {"kind": "table", "box": [0], "values": "1"}},
+                "weight.values: expected a nonempty array of rationals",
+            ),
+            (
+                ["pointed"],
+                {"matrix": [[1]], "weight": {"kind": "table", "box": [0], "values": []}},
+                "weight.values: expected a nonempty array of rationals",
+            ),
+            (
+                ["pointed"],
+                {"matrix": [[1]], "weight": {"kind": "monomial", "c": ["1/2", "1/2"], "j": 3}},
+                "weight: axis 3 out of range 1..2",
+            ),
+            (["pointed"], {"matrix": [[1]], "nvars": 0}, "nvars: must be positive"),
+            (
+                ["verify", "prop3"],
+                {"matrix": [[1, 0, 1], [0, 1, 1]], "c": ["1/2", "1/2"], "target": [1, 1]},
+                "expected 3 coefficients, got 2",
+            ),
+            (
+                ["verify", "prop3"],
+                {"matrix": [[1, 0], [0, 1]], "c": ["1/2", "1/2"], "target": [1]},
+                "mu has dimension 1, matrix has 2",
+            ),
+        ],
+    )
+    def test_exact_messages(self, argv, document, message):
+        assert run_cli(argv, stdin_text=json.dumps(document)) == (2, "", f"error: {message}\n")
+
+    def test_unreadable_problem_path(self, tmp_path):
+        code, out, err = run_cli(["pointed", str(tmp_path / "missing.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {str(tmp_path / 'missing.json')!r}: ")
+
     def test_table_weight_roundtrip(self):
         doc = json.dumps(
             {

@@ -141,6 +141,16 @@ class TestWeights:
         with pytest.raises(ValueError):
             TableWeight((1, 1), [1, 2, 3])
 
+    def test_fractions_kept_as_given(self):
+        # a Fraction is immutable: exact and the weights keep the object itself
+        q = Fraction(2, 3)
+        assert exact(q) is q
+        values = [Fraction(1, 2), Fraction(-3), Fraction(5, 7)]
+        table = TableWeight((2,), values)
+        assert all(kept is given for kept, given in zip(table.values, values))
+        assert GeometricWeights((q,)).ratios[0] is q
+        assert MultinomialMonomial((q, 1 - q), axis=1).coeffs[0] is q
+
     def test_rule_weight(self):
         phi = RuleWeight(lambda x: Fraction(sum(x.coords), 3), arity=2)
         assert evaluate_weight(phi, LatticeVector((1, 3))) == Fraction(4, 3)

@@ -315,6 +315,10 @@ class TestBasicRecurrence:
         report = verify_basic_recurrence(phi, nvars, bound)
         assert report == oracles.basic_recurrence_by_fractions(phi, nvars, bound)
 
+    def test_no_variables_refused(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            verify_basic_recurrence(LatticePathCount(), 0, 3)
+
     def test_each_layer_over_its_own_denominator(self):
         # phi(x) = 1 / (|x| + 1): degree 2 is over 3, its predecessors over 2,
         # and every point of every layer fails
@@ -558,6 +562,12 @@ class TestPathSeries:
         assert not report.holds
         assert report.first_violation == Violation(LatticeVector((1, 1)), Fraction(3), Fraction(4))
 
+    def test_negative_bound_refused(self):
+        # no target has degree -1, yet the walk tally counts the empty walk
+        A, cert = certified(cases.DELANNOY)
+        with pytest.raises(ValueError, match="bound: empty window"):
+            verify_path_series(A, cert, -1)
+
     def test_two_ones_doubling(self):
         A, cert = certified(cases.TWO_ONES)
         for k in range(4):
@@ -565,9 +575,49 @@ class TestPathSeries:
 
 
 class TestOneComparison:
-    """thm1, prop1 and prop2 report through `identities._mismatches`: with one
-    side perturbed at up to three keys, each report must equal the one their
+    """thm1, rec, prop1 and prop2 report through `identities._mismatches`: with
+    one side perturbed at up to three keys, each report must equal the one their
     former comparison loops (`tests/oracles.py`) give on the same tables."""
+
+    @staticmethod
+    def decode(keys):
+        return [(k,) for k in keys]
+
+    def test_a_zero_reads_as_a_missing_key(self):
+        assert identities._mismatches(self.decode, {5: 0}, {}) == []
+        assert identities._mismatches(self.decode, {}, {5: 0}, {5: 0, 6: 0}) == []
+
+    def test_equal_sides_report_nothing(self):
+        table = {3: 1, 5: Fraction(2, 3), 9: -4}
+        assert identities._mismatches(self.decode, table, dict(table), dict(table), den=7) == []
+        # equal key sets, one value apart: reported
+        off = {**table, 9: -3}
+        expected = [(LatticeVector((9,)), Fraction(-4, 7), Fraction(-3, 7))]
+        assert identities._mismatches(self.decode, table, off, den=7) == expected
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 1), (1, 1, 1), (2, 1, 3), (3, 1)]),
+        st.integers(0, 5),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=60)
+    def test_basic_recurrence(self, seed, costs, kind, bound):
+        # one `_mismatches` call per layer, whose results, in order, are all
+        # that rec reports; failing kinds included
+        phi = cases.every_weight_kind(len(costs), seed)[kind]
+        mismatches, returned = identities._mismatches, []
+
+        def recording(decode, *sides, den=1):
+            assert len(sides) == 2 and sides[0].keys() == sides[1].keys()
+            returned.append(mismatches(decode, *sides, den=den))
+            return returned[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identities, "_mismatches", recording)
+            found = identities._recurrence_mismatches(phi, costs, bound)
+        assert found == [m for layer in returned for m in layer]
+        assert found == oracles.recurrence_mismatches_by_fractions(phi, costs, bound)
 
     @staticmethod
     def perturb(table, rng):

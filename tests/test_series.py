@@ -266,6 +266,18 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             substitute_monomial(one(2, 2), A, cert, 3)
 
+    def test_negative_output_bound_refused(self):
+        A = cases.BASIS_2D
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            substitute_monomial(one(2, 2), A, certify_pointed(A), -1)
+
+    def test_negative_exponent_refused(self):
+        # total degree 1 is inside the window, but no step multiplicity is negative
+        A = cases.BASIS_2D
+        s = TruncatedSeries(2, LatticeVector.ones(2), 3, {(-1, 2): 1})
+        with pytest.raises(ValueError, match=r"exponent \(-1, 2\) is not a step multiplicity"):
+            substitute_monomial(s, A, certify_pointed(A), 3)
+
     @pytest.mark.parametrize("matrix", cases.MAIN_MATRICES + [cases.GAPPED])
     def test_any_grading_up_to_the_step_degrees(self, matrix):
         # total degree, the step cost and a grading between them: one image
