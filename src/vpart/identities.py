@@ -13,8 +13,9 @@ ints, and build a `Fraction` only for a value a report names.  `thm1` and
 packed int keys, decoded only to read a weight or name a point.  `thm1`,
 `prop1` and `prop2` build each side as a table on target keys, and `rec`
 each layer on its x keys, over the two layers' denominators; every window
-verifier reports through one comparison, `_mismatches`: the keys where the
-sides differ, in ascending key order, decoded in one call.
+verifier reports through one comparison, `_mismatches`: how many keys the
+sides differ at, and the least of them, the only key decoded.  A report holds
+what it prints, a count and the first violation, never a list of them.
 """
 
 from __future__ import annotations
@@ -105,36 +106,34 @@ class RecurrencePreconditionError(ValueError):
         super().__init__(f"weight does not satisfy the basic recurrence ({report.window})")
 
 
-def _report_from_mismatches(
-    window: str, mismatches: list[tuple[LatticeVector, Fraction, Fraction]]
-) -> VerificationReport:
-    if not mismatches:
-        return VerificationReport(True, window, None, 0)
-    loc, lhs, rhs = mismatches[0]
-    return VerificationReport(False, window, Violation(loc, lhs, rhs), len(mismatches))
+Mismatch = tuple[LatticeVector, Fraction, Fraction]
 
 
-def _mismatches(decode, *sides, den: int = 1) -> list[tuple[LatticeVector, Fraction, Fraction]]:
-    """Every packed key where two adjacent ``sides`` differ, in ascending order,
-    as (point, lhs, rhs) with the first adjacent pair that differs there.
+def _report(window: str, count: int, first: Mismatch | None) -> VerificationReport:
+    """The report of ``count`` failing points, ``first`` (point, lhs, rhs) the
+    first of them; ``first`` is not read when ``count`` is 0."""
+    return VerificationReport(not count, window, Violation(*first) if count else None, count)
+
+
+def _mismatches(decode, *sides, den: int = 1) -> tuple[int, Mismatch | None]:
+    """How many packed keys two adjacent ``sides`` differ at, and the least such
+    key as (point, lhs, rhs), its values from the first adjacent pair that
+    differs there; None when all sides agree.
 
     Each side maps packed keys to int (or `Fraction`) numerators over ``den``,
     a missing key reading 0; ``decode`` turns a list of keys into their int
     tuples, in order.  A pair of equal dicts is skipped by one `!=`; the
-    differing keys of the others are found by one comprehension per pair,
-    sorted once and decoded in one call, and a `Fraction` is built only at them.
+    differing keys of the others are found by one comprehension per pair, and
+    only the least is decoded, its two values the only `Fraction`s built.
     """
-    differ = [
-        {k: (a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)}
-        for a, b in zip(sides, sides[1:])
-        if a != b
-    ]
-    keys = sorted(set().union(*differ))
-    first = [next(d[k] for d in differ if k in d) for k in keys]
-    return [
-        (LatticeVector(t), Fraction(lhs, den), Fraction(rhs, den))
-        for t, (lhs, rhs) in zip(decode(keys), first)
-    ]
+    pairs = [(a, b) for a, b in zip(sides, sides[1:]) if a != b]
+    differ = [{k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)} for a, b in pairs]
+    keys = set().union(*differ)
+    if not keys:
+        return 0, None
+    at = min(keys)
+    (a, b), [x] = next(pair for pair, d in zip(pairs, differ) if at in d), decode([at])
+    return len(keys), (LatticeVector(x), Fraction(a.get(at, 0), den), Fraction(b.get(at, 0), den))
 
 
 def verify_summation_identity(
@@ -156,9 +155,9 @@ def verify_summation_identity(
     tables for the power weights) and the coefficients b_j over their lcm B.
     x is packed in radix bound + 2, so x +- e_j is one int addition, targets by
     `enumeration._Packing`; the two sides meet in `_mismatches`, which decodes
-    a key, and builds a `Fraction`, only for a mismatch.  Raises ValueError
-    when the column-sum corner lies above ``bound``: below it both sides
-    vanish and nothing is compared.
+    a key, and builds a `Fraction`, only for the first mismatch.  Raises
+    ValueError when the column-sum corner lies above ``bound``: below it both
+    sides vanish and nothing is compared.
     """
     corner = A.column_sum()
     base = cert.degree(corner)
@@ -188,7 +187,7 @@ def verify_summation_identity(
         rhs[target] = rhs.get(target, 0) + value
 
     mismatches = _mismatches(packing.decode, lhs, rhs, den=scale * den)
-    return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
+    return _report(f"functional degree <= {bound}", *mismatches)
 
 
 def _series_side(
@@ -231,8 +230,9 @@ def _require_corner(base: int, bound: int) -> None:
 
 def _recurrence_mismatches(
     phi: WeightFunction, costs: Sequence[int], bound: int
-) -> list[tuple[LatticeVector, Fraction, Fraction]]:
-    """Failures of phi(x) = sum_j phi(x - e_j) on the x >= (1,...,1) with cost <= bound.
+) -> tuple[int, Mismatch | None]:
+    """How many x >= (1,...,1) with cost <= bound fail phi(x) = sum_j phi(x - e_j),
+    and the first of them as (x, lhs, rhs); None when none fails.
 
     The cost of x is sum_j costs[j] * x[j]; points run in total-degree order,
     lex within a layer, each layer the successors x + e_j of the one below
@@ -242,7 +242,8 @@ def _recurrence_mismatches(
     predecessors, decoded one coordinate column at a time, as int numerators
     over the layer's own denominator; at most two layers are alive at once.
     Each layer's two sides meet in `_mismatches` over the product of the two
-    layers' denominators.
+    layers' denominators; its count is added up and the first layer that fails
+    names the first point, so no list outlives a layer.
     """
     nvars = len(costs)
     check_arity(phi, nvars)
@@ -260,28 +261,30 @@ def _recurrence_mismatches(
     steps = list(zip(units, costs))
     layer = {sum(units): sum(costs)} if sum(costs) <= bound else {}
     below, below_den = read({k - u for k in layer for u in units})
-    mismatches = []
+    count, first = 0, None
     while layer:
         higher = {k + u: c + d for k, c in layer.items() for u, d in steps if c + d <= bound}
         here, here_den = read({k - u for k in higher for u in units}.union(layer))
         lhs = {k: here[k] * below_den for k in layer}
         rhs = {k: sum([below[k - u] for u in units]) * here_den for k in layer}
-        mismatches += _mismatches(decode, lhs, rhs, den=here_den * below_den)
+        failed, at = _mismatches(decode, lhs, rhs, den=here_den * below_den)
+        count, first = count + failed, first or at
         layer, below, below_den = higher, here, here_den
-    return mismatches
+    return count, first
 
 
 def verify_basic_recurrence(phi: WeightFunction, nvars: int, bound: int) -> VerificationReport:
     """Check phi(x) = sum_j phi(x - e_j) for all x >= (1,...,1), |x| <= bound.
 
-    Raises ValueError when ``nvars`` > ``bound``, a window that compares nothing.
+    Raises ValueError when ``nvars`` < 1, a point of no coordinate, and when
+    ``nvars`` > ``bound``, a window that compares nothing.
     """
+    if nvars < 1:
+        raise ValueError(f"nvars: must be positive, got {nvars}")
     if nvars > bound:
         raise ValueError(f"bound: empty window, the corner has total degree {nvars} > {bound}")
-    # named first: a vector of no coordinate is refused before any read
     window = f"x >= {LatticeVector.ones(nvars)}, total degree <= {bound}"
-    mismatches = _recurrence_mismatches(phi, (1,) * nvars, bound)
-    return _report_from_mismatches(window, mismatches)
+    return _report(window, *_recurrence_mismatches(phi, (1,) * nvars, bound))
 
 
 def verify_partition_recurrence(
@@ -304,10 +307,10 @@ def verify_partition_recurrence(
     corner = A.column_sum()
     base = cert.degree(corner)
     _require_corner(base, bound)
-    failures = _recurrence_mismatches(phi, cert.step_degrees, bound)
-    if failures:
+    failed, first = _recurrence_mismatches(phi, cert.step_degrees, bound)
+    if failed:
         window = f"x >= {LatticeVector.ones(A.nsteps)}, functional degree of A x <= {bound}"
-        raise RecurrencePreconditionError(_report_from_mismatches(window, failures))
+        raise RecurrencePreconditionError(_report(window, failed, first))
 
     packing = _Packing(A, cert.functional.coords, bound)
     deltas = packing.deltas
@@ -319,7 +322,7 @@ def verify_partition_recurrence(
     for t in [key + corner_key for key in sums if key < end]:
         lhs[t], rhs[t] = sums.get(t, 0), sum([sums.get(t - d, 0) for d in deltas])
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
-    return _report_from_mismatches(window, _mismatches(packing.decode, lhs, rhs))
+    return _report(window, *_mismatches(packing.decode, lhs, rhs))
 
 
 def _walk_counts(cert: ConeCertificate, packing: _Packing, bound: int) -> dict[int, int]:
@@ -375,7 +378,7 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     inverse = _sweep(A, cert, paths, packing, bound)
     walks = _walk_counts(cert, packing, bound)
     mismatches = _mismatches(packing.decode, table, inverse, walks)
-    return _report_from_mismatches(f"functional degree <= {bound}", mismatches)
+    return _report(f"functional degree <= {bound}", *mismatches)
 
 
 def verify_cb_vector_partition(
@@ -425,8 +428,7 @@ def verify_cb_vector_partition(
         total += b * sum([count * weighted.get(mu_key - key, 0) for key, count in counts.items()])
     rhs = vector_partition(A, cert, mu)
     den = scale ** max(budget + 1, 0)
-    mismatches = [] if total == rhs * den else [(mu, Fraction(total, den), Fraction(rhs))]
-    return _report_from_mismatches(f"mu = {mu}", mismatches)
+    return _report(f"mu = {mu}", int(total != rhs * den), (mu, Fraction(total, den), Fraction(rhs)))
 
 
 def verify_cb_multidim(
@@ -454,8 +456,7 @@ def verify_cb_multidim(
         numerators, d = _scaled_values(MultinomialMonomial(cs, axis=j), list(product(*ranges)))
         lcm = math.lcm(den, d)
         total, den = total * (lcm // den) + sum(numerators) * (lcm // d), lcm
-    mismatches = [] if total == den else [(mu, Fraction(total, den), Fraction(1))]
-    return _report_from_mismatches(f"mu = {mu}", mismatches)
+    return _report(f"mu = {mu}", int(total != den), (mu, Fraction(total, den), Fraction(1)))
 
 
 def verify_cb_1d(
@@ -492,7 +493,5 @@ def verify_cb_1d(
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
     numerator = r ** (mu2 + 1) * q * horner(p, q, mu1) + p ** (mu1 + 1) * s * horner(r, s, mu2)
     denominator = q ** (mu1 + 1) * s ** (mu2 + 1)
-    location = LatticeVector((mu1, mu2))
-    total = Fraction(numerator, denominator)
-    mismatches = [] if numerator == denominator else [(location, total, Fraction(1))]
-    return _report_from_mismatches(f"mu = {location}", mismatches)
+    first = (LatticeVector((mu1, mu2)), Fraction(numerator, denominator), Fraction(1))
+    return _report(f"mu = ({mu1}, {mu2})", int(numerator != denominator), first)

@@ -316,8 +316,9 @@ class TestBasicRecurrence:
         assert report == oracles.basic_recurrence_by_fractions(phi, nvars, bound)
 
     def test_no_variables_refused(self):
-        with pytest.raises(ValueError, match="at least one coordinate"):
-            verify_basic_recurrence(LatticePathCount(), 0, 3)
+        for nvars in (0, -1):
+            with pytest.raises(ValueError, match=rf"^nvars: must be positive, got {nvars}$"):
+                verify_basic_recurrence(LatticePathCount(), nvars, 3)
 
     def test_each_layer_over_its_own_denominator(self):
         # phi(x) = 1 / (|x| + 1): degree 2 is over 3, its predecessors over 2,
@@ -353,16 +354,29 @@ class TestBasicRecurrence:
     )
     @settings(max_examples=100)
     def test_non_uniform_costs_match_the_fraction_route(self, seed, costs, kind, bound):
-        # every kind, failing ones included: the mismatches' order, count and values
+        # every kind, failing ones included: the count, the first point and its values
         phi = cases.every_weight_kind(len(costs), seed)[kind]
-        mismatches = identities._recurrence_mismatches(phi, costs, bound)
-        assert mismatches == oracles.recurrence_mismatches_by_fractions(phi, costs, bound)
+        found = identities._recurrence_mismatches(phi, costs, bound)
+        assert found == counted(oracles.recurrence_mismatches_by_fractions(phi, costs, bound))
 
     def test_wide_window_reads_only_the_layers(self):
         # 41 points above (1, ..., 1) in 40 variables, though the orthant below
         # total degree 41 holds C(81, 40) points
         report = verify_basic_recurrence(LatticePathCount(), 40, 41)
         assert report.holds
+
+    def test_a_failing_window_holds_two_layers(self):
+        # all 34,220 points fail; a failing point is counted, not listed, so the
+        # peak stays that of the two largest layers and their reads
+        phi = GeometricWeights(("1/2", "1/3", "2/5"))
+        tracemalloc.start()
+        try:
+            report = verify_basic_recurrence(phi, 3, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.residual_terms == math.comb(60, 3)
+        assert peak < 4 * 1024 * 1024
 
 
 class TestPartitionRecurrence:
@@ -454,6 +468,12 @@ class TestPartitionRecurrence:
         report = verify_partition_recurrence(A, cert, phi, 6)
         assert report.holds
         assert report == verify_partition_recurrence(A, cert, LatticePathCount(), 6)
+
+
+def counted(mismatches):
+    """An oracle's list of (location, lhs, rhs) as the library reports it:
+    the count and the first."""
+    return len(mismatches), mismatches[0] if mismatches else None
 
 
 def _report(window, mismatches):
@@ -584,16 +604,38 @@ class TestOneComparison:
         return [(k,) for k in keys]
 
     def test_a_zero_reads_as_a_missing_key(self):
-        assert identities._mismatches(self.decode, {5: 0}, {}) == []
-        assert identities._mismatches(self.decode, {}, {5: 0}, {5: 0, 6: 0}) == []
+        assert identities._mismatches(self.decode, {5: 0}, {}) == (0, None)
+        assert identities._mismatches(self.decode, {}, {5: 0}, {5: 0, 6: 0}) == (0, None)
 
     def test_equal_sides_report_nothing(self):
         table = {3: 1, 5: Fraction(2, 3), 9: -4}
-        assert identities._mismatches(self.decode, table, dict(table), dict(table), den=7) == []
+        sides = table, dict(table), dict(table)
+        assert identities._mismatches(self.decode, *sides, den=7) == (0, None)
         # equal key sets, one value apart: reported
         off = {**table, 9: -3}
-        expected = [(LatticeVector((9,)), Fraction(-4, 7), Fraction(-3, 7))]
+        expected = (1, (LatticeVector((9,)), Fraction(-4, 7), Fraction(-3, 7)))
         assert identities._mismatches(self.decode, table, off, den=7) == expected
+
+    def test_first_pair_that_differs_names_the_least_key(self):
+        # each key is counted once, however many pairs differ there, and only
+        # the least key is decoded
+        decoded = []
+
+        def decode(keys):
+            decoded.append(list(keys))
+            return self.decode(keys)
+
+        # three sides apart at one key, in both pairs: the first pair is reported
+        found = identities._mismatches(decode, {5: 1}, {5: 2}, {5: 3}, den=3)
+        assert found == (1, (LatticeVector((5,)), Fraction(1, 3), Fraction(2, 3)))
+        # the least key is off in the second pair only
+        found = identities._mismatches(decode, {2: 4, 8: 1}, {2: 4}, {2: 5}, den=3)
+        assert found == (2, (LatticeVector((2,)), Fraction(4, 3), Fraction(5, 3)))
+        # both pairs off at 5, 8 and 9
+        sides = {5: 1, 8: 1, 9: 1}, {5: 2}, {5: 3, 8: 1, 9: 1}
+        found = identities._mismatches(decode, *sides, den=3)
+        assert found == (3, (LatticeVector((5,)), Fraction(1, 3), Fraction(2, 3)))
+        assert decoded == [[5], [2], [5]]
 
     @given(
         st.integers(0, 10**6),
@@ -603,8 +645,8 @@ class TestOneComparison:
     )
     @settings(max_examples=60)
     def test_basic_recurrence(self, seed, costs, kind, bound):
-        # one `_mismatches` call per layer, whose results, in order, are all
-        # that rec reports; failing kinds included
+        # one `_mismatches` call per layer: their counts add up to rec's, and
+        # the first layer that fails names its first point; failing kinds included
         phi = cases.every_weight_kind(len(costs), seed)[kind]
         mismatches, returned = identities._mismatches, []
 
@@ -616,8 +658,9 @@ class TestOneComparison:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(identities, "_mismatches", recording)
             found = identities._recurrence_mismatches(phi, costs, bound)
-        assert found == [m for layer in returned for m in layer]
-        assert found == oracles.recurrence_mismatches_by_fractions(phi, costs, bound)
+        firsts = [first for _, first in returned if first is not None]
+        assert found == (sum([count for count, _ in returned]), firsts[0] if firsts else None)
+        assert found == counted(oracles.recurrence_mismatches_by_fractions(phi, costs, bound))
 
     @staticmethod
     def perturb(table, rng):
