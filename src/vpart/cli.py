@@ -41,9 +41,7 @@ from .core import (
 from .enumeration import (
     MAX_WORK,
     STEP_PASS_WEIGHTS,
-    _count_table,
     _echelon,
-    _graded_sums,
     generalized_vp,
     integer_span_contains,
     vector_partition,
@@ -58,7 +56,7 @@ from .identities import (
     verify_path_series,
     verify_summation_identity,
 )
-from .series import render_terms
+from .series import render_table
 
 VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
@@ -223,17 +221,23 @@ def _refuse_table(matrix: StepMatrix, cert: ConeCertificate, bound: int, orthant
         _refuse_runaway("bound", _orthant_volume(cert.step_degrees, bound))
 
 
-def _print_terms(terms, as_json: bool, field: str, key: str, value: str) -> None:
-    """Print (int tuple, value) terms as the text listing, or as JSON objects under
-    ``field``, the bytes of `json.dumps` from one `%` format built from the dimension."""
-    terms = list(terms)
-    if as_json:
-        exponent = ", ".join(["%d"] * (len(terms[0][0]) if terms else 0))
-        item = '{%s: [%s], %s: "%%d/%%d"}' % (json.dumps(key), exponent, json.dumps(value))
-        listed = ", ".join([item % (*e, v.numerator, v.denominator) for e, v in terms])
-        print("{%s: [%s]}" % (json.dumps(field), listed))
-    elif terms:
-        print(render_terms(terms))
+def _print_table(spec: ProblemSpec, as_json: bool, zeros: bool, names: tuple[str, str, str]):
+    """Print the series (``zeros`` False) or the paths table (``zeros`` True) of
+    ``spec`` through `series.render_table`: the text listing, nothing when it
+    has no line, or the JSON document under ``names``, the bytes of `json.dumps`."""
+    matrix, cert = _certified(spec)
+    bound = _require(spec, "bound")
+    weight = spec.weight if spec.weight is not None else LatticePathCount()
+    _refuse_table(matrix, cert, bound, type(weight) not in STEP_PASS_WEIGHTS)
+    if zeros:
+        # the slab's facets: one candidate per rank - 1 of the columns, and its
+        # first elimination level pairs up as many lower and upper constraints;
+        # `_slab` counts the pairs of every level as it eliminates
+        rank = len(_echelon(matrix)[1])
+        _refuse_runaway("matrix", math.comb(matrix.nsteps, rank - 1) ** 2)
+    text = render_table(matrix, cert, weight, bound, zeros, names if as_json else None)
+    if text:
+        print(text)
 
 
 def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
@@ -277,30 +281,14 @@ def cmd_count(spec: ProblemSpec, as_json: bool) -> int:
 
 
 def cmd_series(spec: ProblemSpec, as_json: bool) -> int:
-    matrix, cert = _certified(spec)
-    bound = _require(spec, "bound")
-    weight = spec.weight if spec.weight is not None else LatticePathCount()
-    _refuse_table(matrix, cert, bound, type(weight) not in STEP_PASS_WEIGHTS)
-    # the graded table that geometric_inverse and partition_series wrap; a
-    # series lists no zero coefficient
-    packing, table = _graded_sums(matrix, cert, weight, bound)
-    terms = [(t, v) for t, v in packing.decoded(table) if v]
-    _print_terms(terms, as_json, "terms", "exponent", "coefficient")
+    # the terms of partition_series and geometric_inverse: no zero coefficient
+    _print_table(spec, as_json, False, ("terms", "exponent", "coefficient"))
     return 0
 
 
 def cmd_paths(spec: ProblemSpec, as_json: bool) -> int:
-    matrix, cert = _certified(spec)
-    bound = _require(spec, "bound")
-    weight = spec.weight if spec.weight is not None else LatticePathCount()
-    _refuse_table(matrix, cert, bound, type(weight) not in STEP_PASS_WEIGHTS)
-    # the slab's facets: one candidate per rank - 1 of the columns, and its
-    # first elimination level pairs up as many lower and upper constraints;
-    # `_slab` counts the pairs of every level as it eliminates
-    rank = len(_echelon(matrix)[1])
-    _refuse_runaway("matrix", math.comb(matrix.nsteps, rank - 1) ** 2)
-    table = _count_table(matrix, cert, weight, bound)  # generalized_vp_table's, on int tuples
-    _print_terms(table.items(), as_json, "entries", "target", "value")
+    # the entries of generalized_vp_table: every slab point, zeros included
+    _print_table(spec, as_json, True, ("entries", "target", "value"))
     return 0
 
 

@@ -13,7 +13,7 @@ import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -387,17 +387,22 @@ def _scaled_values(
     """``phi`` at nonnegative points of its arity as (numerators, D), with
     numerators[i] / D = phi(points[i]) and D the lcm of the denominators.
 
-    `GeometricWeights` and `MultinomialMonomial` are read from one power table
-    per axis k: for q_k = n_k / d_k, m_k the largest k-th coordinate read and
-    s_k = 1 on a multinomial's own axis, else 0, entry c is
-    n_k^(c + s_k) d_k^(m_k - c) over d_k^(m_k + s_k); one gcd then reduces the
-    product of those denominators to the lcm, and no `Fraction` is built.
+    The built-in weights are read one coordinate column at a time, never one
+    point at a time.  `LatticePathCount` and the multinomial of
+    `MultinomialMonomial` are products of binomials over the columns
+    (`_multinomials`).  `GeometricWeights` and `MultinomialMonomial` are read
+    from one power table per axis k: for q_k = n_k / d_k, m_k the largest k-th
+    coordinate read and s_k = 1 on a multinomial's own axis, else 0, entry c
+    is n_k^(c + s_k) d_k^(m_k - c) over d_k^(m_k + s_k); one gcd then reduces
+    the product of those denominators to the lcm, and no `Fraction` is built.
     Every other weight is read by `_value`, over the lcm (`_over_lcm`).
     """
+    if type(phi) is LatticePathCount:
+        return _multinomials(points), 1
     if type(phi) is GeometricWeights:
         ratios, shifts, numerators = phi.ratios, [0] * phi.arity, [1] * len(points)
     elif type(phi) is MultinomialMonomial:
-        ratios, numerators = phi.coeffs, list(map(_multinomial, points))
+        ratios, numerators = phi.coeffs, _multinomials(points)
         shifts = [int(k == phi.axis) for k in range(1, phi.arity + 1)]
     else:
         return _over_lcm([phi._value(x) for x in points])
@@ -409,6 +414,20 @@ def _scaled_values(
         den *= d ** (m + s)
     g = math.gcd(den, *numerators)
     return [v // g for v in numerators], den // g
+
+
+def _multinomials(points: Sequence[tuple[int, ...]]) -> list[int]:
+    """`_multinomial` at each of ``points``, one column at a time: with p_k the
+    column of prefix sums x_1 + ... + x_k, the product of the columns
+    C(p_k, x_k), each one `map` of `math.comb`; C(p_1, x_1) = 1 is skipped."""
+    columns = list(zip(*points))
+    values = [1] * len(points)
+    if columns:
+        prefix = columns[0]
+        for column in columns[1:]:
+            prefix = list(map(add, prefix, column))
+            values = list(map(mul, values, map(math.comb, prefix, column)))
+    return values
 
 
 def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:

@@ -13,22 +13,26 @@ Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order:
 every builder returns its table by ascending key, so how a target is keyed
 and ordered is decided in `_Packing` alone.  A table is decoded once, one
-coordinate column at a time (`_Packing.decoded`), where a public function or
-a command needs int tuples; vectors and fractions are built only where a
-public function returns them.  There are two routes.  The orthant route,
-`_orthant_sums`, streams every x >= 0 of step cost <= bound and adds phi(x)
-at the key of A x: bound^N points for any weight, summed on ints, one
-numerator and denominator per target.  The step passes, `_sweep`, serve the
-`STEP_PASS_WEIGHTS`, whose series has a closed form over the steps:
+coordinate column at a time (`_Packing.columns`), where a public function or
+a command needs int tuples.  `_graded_table` hands a table on as columns:
+keys, values and one scale, the value at key k being its value over
+scale^degree(k).  The series and paths commands print those columns as they
+are (`series.render_table`); vectors and fractions (`_Packing.fractions`) are
+built only where a public function returns them.  There are two routes.  The
+orthant route, `_orthant_sums`, streams every x >= 0 of step cost <= bound
+and adds phi(x) at the key of A x: bound^N points for any weight, summed on
+ints, one numerator and denominator per target.  The step passes, `_sweep`,
+serve the `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps:
 `ConstantOne` and `GeometricWeights` multiply in one factor
 1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order, and
 `LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in one
-ascending pass: bound^rank targets, a few int operations each.  The table and
-series commands take the passes.  The verifiers of Propositions 1 and 3 and
-Proposition 2's table side stay on the orthant route (Theorem 1's right side
-sums over the step orthant too, in `identities`), so that each keeps a side
-that shares no code with the recurrence it checks (for path counts the
-passes are Proposition 2's series side).
+ascending pass: bound^rank targets, a few int operations each, all on int
+numerators over scale^degree, scale the lcm of the ratios' denominators.  The
+table and series commands take the passes.  The verifiers of Propositions 1
+and 3 and Proposition 2's table side stay on the orthant route (Theorem 1's
+right side sums over the step orthant too, in `identities`), so that each
+keeps a side that shares no code with the recurrence it checks (for path
+counts the passes are Proposition 2's series side).
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -207,9 +211,9 @@ class _Packing:
     t +- a_j is one int addition of deltas[j].  ``reach`` covers the targets of
     degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.  A key
     has degree <= ``bound`` exactly when it is below (bound + 1) * top, and
-    degree key // top.  `decode` reads keys back one coordinate column at a
-    time; `decoded` is a table's one decode, where a public function or a
-    command returns it.
+    degree key // top.  `columns` reads keys back one coordinate column at a
+    time, and `decode` zips the columns into int tuples, once per table, where
+    a public function or a command returns it.
     """
 
     def __init__(self, A: StepMatrix, ell: Sequence[int], bound: int, margin: int = 0):
@@ -225,16 +229,26 @@ class _Packing:
     def pack(self, t: Sequence[int]) -> int:
         return self.origin + sum(map(mul, t, self.units))
 
+    def columns(self, keys: Collection[int]) -> list[list[int]]:
+        """The coordinate columns of ``keys``: column i holds coordinate i of
+        each key's int tuple, in order."""
+        base, reach = self.base, self.reach
+        return [[k // p % base - reach for k in keys] for p in self.powers]
+
     def decode(self, keys: Collection[int]) -> Iterator[tuple[int, ...]]:
         """The int tuples of ``keys``, in order, decoded one coordinate column at a time."""
-        base, reach = self.base, self.reach
-        return zip(*[[k // p % base - reach for k in keys] for p in self.powers])
+        return zip(*self.columns(keys))
 
-    def decoded(
-        self, table: dict[int, int | Fraction]
-    ) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
-        """The (int tuple, value) items of ``table``, in its order."""
-        return zip(self.decode(table), table.values())
+    def fractions(
+        self, keys: Sequence[int], values: Sequence[int | Fraction], scale: int
+    ) -> Sequence[int | Fraction]:
+        """values[i] / scale^degree(keys[i]), the exact values of a table of
+        `_graded_table`: one `Fraction` per key where ``scale`` > 1, else the
+        values as they are.  Built only where a public function returns them."""
+        if scale == 1:
+            return values
+        top = self.top
+        return [Fraction(v, scale ** (k // top)) for k, v in zip(keys, values)]
 
 
 def _orthant_sums(
@@ -255,7 +269,7 @@ def _orthant_sums(
 
 def _sweep(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, packing: _Packing, bound: int
-) -> dict[int, int | Fraction]:
+) -> tuple[dict[int, int], int]:
     """The step recurrences for `ConstantOne`, `GeometricWeights` and
     `LatticePathCount`, on the keys of ``packing``, whose int order is graded
     order:
@@ -272,11 +286,15 @@ def _sweep(
       chains give the reachable keys, sorted once, and one ascending pass
       fills G(t) = sum_j G(t - a_j) from G(0) = 1.
 
-    Returns every target that has a representation, zero values included,
-    by ascending key; values are ints where the weight is integral.
+    Returns (table, scale): every target that has a representation, zero
+    values included, by ascending key, each with its int numerator n over
+    scale^degree, so the value at key k is n / scale^(k // top); scale is 1
+    where the weight is integral.  No `Fraction` is built here: the printers
+    reduce n / scale^degree column by column, and `_Packing.fractions` builds
+    one per key where a public function returns the table.
     """
     if bound < 0:
-        return {}
+        return {}, 1
     limit, deltas = (bound + 1) * packing.top, packing.deltas
     values, scale = {packing.origin: 1}, 1
     if type(phi) is LatticePathCount:
@@ -289,9 +307,8 @@ def _sweep(
                     grown.append(k)
                     k += delta
             keys.update(grown)
-        order = sorted(keys)
         get = values.get
-        for k in order[1:]:
+        for k in sorted(keys)[1:]:  # after the origin, the least key: filled in ascending order
             value = 0
             for delta in deltas:
                 value += get(k - delta, 0)
@@ -309,42 +326,36 @@ def _sweep(
                 while k < limit and k not in before:
                     values[k] = value = m * value
                     k += delta
-        order = sorted(values)
-    if scale == 1:
-        return {k: values[k] for k in order}
-    denominators = [scale**d for d in range(bound + 1)]
-    top = packing.top
-    return {k: Fraction(values[k], denominators[k // top]) for k in order}
+        values = {k: values[k] for k in sorted(values)}
+    return values, scale
 
 
-def _graded_sums(
-    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> tuple[_Packing, dict[int, int | Fraction]]:
-    """phi-weighted counts of every target of degree <= bound that has a
-    representation, zero values included: (packing, table by ascending key).
+def _graded_table(
+    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int, zeros: bool = False
+) -> tuple[_Packing, list[int], list[int | Fraction], int]:
+    """phi-weighted counts of the targets of degree <= bound as columns:
+    (packing, keys ascending, values, scale), the value at keys[i] being
+    values[i] / scale^degree(keys[i]).
 
-    The table behind `partition_series` and the series command: `_sweep` for
-    the `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps,
-    the orthant route, sorted once, for every other weight.
+    With ``zeros`` False the keys are the targets of nonzero value, the terms
+    of `partition_series` and the series command; with ``zeros`` True every
+    key of the slab (`_slab_keys`), its value 0 where no representation
+    reaches it, the entries of `generalized_vp_table` and the paths command.
+    The `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps,
+    take `_sweep`, int numerators over its scale; every other weight takes
+    the orthant route, its values ints or `Fraction`s over scale 1.
     """
     check_arity(phi, A.nsteps)
     packing = _Packing(A, cert.functional.coords, bound)
     if type(phi) in STEP_PASS_WEIGHTS:
-        return packing, _sweep(A, cert, phi, packing, bound)
-    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-    return packing, {k: sums[k] for k in sorted(sums)}
-
-
-def _count_table(
-    A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int
-) -> dict[tuple[int, ...], int | Fraction]:
-    """`generalized_vp_table` on int tuples: the value of `_graded_sums`, or 0,
-    at every key of the slab, in graded order."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    packing, sums = _graded_sums(A, cert, phi, bound)
-    keys = sorted(_slab_keys(A, cert, packing, bound))
-    return dict(packing.decoded({k: sums.get(k, 0) for k in keys}))
+        sums, scale = _sweep(A, cert, phi, packing, bound)
+    else:
+        sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
+        sums, scale = {k: sums[k] for k in sorted(sums)}, 1
+    if zeros:
+        keys = sorted(_slab_keys(A, cert, packing, bound))
+        return packing, keys, [sums.get(k, 0) for k in keys], scale
+    return packing, [k for k, v in sums.items() if v], list(filter(None, sums.values())), scale
 
 
 def generalized_vp_table(
@@ -362,10 +373,15 @@ def generalized_vp_table(
     `GeometricWeights` and `LatticePathCount` and from the step orthant for
     every other weight; `verify_path_series` reads its path-count table from
     the orthant instead, to stay independent of the passes.  The table is
-    built on packed keys and decoded once to int tuples (`_count_table`,
-    which the paths command prints); vectors and fractions are built only here.
+    built on packed keys (`_graded_table`, which the paths command prints
+    without building a `Fraction`) and decoded once to int tuples; vectors and
+    fractions are built only here.
     """
-    return {LatticeVector(t): Fraction(v) for t, v in _count_table(A, cert, phi, bound).items()}
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    packing, keys, values, scale = _graded_table(A, cert, phi, bound, zeros=True)
+    exact = packing.fractions(keys, values, scale)
+    return {LatticeVector(t): Fraction(v) for t, v in zip(packing.decode(keys), exact)}
 
 
 @lru_cache(maxsize=64)

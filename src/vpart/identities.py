@@ -6,11 +6,13 @@ other) and reports exact coefficient-level equality over an explicitly named
 finite window.  Nothing here ever claims unbounded validity.  The weight's
 values are the two sides' shared input, not a route: `thm1`, `rec` and `cb`
 read them once per window, layer or axis as int numerators over one common
-denominator (`core._scaled_values`, power weights from power tables), run on
-ints, and build a `Fraction` only for a value a report names.  `thm1` and
-`rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on targets,
-`enumeration._Packing`, whose int order is graded order) look points up by
-packed int keys, decoded only to read a weight or name a point.  `thm1`,
+denominator (`core._scaled_values`, one coordinate column at a time), run on
+ints, and build a `Fraction` only for a value a report names.  `thm1`'s two
+sides and each `rec` layer's right side read the shifted weights W(x - e_j)
+in one pass over the key column per step, not in a loop over the steps per
+point.  `thm1` and `rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on
+targets, `enumeration._Packing`, whose int order is graded order) look points
+up by packed int keys, decoded only to read a weight or name a point.  `thm1`,
 `prop1` and `prop2` build each side as a table on target keys, and `rec`
 each layer on its x keys, over the two layers' denominators; every window
 verifier reports through one comparison, `_mismatches`: how many keys the
@@ -24,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator, Sequence
 
 from .cone import ConeCertificate
@@ -179,11 +181,13 @@ def verify_summation_identity(
     lhs = _series_side(points, targets, weights, shifts, scale)
 
     # x + 1 has step cost at most bound, so it and each x + 1 - e_j are in the window
-    tops = _orthant_keys(costs, bound - base, units, sum(units))
+    tops = list(_orthant_keys(costs, bound - base, units, sum(units)))
     targets = _orthant_keys(costs, bound - base, packing.deltas, packing.pack(corner.coords))
+    values = [scale * weights[k] for k in tops]
+    for u, b in shifts:  # one pass per shift: b_j W(x + 1 - e_j) at each x + 1
+        values = [v - b * weights[k - u] for v, k in zip(values, tops)]
     rhs: dict[int, int] = {}
-    for top, target in zip(tops, targets):
-        value = scale * weights[top] - sum([b * weights[top - u] for u, b in shifts])
+    for target, value in zip(targets, values):
         rhs[target] = rhs.get(target, 0) + value
 
     mismatches = _mismatches(packing.decode, lhs, rhs, den=scale * den)
@@ -201,20 +205,19 @@ def _series_side(
 
     ``weights`` maps the key of each window point x to W(x), in the order of
     ``points``, and ``targets`` holds the key of each A x.  The product
-    (scale - sum_j b_j y_j) W is scattered within the window, ``shifts``
-    pairing the key of e_j with b_j; the window is closed downward, so x + e_j
-    is in it exactly when ``weights`` holds its key.  Each term with full
-    support is then added at its target.
+    (scale - sum_j b_j y_j) W is read on the window's key column, one pass
+    per shift, ``shifts`` pairing the key of e_j with b_j: its coefficient at
+    x is scale W(x) - sum_j b_j W(x - e_j), where x - e_j is in the window,
+    which is closed downward, exactly when ``weights`` holds its key.  Each
+    term with full support is then added at its target, the one loop per point.
     """
-    product = {k: scale * w for k, w in weights.items()}
-    for k, w in weights.items():
-        for u, b in shifts:
-            if k + u in product:
-                product[k + u] -= b * w
+    keys, read = list(weights), weights.get
+    values = [scale * w for w in weights.values()]
+    for u, b in shifts:
+        values = [v - b * read(k - u, 0) for v, k in zip(values, keys)]
     sums: dict[int, int] = {}
-    for x, value, target in zip(points, product.values(), targets):  # in the order of points
-        if all(x):
-            sums[target] = sums.get(target, 0) + value
+    for value, target in compress(zip(values, targets), map(all, points)):
+        sums[target] = sums.get(target, 0) + value
     return sums
 
 
@@ -240,7 +243,10 @@ def _recurrence_mismatches(
     per coordinate, so x +- e_j is +- one unit and int order is lex order.
     phi is read once per layer, at its points and the next layer's
     predecessors, decoded one coordinate column at a time, as int numerators
-    over the layer's own denominator; at most two layers are alive at once.
+    over the layer's own denominator (`core._scaled_values`, which reads path
+    counts and multinomials as products of binomial columns); at most two
+    layers are alive at once.  The right side, sum_j phi(x - e_j), is added up
+    one pass over the layer's key column per step.
     Each layer's two sides meet in `_mismatches` over the product of the two
     layers' denominators; its count is added up and the first layer that fails
     names the first point, so no list outlives a layer.
@@ -265,8 +271,12 @@ def _recurrence_mismatches(
     while layer:
         higher = {k + u: c + d for k, c in layer.items() for u, d in steps if c + d <= bound}
         here, here_den = read({k - u for k in higher for u in units}.union(layer))
-        lhs = {k: here[k] * below_den for k in layer}
-        rhs = {k: sum([below[k - u] for u in units]) * here_den for k in layer}
+        keys = list(layer)
+        lhs = {k: here[k] * below_den for k in keys}
+        total = [0] * len(keys)
+        for u in units:  # one pass per step: phi(x - e_j) at each x of the layer
+            total = [t + below[k - u] for t, k in zip(total, keys)]
+        rhs = {k: t * here_den for k, t in zip(keys, total)}
         failed, at = _mismatches(decode, lhs, rhs, den=here_den * below_den)
         count, first = count + failed, first or at
         layer, below, below_den = higher, here, here_den
@@ -375,7 +385,7 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
         raise ValueError(f"bound: empty window, {bound} < 0")
     packing, paths = _Packing(A, cert.functional.coords, bound), LatticePathCount()
     table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
-    inverse = _sweep(A, cert, paths, packing, bound)
+    inverse, _ = _sweep(A, cert, paths, packing, bound)  # path counts are ints, over scale 1
     walks = _walk_counts(cert, packing, bound)
     mismatches = _mismatches(packing.decode, table, inverse, walks)
     return _report(f"functional degree <= {bound}", *mismatches)

@@ -19,15 +19,21 @@ int keys in graded order and decoded to int tuples once, by column: with
 forms fill the window in passes over the keys (one per step for the
 products), with any other weight it sums over the step orthant.
 `geometric_inverse` is its `LatticePathCount` series.
-`render_terms` prints every term through one `%` format built from the
-dimension.  The verifiers of `identities` keep their own sums on packed
-keys, so the series they check is never compared with itself.
+One printer, `_render`, prints every term through one `%` format built from
+the dimension, applied to exponent, numerator and denominator columns:
+`render_terms` splits (exponent, coefficient) terms into columns, and
+`render_table`, what the series and paths commands print, reads them straight
+from that graded table's int numerators over scale^degree, so no `Fraction`
+is built for a printed term.  The verifiers of `identities` keep their own
+sums on packed keys, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
@@ -41,16 +47,72 @@ from .core import (
     exact,
     graded,
 )
-from .enumeration import _graded_sums
+from .enumeration import _graded_table
+
+
+def _render(
+    columns: Sequence[Sequence[int]],
+    nums: Iterable[int],
+    dens: Iterable[int],
+    names: tuple[str, str, str] | None = None,
+) -> str:
+    """The one term printer: term i has exponent (columns[0][i], ...,
+    columns[k-1][i]) and value nums[i] / dens[i], in lowest terms.
+
+    Without ``names``, one '(e1,...,ek) : num/den' line per term; with
+    ``names`` = (field, key, value), the bytes `json.dumps` writes for
+    {field: [{key: [e1, ..., ek], value: "num/den"}, ...]}.  Each term is one
+    `%` format, built once from k, applied by `map` to the zipped columns."""
+    exponent = ["%d"] * len(columns)
+    if names is None:
+        line = "(%s) : %%d/%%d" % ",".join(exponent)
+        return "\n".join(map(line.__mod__, zip(*columns, nums, dens)))
+    field, key, value = map(json.dumps, names)
+    item = '{%s: [%s], %s: "%%d/%%d"}' % (key, ", ".join(exponent), value)
+    return "{%s: [%s]}" % (field, ", ".join(map(item.__mod__, zip(*columns, nums, dens))))
 
 
 def render_terms(terms: Iterable[tuple[Sequence[int], int | Fraction]]) -> str:
     """One '(e1,...,ek) : num/den' line per (exponent, coefficient) term, the
     exponents all of one dimension k; an exponent may be a lattice vector or an
-    int tuple.  Each line is one `%` format, built once from k."""
+    int tuple.  The terms are split into columns for `_render`."""
     terms = list(terms)
-    line = "(%s) : %%d/%%d" % ",".join(["%d"] * (len(tuple(terms[0][0])) if terms else 0))
-    return "\n".join([line % (*e, v.numerator, v.denominator) for e, v in terms])
+    nums, dens = [v.numerator for _, v in terms], [v.denominator for _, v in terms]
+    return _render(list(zip(*(e for e, _ in terms))), nums, dens)
+
+
+def render_table(
+    A: StepMatrix,
+    cert: ConeCertificate,
+    phi: WeightFunction,
+    bound: int,
+    zeros: bool = False,
+    names: tuple[str, str, str] | None = None,
+) -> str:
+    """What the series command (``zeros`` False: the terms of
+    `partition_series`) and the paths command (``zeros`` True: the entries of
+    `generalized_vp_table`) print, without building those terms: the lines
+    `render_terms` prints for them, or with ``names`` the JSON document of
+    `_render`.
+
+    The packed table of `enumeration` is printed column by column: the
+    coordinate columns of its keys (`_Packing.columns`), and, for int
+    numerators n over scale^degree, the denominators read from one power
+    table by degree and one `math.gcd` per term to reduce n / scale^degree;
+    over scale 1 the values' own numerators and denominators.  No `Fraction`
+    is built and no Python function is called per term.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    packing, keys, values, scale = _graded_table(A, cert, phi, bound, zeros)
+    if scale == 1:
+        nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    else:
+        powers, top = [scale**d for d in range(bound + 1)], packing.top
+        dens = [powers[k // top] for k in keys]
+        gcds = list(map(math.gcd, values, dens))
+        nums, dens = list(map(floordiv, values, gcds)), list(map(floordiv, dens, gcds))
+    return _render(packing.columns(keys), nums, dens, names)
 
 
 def _check_dim(exp: tuple[int, ...], nvars: int) -> None:
@@ -260,8 +322,8 @@ def partition_series(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     # every key is a reachable target of degree in [0, bound], in graded order
-    packing, table = _graded_sums(A, cert, phi, bound)
-    items = packing.decoded(table)  # decoded once, straight into the series
+    packing, keys, values, scale = _graded_table(A, cert, phi, bound)
+    items = zip(packing.decode(keys), packing.fractions(keys, values, scale))
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, items, ordered=True)
 
 

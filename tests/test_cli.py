@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vpart import LatticeVector, certify_pointed, cli
-from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _print_terms, _slab_volume, main
+from vpart import LatticeVector, certify_pointed, cli, generalized_vp_table, partition_series
+from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _slab_volume, main
 from vpart.core import _orthant
 from vpart.enumeration import _Packing, _slab_keys
-from vpart.series import render_terms
+from vpart.series import _render, render_terms
 
 import cases
 import oracles
@@ -36,6 +36,8 @@ RUNS = [
     (("count",), "basis_pointed"),
     (("series",), "king_walk_series"),
     (("paths",), "gapped_paths"),
+    (("series",), "summation_identity"),
+    (("paths",), "summation_identity"),
     (("verify", "thm1"), "summation_identity"),
     (("verify", "cb"), "partition_of_unity"),
     (("verify", "prop3"), "cone_partition_of_unity"),
@@ -200,15 +202,16 @@ def _term_tables(draw):
 
 
 class TestTermPrinters:
-    """`_print_terms` and `render_terms` print through one `%` format; their
-    bytes are those of an f-string per line and of `json.dumps`."""
+    """`render_terms` and the series and paths commands print through one
+    column printer, `series._render`: one `%` format per term, whose bytes are
+    those of an f-string per line and of `json.dumps`."""
 
     @staticmethod
-    def printed(terms, as_json, names):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            _print_terms(terms, as_json, *names)
-        return out.getvalue()
+    def printed(terms, names=None):
+        # the columns `series.render_table` hands the printer
+        columns = list(zip(*(e for e, _ in terms)))
+        nums, dens = [v.numerator for _, v in terms], [v.denominator for _, v in terms]
+        return _render(columns, nums, dens, names)
 
     @given(
         _term_tables(),
@@ -220,14 +223,69 @@ class TestTermPrinters:
         text = oracles.render_terms_by_fstring(terms)
         assert render_terms(terms) == text
         assert render_terms((LatticeVector(e), v) for e, v in terms) == text
-        assert self.printed(terms, False, names) == (text + "\n" if terms else "")
-        assert self.printed(terms, True, names) == oracles.terms_by_json_dumps(terms, *names) + "\n"
+        assert self.printed(terms) == text
+        assert self.printed(terms, names) == oracles.terms_by_json_dumps(terms, *names)
 
     def test_empty_table(self):
         names = ("terms", "exponent", "coefficient")
         assert render_terms([]) == ""
-        assert self.printed([], False, names) == ""
-        assert self.printed([], True, names) == '{"terms": []}\n'
+        assert self.printed([]) == ""
+        assert self.printed([], names) == '{"terms": []}'
+
+    def test_empty_listing_prints_nothing_as_text(self):
+        # a weight that is 0 at every point: no series term, a zero entry per slab point
+        doc = json.dumps(
+            {"matrix": [[1]], "weight": {"kind": "table", "box": [0], "values": [0]}, "bound": 2}
+        )
+        assert run_cli(["series"], stdin_text=doc) == (0, "", "")
+        assert run_cli(["series", "--json"], stdin_text=doc) == (0, '{"terms": []}\n', "")
+        assert run_cli(["paths"], stdin_text=doc)[:2] == (0, "(0) : 0/1\n(1) : 0/1\n(2) : 0/1\n")
+
+
+# ratios with zero, negative and integral values and denominators sharing factors
+_RATIOS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+class TestTablePrinter:
+    """The series and paths commands print `series.render_table`, column by
+    column from int numerators over scale^degree: their bytes, text and
+    ``--json``, are those of the `Fraction` route (`partition_series(...).terms()`
+    and `generalized_vp_table`) through the f-string and `json.dumps` oracles."""
+
+    @given(
+        st.one_of(
+            st.sampled_from([cases.MIXED_SIGN, cases.EVEN_3D]),
+            st.builds(
+                cases.random_pointed_matrix,
+                st.integers(0, 10**6),
+                st.integers(1, 3),
+                st.integers(1, 4),
+            ),
+        ),
+        st.sampled_from(["one", "paths", "geometric"]),
+        st.lists(_RATIOS, min_size=4, max_size=4),
+        st.integers(0, 6),
+    )
+    @example(cases.DELANNOY, "geometric", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)] * 2, 6)
+    @settings(max_examples=80, deadline=None)
+    def test_same_bytes_as_the_fraction_route(self, A, kind, ratios, bound):
+        cert = certify_pointed(A)
+        weight = {"kind": kind}
+        if kind == "geometric":
+            weight["q"] = [str(q) for q in ratios[: A.nsteps]]
+        rows = [list(row) for row in zip(*(col.coords for col in A.columns))]
+        doc = json.dumps({"matrix": rows, "weight": weight, "bound": bound})
+        phi = cli.parse_problem(json.loads(doc)).weight
+        series = [(t.coords, v) for t, v in partition_series(A, cert, phi, bound).terms()]
+        table = [(t.coords, v) for t, v in generalized_vp_table(A, cert, phi, bound).items()]
+        for command, terms, names in (
+            ("series", series, ("terms", "exponent", "coefficient")),
+            ("paths", table, ("entries", "target", "value")),
+        ):
+            text = oracles.render_terms_by_fstring(terms)
+            assert run_cli([command], stdin_text=doc) == (0, text + "\n" if terms else "", "")
+            listed = oracles.terms_by_json_dumps(terms, *names) + "\n"
+            assert run_cli([command, "--json"], stdin_text=doc) == (0, listed, "")
 
 
 class TestVerify:

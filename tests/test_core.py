@@ -19,7 +19,7 @@ from vpart import (
     iter_orthant,
     multinomial,
 )
-from vpart.core import _orthant, _orthant_keys, _scaled_values
+from vpart.core import _multinomial, _orthant, _orthant_keys, _scaled_values
 
 import cases
 import oracles
@@ -247,6 +247,24 @@ class TestScaledValues:
     )
     def test_power_table_examples(self, phi, points, expected):
         assert _scaled_values(phi, points) == expected
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.lists(st.tuples(*[st.integers(0, 9)] * 5), max_size=12),
+    )
+    @example(1, 1, [])  # no points
+    @example(1, 1, [(0,) * 5, (7,) * 5])  # one column
+    @example(3, 2, [(0, 0, 3, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 4, 1, 0, 0)])
+    @settings(max_examples=150)
+    def test_multinomial_columns_match_each_point(self, nvars, axis, points):
+        # path counts and multinomials are read as products of binomial
+        # columns; unit coefficients leave the multinomial alone
+        points = [p[:nvars] for p in points]
+        expected = [_multinomial(x) for x in points]
+        assert _scaled_values(LatticePathCount(), points) == (expected, 1)
+        phi = MultinomialMonomial([1] * nvars, axis=min(axis, nvars))
+        assert _scaled_values(phi, points) == (expected, 1)
 
     @pytest.mark.parametrize(
         "phi", [GeometricWeights(("1/2", "3/4")), MultinomialMonomial(("-1/6", "5/12"), axis=2)]

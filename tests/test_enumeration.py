@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,9 +24,9 @@ from vpart import (
 import vpart
 from vpart.cli import main as cli_main
 from vpart.core import graded
+from vpart.series import render_table, render_terms
 from vpart.enumeration import (
-    _count_table,
-    _graded_sums,
+    _graded_table,
     _orthant_sums,
     _Packing,
     _slab,
@@ -46,26 +47,39 @@ def packing_for(A, cert, bound):
 
 
 def orthant_table(A, cert, phi, bound):
-    """The orthant route's table by ascending key, decoded: what `_graded_sums`
-    gives every weight that the step passes do not serve."""
+    """The orthant route's table by ascending key, decoded: what `_graded_table`
+    reads for every weight that the step passes do not serve."""
     packing = packing_for(A, cert, bound)
     sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-    return dict(packing.decoded({k: sums[k] for k in sorted(sums)}))
+    keys = sorted(sums)
+    return dict(zip(packing.decode(keys), map(sums.get, keys)))
+
+
+def over_scale(packing, ell, keys, values, scale):
+    """Decoded int tuples, each with its int numerator divided by scale^degree,
+    the degree read from the tuple by the functional ``ell``."""
+    assert all(type(v) is int for v in values) or scale == 1
+    points = list(packing.decode(keys))
+    return {
+        t: v if scale == 1 else Fraction(v, scale ** sum(map(mul, ell, t)))
+        for t, v in zip(points, values)
+    }
 
 
 def sweep_table(A, cert, phi, bound):
-    """`_sweep`'s table, its keys checked ascending, decoded."""
+    """`_sweep`'s table, its keys checked ascending, decoded and over scale^degree."""
     packing = packing_for(A, cert, bound)
-    table = _sweep(A, cert, phi, packing, bound)
+    table, scale = _sweep(A, cert, phi, packing, bound)
     assert list(table) == sorted(table)
-    return dict(packing.decoded(table))
+    return over_scale(packing, cert.functional.coords, table, list(table.values()), scale)
 
 
 def graded_table(A, cert, phi, bound):
-    """`_graded_sums`'s table, its keys checked ascending, decoded."""
-    packing, table = _graded_sums(A, cert, phi, bound)
-    assert list(table) == sorted(table)
-    return dict(packing.decoded(table))
+    """`_graded_table`'s terms, their keys checked ascending, decoded and over
+    scale^degree."""
+    packing, keys, values, scale = _graded_table(A, cert, phi, bound)
+    assert keys == sorted(keys)
+    return over_scale(packing, cert.functional.coords, keys, values, scale)
 
 
 def slab_points(A, cert, bound):
@@ -382,7 +396,9 @@ class TestStepRecurrence:
         assert table == orthant  # key for key, value for value
         assert list(table) == graded(orthant, cert.functional.coords)
         assert all(type(v) in (int, Fraction) for v in table.values())
-        assert list(graded_table(A, cert, phi, bound).items()) == list(table.items())
+        # the terms: every entry of nonzero value, in the same order
+        nonzero = [(t, v) for t, v in table.items() if v]
+        assert list(graded_table(A, cert, phi, bound).items()) == nonzero
 
     @given(
         st.integers(0, 10**6),
@@ -436,7 +452,7 @@ class TestStepRecurrence:
     def test_other_weights_take_the_orthant_route(self):
         A, cert = certified(cases.DELANNOY)
         phi = cases.random_table_weight(5, A.nsteps)
-        orthant = orthant_table(A, cert, phi, 5)
+        orthant = {t: v for t, v in orthant_table(A, cert, phi, 5).items() if v}
         table = graded_table(A, cert, phi, 5)
         assert table == orthant
         assert list(table) == graded(orthant, cert.functional.coords)
@@ -444,14 +460,14 @@ class TestStepRecurrence:
     def test_negative_bound_is_empty(self):
         A, cert = certified(cases.R3)
         packing = packing_for(A, cert, -1)
-        assert _sweep(A, cert, ConstantOne(), packing, -1) == {}
-        assert _sweep(A, cert, LatticePathCount(), packing, -1) == {}
-        assert _graded_sums(A, cert, GeometricWeights((1, 2, 3, 4)), -1)[1] == {}
+        assert _sweep(A, cert, ConstantOne(), packing, -1) == ({}, 1)
+        assert _sweep(A, cert, LatticePathCount(), packing, -1) == ({}, 1)
+        assert _graded_table(A, cert, GeometricWeights((1, 2, 3, 4)), -1)[1:] == ([], [], 1)
 
     def test_arity_checked(self):
         A, cert = certified(cases.DELANNOY)
         with pytest.raises(ValueError):
-            _graded_sums(A, cert, GeometricWeights((1, 2)), 3)
+            _graded_table(A, cert, GeometricWeights((1, 2)), 3)
 
 
 class TestZeroEntries:
@@ -472,9 +488,9 @@ class TestZeroEntries:
         series = partition_series(A, cert, phi, bound)
         assert series.support() == [t for t, v in table.items() if v]
         assert all(v for _, v in series.terms())
-        assert list(_count_table(A, cert, phi, bound).items()) == [
-            (t.coords, v) for t, v in table.items()
-        ]
+        # what the paths and series commands print, from the packed columns
+        assert render_table(A, cert, phi, bound, zeros=True) == render_terms(table.items())
+        assert render_table(A, cert, phi, bound) == series.render()
 
 
 class TestZeroEntriesMerged:
