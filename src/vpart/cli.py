@@ -9,6 +9,10 @@ alone before any work starts, exceeds `MAX_WORK` is refused as unusable
 input, so that no document runs for hours without output; the count
 table's slab elimination, whose growth no closed form follows, counts its
 work as it goes and is refused against the same `enumeration.MAX_WORK`.
+The document is parsed under CPython's limit on int <-> str conversion, so
+a many-digit literal is refused as unusable input at once; the command and
+its printing run without it, so an exact answer prints in full, and the
+caller's limit is restored when `main` returns.
 
 The argparse tree is built once per process, on the first `main` call, and
 reused after it.  That saves its cost only for callers that run `main`
@@ -62,6 +66,11 @@ VERIFY_KINDS = ("thm1", "rec", "prop1", "prop2", "prop3", "cb", "cb1d")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
+# CPython 3.10.7+ refuses int <-> str conversions past a number of digits,
+# 0 for no limit; earlier versions have no limit and no way to read one
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 class ProblemError(ValueError):
     """Unusable problem document; the message names the offending field."""
@@ -88,9 +97,14 @@ def _parse_rational(value, where: str) -> Fraction:
         if not _RATIONAL_RE.match(value):
             raise ProblemError(f"{where}: expected 'p/q' or an integer string, got {value!r}")
         num, _, den = value.partition("/")
-        if den and int(den) == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # the pattern admits only digits: past the digit limit
+            limit = _get_digit_limit()
+            raise ProblemError(f"{where}: an integer of more than {limit} digits") from None
+        if den == 0:
             raise ProblemError(f"{where}: zero denominator")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(num, den)
     raise ProblemError(f"{where}: expected a rational as integer or 'p/q' string, got {value!r}")
 
 
@@ -371,6 +385,9 @@ def _load_document(path: str):
         raise ProblemError(f"parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
     except RecursionError as err:
         raise ProblemError("parse error: arrays or objects nested too deeply") from err
+    except ValueError:  # a valid literal the decoder refuses: past the digit limit
+        limit = _get_digit_limit()
+        raise ProblemError(f"parse error: an integer literal of more than {limit} digits") from None
 
 
 @functools.cache
@@ -413,8 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         # from direct main() calls in tests
         return int(err.code or 0)
 
+    limit = _get_digit_limit()
     try:
         spec = parse_problem(_load_document("-" if args.problem is None else args.problem))
+        # parsing kept the digit limit, so a many-digit literal is refused at
+        # once; an exact answer past it prints in full
+        _set_digit_limit(0)
         if args.command == "pointed":
             return cmd_pointed(spec, args.json)
         if args.command == "count":
@@ -431,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     except NotPointedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        _set_digit_limit(limit)  # the caller's limit, whatever the exit
 
 
 if __name__ == "__main__":

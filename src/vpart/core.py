@@ -4,7 +4,9 @@ Everything in this module is immutable and exact: values are ints or
 `fractions.Fraction`s, so no operation anywhere in the package introduces
 rounding.  Weights compute on plain int tuples: `evaluate_weight` is their
 public boundary, and `_scaled_values` reads them for the inner loops as int
-numerators over one common denominator.
+numerators over one common denominator, from coordinate columns (column k
+holds coordinate k of every point), the one form in which the inner loops
+read points back from their packed keys.
 """
 
 from __future__ import annotations
@@ -345,8 +347,8 @@ class TableWeight(WeightFunction):
 class RuleWeight(WeightFunction):
     """Weight computed by an arbitrary exact rule.
 
-    The escape hatch for weights with no closed tabulated form; shift and
-    difference operators return these.  The rule must produce exact rationals.
+    The escape hatch for weights with no closed tabulated form.  The rule
+    must produce exact rationals.
     """
 
     def __init__(self, rule: Callable[[LatticeVector], int | Fraction], arity: int):
@@ -381,34 +383,35 @@ def evaluate_weight(phi: WeightFunction, x: LatticeVector) -> Fraction:
     return Fraction(phi._value(x.coords))
 
 
-def _scaled_values(
-    phi: WeightFunction, points: Sequence[tuple[int, ...]]
-) -> tuple[list[int], int]:
+def _scaled_values(phi: WeightFunction, columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """``phi`` at nonnegative points of its arity as (numerators, D), with
-    numerators[i] / D = phi(points[i]) and D the lcm of the denominators.
+    numerators[i] / D = phi(x_i) and D the lcm of the denominators.  The points
+    come as ``columns``, one per coordinate: x_i is (columns[0][i], ...,
+    columns[-1][i]), and an empty window is ``[[]] * arity``.
 
-    The built-in weights are read one coordinate column at a time, never one
-    point at a time.  `LatticePathCount` and the multinomial of
-    `MultinomialMonomial` are products of binomials over the columns
-    (`_multinomials`).  `GeometricWeights` and `MultinomialMonomial` are read
-    from one power table per axis k: for q_k = n_k / d_k, m_k the largest k-th
-    coordinate read and s_k = 1 on a multinomial's own axis, else 0, entry c
-    is n_k^(c + s_k) d_k^(m_k - c) over d_k^(m_k + s_k); one gcd then reduces
-    the product of those denominators to the lcm, and no `Fraction` is built.
-    Every other weight is read by `_value`, over the lcm (`_over_lcm`).
+    The built-in weights are read one column at a time, never one point at a
+    time.  `LatticePathCount` and the multinomial of `MultinomialMonomial` are
+    products of binomials over the columns (`_multinomials`).
+    `GeometricWeights` and `MultinomialMonomial` are read from one power table
+    per axis k: for q_k = n_k / d_k, m_k the largest k-th coordinate read and
+    s_k = 1 on a multinomial's own axis, else 0, entry c is
+    n_k^(c + s_k) d_k^(m_k - c) over d_k^(m_k + s_k); one gcd then reduces the
+    product of those denominators to the lcm, and no `Fraction` is built.
+    Every other weight is read by `_value` at each point, over the lcm
+    (`_over_lcm`).
     """
     if type(phi) is LatticePathCount:
-        return _multinomials(points), 1
+        return _multinomials(columns), 1
     if type(phi) is GeometricWeights:
-        ratios, shifts, numerators = phi.ratios, [0] * phi.arity, [1] * len(points)
+        ratios, shifts, numerators = phi.ratios, [0] * phi.arity, [1] * len(columns[0])
     elif type(phi) is MultinomialMonomial:
-        ratios, numerators = phi.coeffs, _multinomials(points)
+        ratios, numerators = phi.coeffs, _multinomials(columns)
         shifts = [int(k == phi.axis) for k in range(1, phi.arity + 1)]
     else:
-        return _over_lcm([phi._value(x) for x in points])
+        return _over_lcm([phi._value(x) for x in zip(*columns)])
     den = 1
-    for q, s, column in zip(ratios, shifts, zip(*points)):
-        m, n, d = max(column), q.numerator, q.denominator
+    for q, s, column in zip(ratios, shifts, columns):
+        m, n, d = max(column, default=0), q.numerator, q.denominator
         table = [n ** (c + s) * d ** (m - c) for c in range(m + 1)]
         numerators = list(map(mul, numerators, map(table.__getitem__, column)))
         den *= d ** (m + s)
@@ -416,17 +419,15 @@ def _scaled_values(
     return [v // g for v in numerators], den // g
 
 
-def _multinomials(points: Sequence[tuple[int, ...]]) -> list[int]:
-    """`_multinomial` at each of ``points``, one column at a time: with p_k the
-    column of prefix sums x_1 + ... + x_k, the product of the columns
-    C(p_k, x_k), each one `map` of `math.comb`; C(p_1, x_1) = 1 is skipped."""
-    columns = list(zip(*points))
-    values = [1] * len(points)
-    if columns:
-        prefix = columns[0]
-        for column in columns[1:]:
-            prefix = list(map(add, prefix, column))
-            values = list(map(mul, values, map(math.comb, prefix, column)))
+def _multinomials(columns: Sequence[Sequence[int]]) -> list[int]:
+    """`_multinomial` at each point of ``columns`` (at least one), one column
+    at a time: with p_k the column of prefix sums x_1 + ... + x_k, the product
+    of the columns C(p_k, x_k), each one `map` of `math.comb`; C(p_1, x_1) = 1
+    is skipped."""
+    prefix, values = columns[0], [1] * len(columns[0])
+    for column in columns[1:]:
+        prefix = list(map(add, prefix, column))
+        values = list(map(mul, values, map(math.comb, prefix, column)))
     return values
 
 

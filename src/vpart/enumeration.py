@@ -12,9 +12,10 @@ lies in the slice sum_f degree_f * x_f <= degree(t).
 Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order:
 every builder returns its table by ascending key, so how a target is keyed
-and ordered is decided in `_Packing` alone.  A table is decoded once, one
-coordinate column at a time (`_Packing.columns`), where a public function or
-a command needs int tuples.  `_graded_table` hands a table on as columns:
+and ordered is decided in `_Packing` alone.  Keys are read back one way, one
+coordinate column at a time (`_Packing.columns`), once per table where a
+public function returns points, which zip the columns, or where a report
+names its one point.  `_graded_table` hands a table on as columns:
 keys, values and one scale, the value at key k being its value over
 scale^degree(k).  The series and paths commands print those columns as they
 are (`series.render_table`); vectors and fractions (`_Packing.fractions`) are
@@ -178,9 +179,11 @@ def generalized_vp(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector, phi: WeightFunction
 ) -> Fraction:
     """Sum of ``phi`` over all representations of ``target``, read as int
-    numerators over one denominator (`core._scaled_values`)."""
+    numerators over one denominator from the fiber's columns
+    (`core._scaled_values`)."""
     check_arity(phi, A.nsteps)
-    numerators, den = _scaled_values(phi, [x.coords for x in enumerate_solutions(A, cert, target)])
+    fiber = enumerate_solutions(A, cert, target)
+    numerators, den = _scaled_values(phi, [[x.coords[j] for x in fiber] for j in range(A.nsteps)])
     return Fraction(sum(numerators), den)
 
 
@@ -211,9 +214,9 @@ class _Packing:
     t +- a_j is one int addition of deltas[j].  ``reach`` covers the targets of
     degree <= ``bound`` + 1, moved by up to ``margin`` per coordinate.  A key
     has degree <= ``bound`` exactly when it is below (bound + 1) * top, and
-    degree key // top.  `columns` reads keys back one coordinate column at a
-    time, and `decode` zips the columns into int tuples, once per table, where
-    a public function or a command returns it.
+    degree key // top.  `columns` is the one decode: it reads keys back one
+    coordinate column at a time, and a public function that returns points
+    zips those columns, once per table.
     """
 
     def __init__(self, A: StepMatrix, ell: Sequence[int], bound: int, margin: int = 0):
@@ -234,10 +237,6 @@ class _Packing:
         each key's int tuple, in order."""
         base, reach = self.base, self.reach
         return [[k // p % base - reach for k in keys] for p in self.powers]
-
-    def decode(self, keys: Collection[int]) -> Iterator[tuple[int, ...]]:
-        """The int tuples of ``keys``, in order, decoded one coordinate column at a time."""
-        return zip(*self.columns(keys))
 
     def fractions(
         self, keys: Sequence[int], values: Sequence[int | Fraction], scale: int
@@ -374,14 +373,14 @@ def generalized_vp_table(
     every other weight; `verify_path_series` reads its path-count table from
     the orthant instead, to stay independent of the passes.  The table is
     built on packed keys (`_graded_table`, which the paths command prints
-    without building a `Fraction`) and decoded once to int tuples; vectors and
+    without building a `Fraction`) and decoded once, by column; vectors and
     fractions are built only here.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     packing, keys, values, scale = _graded_table(A, cert, phi, bound, zeros=True)
     exact = packing.fractions(keys, values, scale)
-    return {LatticeVector(t): Fraction(v) for t, v in zip(packing.decode(keys), exact)}
+    return {LatticeVector(t): Fraction(v) for t, v in zip(zip(*packing.columns(keys)), exact)}
 
 
 @lru_cache(maxsize=64)

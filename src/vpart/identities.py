@@ -10,9 +10,10 @@ denominator (`core._scaled_values`, one coordinate column at a time), run on
 ints, and build a `Fraction` only for a value a report names.  `thm1`'s two
 sides and each `rec` layer's right side read the shifted weights W(x - e_j)
 in one pass over the key column per step, not in a loop over the steps per
-point.  `thm1` and `rec` (on x), `thm1`, `prop1`, `prop2` and `prop3` (on
-targets, `enumeration._Packing`, whose int order is graded order) look points
-up by packed int keys, decoded only to read a weight or name a point.  `thm1`,
+point.  `thm1` and `rec` (on x, in one format, `_step_keys`), `thm1`,
+`prop1`, `prop2` and `prop3` (on targets, `enumeration._Packing`, whose int
+order is graded order) look points up by packed int keys, decoded one way, to
+coordinate columns, and only to read a weight or name a point.  `thm1`,
 `prop1` and `prop2` build each side as a table on target keys, and `rec`
 each layer on its x keys, over the two layers' denominators; every window
 verifier reports through one comparison, `_mismatches`: how many keys the
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cone import ConeCertificate
 from .core import (
@@ -37,7 +38,6 @@ from .core import (
     StepMatrix,
     WeightFunction,
     _multinomial,
-    _orthant,
     _orthant_keys,
     _over_lcm,
     _scaled_values,
@@ -117,14 +117,15 @@ def _report(window: str, count: int, first: Mismatch | None) -> VerificationRepo
     return VerificationReport(not count, window, Violation(*first) if count else None, count)
 
 
-def _mismatches(decode, *sides, den: int = 1) -> tuple[int, Mismatch | None]:
+def _mismatches(columns, *sides, den: int = 1) -> tuple[int, Mismatch | None]:
     """How many packed keys two adjacent ``sides`` differ at, and the least such
     key as (point, lhs, rhs), its values from the first adjacent pair that
     differs there; None when all sides agree.
 
     Each side maps packed keys to int (or `Fraction`) numerators over ``den``,
-    a missing key reading 0; ``decode`` turns a list of keys into their int
-    tuples, in order.  A pair of equal dicts is skipped by one `!=`; the
+    a missing key reading 0; ``columns`` is the keys' column reader
+    (`_Packing.columns` or `_step_keys`'), which turns a list of keys into one
+    list per coordinate.  A pair of equal dicts is skipped by one `!=`; the
     differing keys of the others are found by one comprehension per pair, and
     only the least is decoded, its two values the only `Fraction`s built.
     """
@@ -134,8 +135,20 @@ def _mismatches(decode, *sides, den: int = 1) -> tuple[int, Mismatch | None]:
     if not keys:
         return 0, None
     at = min(keys)
-    (a, b), [x] = next(pair for pair, d in zip(pairs, differ) if at in d), decode([at])
-    return len(keys), (LatticeVector(x), Fraction(a.get(at, 0), den), Fraction(b.get(at, 0), den))
+    a, b = next(pair for pair, d in zip(pairs, differ) if at in d)
+    x = LatticeVector(c for [c] in columns([at]))
+    return len(keys), (x, Fraction(a.get(at, 0), den), Fraction(b.get(at, 0), den))
+
+
+def _step_keys(nvars: int, bound: int) -> tuple[list[int], Callable]:
+    """The one key format of step multiplicities x, thm1's and rec's, as
+    (units, columns): x's key is sum_j units[j] x_j, one digit in radix
+    bound + 2 per coordinate, above every x_j + 1 either window reads, so
+    x +- e_j is +- units[j] and int order is lex order; ``columns`` reads a
+    list of keys back one coordinate column at a time."""
+    radix = bound + 2
+    units = [radix**j for j in reversed(range(nvars))]
+    return units, lambda keys: [[k // u % radix for k in keys] for u in units]
 
 
 def verify_summation_identity(
@@ -153,13 +166,14 @@ def verify_summation_identity(
     difference of phi, shifted by the column sum.  Both are compared up to
     functional degree ``bound``, over the step-space window of step cost
     sum_j step_degrees[j] x_j <= bound (the degree of A x), and run on ints:
-    phi's values W over one denominator D (`core._scaled_values`, from power
-    tables for the power weights) and the coefficients b_j over their lcm B.
-    x is packed in radix bound + 2, so x +- e_j is one int addition, targets by
-    `enumeration._Packing`; the two sides meet in `_mismatches`, which decodes
-    a key, and builds a `Fraction`, only for the first mismatch.  Raises
-    ValueError when the column-sum corner lies above ``bound``: below it both
-    sides vanish and nothing is compared.
+    phi's values W over one denominator D and the coefficients b_j over their
+    lcm B.  x is keyed by `_step_keys`, so x +- e_j is one int addition, and W
+    is read from the window's keys decoded to columns (`core._scaled_values`,
+    from power tables for the power weights), no point ever a tuple; targets
+    are keyed by `enumeration._Packing`.  The two sides meet in `_mismatches`,
+    which decodes a key, and builds a `Fraction`, only for the first mismatch.
+    Raises ValueError when the column-sum corner lies above ``bound``: below
+    it both sides vanish and nothing is compared.
     """
     corner = A.column_sum()
     base = cert.degree(corner)
@@ -170,15 +184,16 @@ def verify_summation_identity(
     nvars, costs = A.nsteps, cert.step_degrees
     check_arity(phi, nvars)
 
-    points = list(_orthant(costs, bound))
-    numerators, den = _scaled_values(phi, points)
-    units = [(bound + 2) ** j for j in reversed(range(nvars))]  # above every x_j + 1
-    weights = dict(zip(_orthant_keys(costs, bound, units), numerators))
+    units, step_columns = _step_keys(nvars, bound)
+    xs = list(_orthant_keys(costs, bound, units))
+    columns = step_columns(xs)
+    numerators, den = _scaled_values(phi, columns)
+    weights = dict(zip(xs, numerators))
     bs, scale = _over_lcm(cs)
     shifts = [(u, b) for u, b in zip(units, bs) if b]
     packing = _Packing(A, cert.functional.coords, bound)
     targets = _orthant_keys(costs, bound, packing.deltas, packing.origin)
-    lhs = _series_side(points, targets, weights, shifts, scale)
+    lhs = _series_side(columns, targets, weights, shifts, scale)
 
     # x + 1 has step cost at most bound, so it and each x + 1 - e_j are in the window
     tops = list(_orthant_keys(costs, bound - base, units, sum(units)))
@@ -190,12 +205,12 @@ def verify_summation_identity(
     for target, value in zip(targets, values):
         rhs[target] = rhs.get(target, 0) + value
 
-    mismatches = _mismatches(packing.decode, lhs, rhs, den=scale * den)
+    mismatches = _mismatches(packing.columns, lhs, rhs, den=scale * den)
     return _report(f"functional degree <= {bound}", *mismatches)
 
 
 def _series_side(
-    points: list[tuple[int, ...]],
+    columns: list[list[int]],
     targets: Iterable[int],
     weights: dict[int, int],
     shifts,
@@ -204,19 +219,21 @@ def _series_side(
     """Theorem 1's left side: numerators over scale * D at packed target keys.
 
     ``weights`` maps the key of each window point x to W(x), in the order of
-    ``points``, and ``targets`` holds the key of each A x.  The product
-    (scale - sum_j b_j y_j) W is read on the window's key column, one pass
-    per shift, ``shifts`` pairing the key of e_j with b_j: its coefficient at
-    x is scale W(x) - sum_j b_j W(x - e_j), where x - e_j is in the window,
-    which is closed downward, exactly when ``weights`` holds its key.  Each
-    term with full support is then added at its target, the one loop per point.
+    the window's coordinate ``columns``, and ``targets`` holds the key of each
+    A x.  The product (scale - sum_j b_j y_j) W is read on the window's key
+    column, one pass per shift, ``shifts`` pairing the key of e_j with b_j:
+    its coefficient at x is scale W(x) - sum_j b_j W(x - e_j), where x - e_j
+    is in the window, which is closed downward, exactly when ``weights`` holds
+    its key.  A term has full support where all its coordinates, read across
+    the columns, are nonzero; each such term is then added at its target, the
+    one loop per point.
     """
     keys, read = list(weights), weights.get
     values = [scale * w for w in weights.values()]
     for u, b in shifts:
         values = [v - b * read(k - u, 0) for v, k in zip(values, keys)]
     sums: dict[int, int] = {}
-    for value, target in compress(zip(values, targets), map(all, points)):
+    for value, target in compress(zip(values, targets), map(all, zip(*columns))):
         sums[target] = sums.get(target, 0) + value
     return sums
 
@@ -239,29 +256,25 @@ def _recurrence_mismatches(
 
     The cost of x is sum_j costs[j] * x[j]; points run in total-degree order,
     lex within a layer, each layer the successors x + e_j of the one below
-    within the cost.  x is packed into one int, a digit in radix bound + 2
-    per coordinate, so x +- e_j is +- one unit and int order is lex order.
-    phi is read once per layer, at its points and the next layer's
-    predecessors, decoded one coordinate column at a time, as int numerators
-    over the layer's own denominator (`core._scaled_values`, which reads path
-    counts and multinomials as products of binomial columns); at most two
-    layers are alive at once.  The right side, sum_j phi(x - e_j), is added up
-    one pass over the layer's key column per step.
+    within the cost.  x is keyed by `_step_keys`, thm1's format, so x +- e_j
+    is +- one unit and int order is lex order.  phi is read once per layer, at
+    its points and the next layer's predecessors, from their keys decoded to
+    columns, as int numerators over the layer's own denominator
+    (`core._scaled_values`, which reads path counts and multinomials as
+    products of binomial columns); at most two layers are alive at once.  The
+    right side, sum_j phi(x - e_j), is added up one pass over the layer's key
+    column per step.
     Each layer's two sides meet in `_mismatches` over the product of the two
     layers' denominators; its count is added up and the first layer that fails
     names the first point, so no list outlives a layer.
     """
     nvars = len(costs)
     check_arity(phi, nvars)
-    radix = bound + 2  # above every coordinate read, each at most bound
-    units = [radix**j for j in reversed(range(nvars))]
-
-    def decode(keys) -> Iterator[tuple[int, ...]]:
-        return zip(*[[k // u % radix for k in keys] for u in units])
+    units, columns = _step_keys(nvars, bound)
 
     def read(keys: set[int]) -> tuple[dict[int, int], int]:
         # iterating a set twice, unchanged, yields one order
-        numerators, den = _scaled_values(phi, list(decode(keys)))
+        numerators, den = _scaled_values(phi, columns(keys))
         return dict(zip(keys, numerators)), den
 
     steps = list(zip(units, costs))
@@ -277,7 +290,7 @@ def _recurrence_mismatches(
         for u in units:  # one pass per step: phi(x - e_j) at each x of the layer
             total = [t + below[k - u] for t, k in zip(total, keys)]
         rhs = {k: t * here_den for k, t in zip(keys, total)}
-        failed, at = _mismatches(decode, lhs, rhs, den=here_den * below_den)
+        failed, at = _mismatches(columns, lhs, rhs, den=here_den * below_den)
         count, first = count + failed, first or at
         layer, below, below_den = higher, here, here_den
     return count, first
@@ -332,7 +345,7 @@ def verify_partition_recurrence(
     for t in [key + corner_key for key in sums if key < end]:
         lhs[t], rhs[t] = sums.get(t, 0), sum([sums.get(t - d, 0) for d in deltas])
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
-    return _report(window, *_mismatches(packing.decode, lhs, rhs))
+    return _report(window, *_mismatches(packing.columns, lhs, rhs))
 
 
 def _walk_counts(cert: ConeCertificate, packing: _Packing, bound: int) -> dict[int, int]:
@@ -387,7 +400,7 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
     inverse, _ = _sweep(A, cert, paths, packing, bound)  # path counts are ints, over scale 1
     walks = _walk_counts(cert, packing, bound)
-    mismatches = _mismatches(packing.decode, table, inverse, walks)
+    mismatches = _mismatches(packing.columns, table, inverse, walks)
     return _report(f"functional degree <= {bound}", *mismatches)
 
 
@@ -449,8 +462,9 @@ def verify_cb_multidim(
     sum over axes j and over 0 <= nu <= mu with nu_j = 0 of
     multinomial(mu - nu) * coeffs ** (mu - nu + e_j) must equal 1 exactly.
     Uses the convention 0 ** 0 = 1, so degenerate coefficient vectors are fine.
-    Axis j reads its weight on the x <= mu with x_j = mu_j from power tables
-    (`core._scaled_values`); the int sums are added over their lcm D.
+    Axis j reads its weight on the box of x <= mu with x_j = mu_j, passed as
+    its coordinate columns, from power tables (`core._scaled_values`); the int
+    sums are added over their lcm D.
     """
     cs = tuple(exact(c) for c in coeffs)
     if sum(cs) != 1:
@@ -463,7 +477,8 @@ def verify_cb_multidim(
     total, den = 0, 1  # the sum is total / den, compared with 1 = den / den
     for j in range(1, len(cs) + 1):
         ranges = [range(m + 1) if k != j else (m,) for k, m in enumerate(mu.coords, start=1)]
-        numerators, d = _scaled_values(MultinomialMonomial(cs, axis=j), list(product(*ranges)))
+        columns = list(zip(*product(*ranges)))
+        numerators, d = _scaled_values(MultinomialMonomial(cs, axis=j), columns)
         lcm = math.lcm(den, d)
         total, den = total * (lcm // den) + sum(numerators) * (lcm // d), lcm
     return _report(f"mu = {mu}", int(total != den), (mu, Fraction(total, den), Fraction(1)))

@@ -310,8 +310,8 @@ def partition_series(
 ) -> TruncatedSeries:
     """Generating series of the phi-weighted counts over targets up to ``bound``.
 
-    Wraps the graded table that the series command prints, decoded from
-    packed keys to int tuples once.  For `ConstantOne`, `GeometricWeights`
+    Wraps the graded table that the series command prints, its packed keys
+    decoded once, by column.  For `ConstantOne`, `GeometricWeights`
     and `LatticePathCount` the series has a closed form over the steps, and
     the step passes of `enumeration` fill the coefficients from it, a few int
     operations per target; every other weight sums phi over the step orthant.
@@ -323,7 +323,7 @@ def partition_series(
         raise ValueError("bound must be nonnegative")
     # every key is a reachable target of degree in [0, bound], in graded order
     packing, keys, values, scale = _graded_table(A, cert, phi, bound)
-    items = zip(packing.decode(keys), packing.fractions(keys, values, scale))
+    items = zip(zip(*packing.columns(keys)), packing.fractions(keys, values, scale))
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, items, ordered=True)
 
 

@@ -17,7 +17,7 @@ one comparison of packed-key tables.  None of it shares code with
 the implementations under test beyond the series arithmetic and
 projections, the slab scans' span test and facet membership, the
 count behind the partition-of-unity splitting's right side, the
-lattice kernel's coordinate reader and the packed keys' decoder, which
+lattice kernel's coordinate reader and the packed keys' column reader, which
 have tests of their own.
 """
 
@@ -600,7 +600,7 @@ def summation_mismatches_by_loop(packing, lhs: dict, rhs: dict, den: int) -> lis
     differ = sorted(t for t in lhs.keys() | rhs.keys() if lhs.get(t, 0) != rhs.get(t, 0))
     return [
         (LatticeVector(t), Fraction(lhs.get(k, 0), den), Fraction(rhs.get(k, 0), den))
-        for k, t in zip(differ, packing.decode(differ))
+        for k, t in zip(differ, zip(*packing.columns(differ)))
     ]
 
 
@@ -619,7 +619,7 @@ def partition_recurrence_mismatches_by_loop(packing, sums: dict, base: int, boun
         lhs = sums.get(t, 0)
         rhs = sum([sums.get(t - d, 0) for d in deltas])
         if lhs != rhs:
-            where = LatticeVector(next(packing.decode([t])))
+            where = LatticeVector(c for [c] in packing.columns([t]))
             mismatches.append((where, Fraction(lhs), Fraction(rhs)))
     return mismatches
 
@@ -634,7 +634,7 @@ def path_series_mismatches_by_loop(packing, table: dict, inverse: dict, walks: d
         if lhs == rhs:  # then the inverse is compared with the walks
             lhs, rhs = rhs, brute
         if lhs != rhs:
-            where = LatticeVector(next(packing.decode([k])))
+            where = LatticeVector(c for [c] in packing.columns([k]))
             mismatches.append((where, Fraction(lhs), Fraction(rhs)))
     return mismatches
 

@@ -539,6 +539,88 @@ class TestHostileDocuments:
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
+def _in_full(value) -> str:
+    """``str(value)`` with the int digit limit lifted for this conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before CPython 3.10.7"
+)
+class TestPastTheDigitLimit:
+    """CPython refuses int <-> str conversions of more than
+    `sys.get_int_max_str_digits()` digits, 4300 by default.  The document is
+    parsed under that limit, so a many-digit literal is refused with exit 2,
+    and an exact answer past it prints in full; either way the caller's limit
+    is unchanged when `main` returns."""
+
+    @staticmethod
+    def run_keeping_the_limit(argv, document):
+        limit = sys.get_int_max_str_digits()
+        result = run_cli(argv, json.dumps(document))
+        assert sys.get_int_max_str_digits() == limit
+        return result
+
+    def test_count_prints_in_full(self):
+        # 1/3^9100: a denominator of 4,342 digits
+        doc = {"matrix": [[1]], "weight": {"kind": "geometric", "q": ["1/3"]}, "target": [9100]}
+        result = self.run_keeping_the_limit(["count"], doc)
+        assert result == (0, f"1/{_in_full(3**9100)}\n", "")
+
+    def test_weighted_count_on_two_rows_prints_in_full(self):
+        # x = (n - k, n - k, k) for k = 0..n, weighed (1/21)^(n - k) (1/11)^k:
+        # a geometric sum, (a^(n + 1) - b^(n + 1)) / (a - b)
+        n, a, b = 3000, Fraction(1, 21), Fraction(1, 11)
+        doc = {
+            "matrix": [[1, 0, 1], [0, 1, 1]],
+            "weight": {"kind": "geometric", "q": ["1/3", "1/7", "1/11"]},
+            "target": [n, n],
+        }
+        expected = (a ** (n + 1) - b ** (n + 1)) / (a - b)
+        assert self.run_keeping_the_limit(["count"], doc) == (0, _in_full(expected) + "\n", "")
+
+    def test_series_and_paths_print_in_full(self):
+        # the term at degree 3 is 1/3^12000
+        q = 3**4000
+        weight = {"kind": "geometric", "q": [f"1/{_in_full(q)}"]}
+        doc = {"matrix": [[1]], "weight": weight, "bound": 3}
+        denominators = [_in_full(q**k) for k in range(4)]
+        series = "".join(f"({k}) : 1/{d}\n" for k, d in enumerate(denominators))
+        assert self.run_keeping_the_limit(["series"], doc) == (0, series, "")
+        entries = [{"target": [k], "value": f"1/{d}"} for k, d in enumerate(denominators)]
+        paths = json.dumps({"entries": entries}) + "\n"
+        assert self.run_keeping_the_limit(["paths", "--json"], doc) == (0, paths, "")
+
+    def test_a_caller_limit_is_restored(self):
+        # a limit of the caller's own, after an exit 0, an exit 2 refusing a
+        # parsed document and an exit 2 refusing a literal
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            doc = {"matrix": [[1]], "weight": {"kind": "geometric", "q": ["1/3"]}, "target": [9100]}
+            assert self.run_keeping_the_limit(["count"], doc)[0] == 0
+            assert self.run_keeping_the_limit(["count"], {**doc, "target": [1, 2]})[0] == 2
+            assert run_cli(["count"], '{"bound": ' + "9" * 6000 + "}")[0] == 2
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_many_digit_literals_refused(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(["paths"], '{"matrix": [[1]], "bound": ' + "9" * 5000 + "}")
+        assert (code, out) == (2, "")
+        assert err == f"error: parse error: an integer literal of more than {limit} digits\n"
+        doc = {"matrix": [[1]], "weight": {"kind": "one"}, "c": ["1/" + "7" * 5000], "bound": 3}
+        code, out, err = self.run_keeping_the_limit(["verify", "thm1"], doc)
+        assert (code, out, err) == (2, "", f"error: c[0]: an integer of more than {limit} digits\n")
+        assert sys.get_int_max_str_digits() == limit
+
+
 def _json_placements(command, path):
     """The argument list with --json put at every place after the command name."""
     args = [*command, path]

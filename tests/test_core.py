@@ -180,9 +180,16 @@ class TestWeights:
         assert evaluate_weight(phi, x + y) == evaluate_weight(phi, x) * evaluate_weight(phi, y)
 
 
+def columns(points, arity):
+    """The coordinate columns of ``points``, the form `_scaled_values` reads:
+    column k holds coordinate k of every point, [[]] * arity for no point."""
+    return [[x[k] for x in points] for k in range(arity)]
+
+
 class TestScaledValues:
     """Weights compute on int tuples; `evaluate_weight` is their boundary and
-    `_scaled_values` reads them as int numerators over one denominator."""
+    `_scaled_values` reads them, from coordinate columns, as int numerators
+    over one denominator."""
 
     @given(
         st.integers(0, 10**6),
@@ -192,13 +199,25 @@ class TestScaledValues:
     )
     @settings(max_examples=120)
     def test_matches_evaluate_weight(self, seed, nvars, kind, points):
+        # every weight kind: one, paths, geometric, monomial, table and rule
         phi = cases.every_weight_kind(nvars, seed)[kind]
         points = [p[:nvars] for p in points]
-        numerators, den = _scaled_values(phi, points)
+        numerators, den = _scaled_values(phi, columns(points, nvars))
         values = [evaluate_weight(phi, LatticeVector(p)) for p in points]
         assert all(type(n) is int for n in numerators) and type(den) is int
         assert [Fraction(n, den) for n in numerators] == values
         assert den == math.lcm(*(v.denominator for v in values))
+
+    @pytest.mark.parametrize("kind", range(6))
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_window_shapes_of_every_kind(self, kind, nvars):
+        # the empty window [[]] * arity, one point, and one column of points
+        phi = cases.every_weight_kind(nvars, 11)[kind]
+        assert _scaled_values(phi, [[]] * nvars) == ([], 1)
+        for points in ([(1,) * nvars], [(c,) * nvars for c in (0, 3, 1, 2)]):
+            numerators, den = _scaled_values(phi, columns(points, nvars))
+            values = [evaluate_weight(phi, LatticeVector(p)) for p in points]
+            assert [Fraction(n, den) for n in numerators] == values
 
     @given(st.lists(st.integers(0, 5), min_size=3, max_size=3))
     def test_power_weights_match_their_formulas(self, x):
@@ -223,7 +242,7 @@ class TestScaledValues:
         points = [p[: len(ratios)] for p in points]
         axis = axis % len(ratios) + 1
         for phi in (GeometricWeights(ratios), MultinomialMonomial(ratios, axis=axis)):
-            numerators, den = _scaled_values(phi, points)
+            numerators, den = _scaled_values(phi, columns(points, len(ratios)))
             values = [evaluate_weight(phi, LatticeVector(p)) for p in points]
             assert all(type(n) is int for n in numerators) and type(den) is int
             assert [Fraction(n, den) for n in numerators] == values
@@ -246,7 +265,7 @@ class TestScaledValues:
         ],
     )
     def test_power_table_examples(self, phi, points, expected):
-        assert _scaled_values(phi, points) == expected
+        assert _scaled_values(phi, columns(points, phi.arity)) == expected
 
     @given(
         st.integers(1, 5),
@@ -255,6 +274,7 @@ class TestScaledValues:
     )
     @example(1, 1, [])  # no points
     @example(1, 1, [(0,) * 5, (7,) * 5])  # one column
+    @example(4, 3, [(1, 2, 0, 3, 0)])  # one point
     @example(3, 2, [(0, 0, 3, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 4, 1, 0, 0)])
     @settings(max_examples=150)
     def test_multinomial_columns_match_each_point(self, nvars, axis, points):
@@ -262,15 +282,16 @@ class TestScaledValues:
         # columns; unit coefficients leave the multinomial alone
         points = [p[:nvars] for p in points]
         expected = [_multinomial(x) for x in points]
-        assert _scaled_values(LatticePathCount(), points) == (expected, 1)
+        window = columns(points, nvars)
+        assert _scaled_values(LatticePathCount(), window) == (expected, 1)
         phi = MultinomialMonomial([1] * nvars, axis=min(axis, nvars))
-        assert _scaled_values(phi, points) == (expected, 1)
+        assert _scaled_values(phi, window) == (expected, 1)
 
     @pytest.mark.parametrize(
         "phi", [GeometricWeights(("1/2", "3/4")), MultinomialMonomial(("-1/6", "5/12"), axis=2)]
     )
     def test_no_points_read(self, phi):
-        assert _scaled_values(phi, []) == ([], 1)
+        assert _scaled_values(phi, [[]] * phi.arity) == ([], 1)
 
     def test_integral_weights_stay_ints(self):
         assert type(LatticePathCount()._value((2, 2))) is int
@@ -281,10 +302,10 @@ class TestScaledValues:
     def test_only_a_rule_sees_a_vector(self):
         seen = []
         phi = RuleWeight(lambda x: seen.append(x) or 1, arity=2)
-        assert _scaled_values(phi, [(0, 1), (2, 0)]) == ([1, 1], 1)
+        assert _scaled_values(phi, [[0, 2], [1, 0]]) == ([1, 1], 1)
         assert seen == [LatticeVector((0, 1)), LatticeVector((2, 0))]
         table = TableWeight((1,), ["1/2", "1/3"])
-        assert _scaled_values(table, [(1,), (0,), (2,)]) == ([2, 3, 0], 6)
+        assert _scaled_values(table, [[1, 0, 2]]) == ([2, 3, 0], 6)
 
 
 class TestIterOrthant:

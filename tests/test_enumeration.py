@@ -52,14 +52,14 @@ def orthant_table(A, cert, phi, bound):
     packing = packing_for(A, cert, bound)
     sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
     keys = sorted(sums)
-    return dict(zip(packing.decode(keys), map(sums.get, keys)))
+    return dict(zip(zip(*packing.columns(keys)), map(sums.get, keys)))
 
 
 def over_scale(packing, ell, keys, values, scale):
     """Decoded int tuples, each with its int numerator divided by scale^degree,
     the degree read from the tuple by the functional ``ell``."""
     assert all(type(v) is int for v in values) or scale == 1
-    points = list(packing.decode(keys))
+    points = list(zip(*packing.columns(keys)))
     return {
         t: v if scale == 1 else Fraction(v, scale ** sum(map(mul, ell, t)))
         for t, v in zip(points, values)
@@ -85,7 +85,7 @@ def graded_table(A, cert, phi, bound):
 def slab_points(A, cert, bound):
     """The decoded keys of `_slab_keys`, in the order of the walk."""
     packing = packing_for(A, cert, bound)
-    return list(packing.decode(list(_slab_keys(A, cert, packing, bound))))
+    return list(zip(*packing.columns(list(_slab_keys(A, cert, packing, bound)))))
 
 
 class TestEnumerate:
@@ -551,10 +551,10 @@ class TestSlabWalk:
         packing = packing_for(A, cert, bound)
         keys = list(_slab_keys(A, cert, packing, bound))
         assert len(keys) == len(set(keys))
-        points = list(packing.decode(keys))
+        points = list(zip(*packing.columns(keys)))
         assert [packing.pack(t) for t in points] == keys
         assert set(points) == oracles.slab_points_by_simplex(A, cert, bound)
-        ordered = list(packing.decode(sorted(keys)))
+        ordered = list(zip(*packing.columns(sorted(keys))))
         assert ordered == graded(points, cert.functional.coords)
 
     @pytest.mark.parametrize("matrix", SLAB_FIXTURES)

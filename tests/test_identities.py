@@ -39,7 +39,7 @@ from vpart import (
     verify_path_series,
     verify_summation_identity,
 )
-from vpart import enumeration, identities
+from vpart import core, enumeration, identities
 from vpart.identities import _walk_counts
 
 import cases
@@ -212,7 +212,8 @@ class TestSummationIdentity:
     )
     @settings(max_examples=100)
     def test_matches_the_fraction_route(self, seed, dim, nsteps, kind, coeffs, bound):
-        # all six weight kinds; coefficients with mixed denominators, zero and negative
+        # all six weight kinds; coefficients with mixed denominators, zero and
+        # negative; the window is read from its keys, never walked as tuples
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         phi = cases.every_weight_kind(nsteps, seed)[kind]
         cs = coeffs[:nsteps]
@@ -221,8 +222,31 @@ class TestSummationIdentity:
                 with pytest.raises(ValueError, match="empty window"):
                     verify(A, cert, phi, cs, bound)
             return
-        report = verify_summation_identity(A, cert, phi, cs, bound)
+        report = self.without_the_orthant_walk(A, cert, phi, cs, bound)
         assert report == oracles.summation_identity_by_fractions(A, cert, phi, cs, bound)
+
+    @staticmethod
+    def without_the_orthant_walk(A, cert, phi, coeffs, bound):
+        """The report with `core._orthant` raising, and, where `identities`
+        binds it too, its own name for it."""
+
+        def walk(*args):
+            raise AssertionError("thm1 walked the step orthant point by point")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_orthant", walk)
+            mp.setattr(identities, "_orthant", walk, raising=False)
+            return verify_summation_identity(A, cert, phi, coeffs, bound)
+
+    @pytest.mark.parametrize("kind", range(6))
+    def test_reads_no_orthant_tuple_on_mixed_signs(self, kind):
+        # W comes from the window's x keys decoded to columns
+        A, cert = certified(cases.MIXED_SIGN)
+        bound = max(6, cert.degree(A.column_sum()))
+        phi = cases.every_weight_kind(A.nsteps, 13)[kind]
+        for coeffs in cases.coeff_vectors(A.nsteps):
+            report = self.without_the_orthant_walk(A, cert, phi, coeffs, bound)
+            assert report == oracles.summation_identity_by_fractions(A, cert, phi, coeffs, bound)
 
     def test_a_failing_side_is_reported_exactly(self, monkeypatch):
         # the left side a seventh of its own value too large at two targets:
@@ -551,7 +575,7 @@ class TestPathSeries:
         A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
         packing = enumeration._Packing(A, cert.functional.coords, bound)
         counts = _walk_counts(cert, packing, bound)
-        walks = dict(zip(map(LatticeVector, packing.decode(counts)), counts.values()))
+        walks = dict(zip(map(LatticeVector, zip(*packing.columns(counts))), counts.values()))
         assert walks == oracles.walk_endpoint_counts(A, cert, bound)
         assert [packing.pack(t.coords) for t in walks] == list(counts)
 
@@ -561,7 +585,7 @@ class TestPathSeries:
         assert cert.step_degrees == (1, 1, 2)
         packing = enumeration._Packing(A, cert.functional.coords, 20)
         counts = _walk_counts(cert, packing, 20)
-        walks = dict(zip(packing.decode(counts), counts.values()))
+        walks = dict(zip(zip(*packing.columns(counts)), counts.values()))
         assert set(walks) == {(a, b) for a in range(21) for b in range(21 - a)}
         for target, count in walks.items():
             assert count == oracles.delannoy_number(*target)
@@ -601,40 +625,41 @@ class TestOneComparison:
     former comparison loops (`tests/oracles.py`) give on the same tables."""
 
     @staticmethod
-    def decode(keys):
-        return [(k,) for k in keys]
+    def columns(keys):
+        # keys of one coordinate: the one column is the keys themselves
+        return [list(keys)]
 
     def test_a_zero_reads_as_a_missing_key(self):
-        assert identities._mismatches(self.decode, {5: 0}, {}) == (0, None)
-        assert identities._mismatches(self.decode, {}, {5: 0}, {5: 0, 6: 0}) == (0, None)
+        assert identities._mismatches(self.columns, {5: 0}, {}) == (0, None)
+        assert identities._mismatches(self.columns, {}, {5: 0}, {5: 0, 6: 0}) == (0, None)
 
     def test_equal_sides_report_nothing(self):
         table = {3: 1, 5: Fraction(2, 3), 9: -4}
         sides = table, dict(table), dict(table)
-        assert identities._mismatches(self.decode, *sides, den=7) == (0, None)
+        assert identities._mismatches(self.columns, *sides, den=7) == (0, None)
         # equal key sets, one value apart: reported
         off = {**table, 9: -3}
         expected = (1, (LatticeVector((9,)), Fraction(-4, 7), Fraction(-3, 7)))
-        assert identities._mismatches(self.decode, table, off, den=7) == expected
+        assert identities._mismatches(self.columns, table, off, den=7) == expected
 
     def test_first_pair_that_differs_names_the_least_key(self):
         # each key is counted once, however many pairs differ there, and only
         # the least key is decoded
         decoded = []
 
-        def decode(keys):
+        def columns(keys):
             decoded.append(list(keys))
-            return self.decode(keys)
+            return self.columns(keys)
 
         # three sides apart at one key, in both pairs: the first pair is reported
-        found = identities._mismatches(decode, {5: 1}, {5: 2}, {5: 3}, den=3)
+        found = identities._mismatches(columns, {5: 1}, {5: 2}, {5: 3}, den=3)
         assert found == (1, (LatticeVector((5,)), Fraction(1, 3), Fraction(2, 3)))
         # the least key is off in the second pair only
-        found = identities._mismatches(decode, {2: 4, 8: 1}, {2: 4}, {2: 5}, den=3)
+        found = identities._mismatches(columns, {2: 4, 8: 1}, {2: 4}, {2: 5}, den=3)
         assert found == (2, (LatticeVector((2,)), Fraction(4, 3), Fraction(5, 3)))
         # both pairs off at 5, 8 and 9
         sides = {5: 1, 8: 1, 9: 1}, {5: 2}, {5: 3, 8: 1, 9: 1}
-        found = identities._mismatches(decode, *sides, den=3)
+        found = identities._mismatches(columns, *sides, den=3)
         assert found == (3, (LatticeVector((5,)), Fraction(1, 3), Fraction(2, 3)))
         assert decoded == [[5], [2], [5]]
 
@@ -651,9 +676,9 @@ class TestOneComparison:
         phi = cases.every_weight_kind(len(costs), seed)[kind]
         mismatches, returned = identities._mismatches, []
 
-        def recording(decode, *sides, den=1):
+        def recording(columns, *sides, den=1):
             assert len(sides) == 2 and sides[0].keys() == sides[1].keys()
-            returned.append(mismatches(decode, *sides, den=den))
+            returned.append(mismatches(columns, *sides, den=den))
             return returned[-1]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -691,9 +716,9 @@ class TestOneComparison:
         phi = cases.every_weight_kind(nsteps, seed)[kind]
         series_side, mismatches, seen = identities._series_side, identities._mismatches, []
 
-        def recording(decode, *sides, den=1):
+        def recording(columns, *sides, den=1):
             seen.append((sides, den))
-            return mismatches(decode, *sides, den=den)
+            return mismatches(columns, *sides, den=den)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(identities, "_series_side", lambda *args: self.perturb(series_side(*args), rng))
@@ -911,8 +936,8 @@ class TestMultidimPartitionOfUnity:
         read = []
         scaled_values = identities._scaled_values
 
-        def one_off(phi, points):
-            numerators, den = scaled_values(phi, points)
+        def one_off(phi, columns):
+            numerators, den = scaled_values(phi, columns)
             read.append(den)
             return ([numerators[0] + 1, *numerators[1:]] if len(read) == 1 else numerators), den
 
