@@ -38,6 +38,11 @@ RUNS = [
     (("paths",), "gapped_paths"),
     (("series",), "summation_identity"),
     (("paths",), "summation_identity"),
+    # monomial and table weights, off the step passes
+    (("series",), "monomial_series"),
+    (("paths",), "monomial_series"),
+    (("series",), "table_paths"),
+    (("paths",), "table_paths"),
     (("verify", "thm1"), "summation_identity"),
     (("verify", "cb"), "partition_of_unity"),
     (("verify", "prop3"), "cone_partition_of_unity"),
