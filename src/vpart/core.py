@@ -2,11 +2,17 @@
 
 Everything in this module is immutable and exact: values are ints or
 `fractions.Fraction`s, so no operation anywhere in the package introduces
-rounding.  Weights compute on plain int tuples: `evaluate_weight` is their
-public boundary, and `_scaled_values` reads them for the inner loops as int
-numerators over one common denominator, from coordinate columns (column k
-holds coordinate k of every point), the one form in which the inner loops
-read points back from their packed keys.
+rounding.  Weights compute on plain int tuples, and this module is the only
+place that reads them: `evaluate_weight` is their public boundary, and
+`_scaled_values` reads them for the inner loops as int numerators over one
+common denominator, from coordinate columns (column k holds coordinate k of
+every point), the one form in which the inner loops read points back from
+their packed keys.  The step orthant, the x >= 0 of weighted degree
+sum_j w_j x_j <= budget, is walked one way, `_orthant_keys`, a chain of int
+ranges; `_orthant_columns` reads that walk back in blocks of at most `_BLOCK`
+points, each block as coordinate columns, so that a weight read over the
+orthant is one `_scaled_values` call per block and memory follows the block,
+not the orthant.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -360,7 +366,7 @@ class RuleWeight(WeightFunction):
     def _value(self, x: tuple[int, ...]) -> int | Fraction:
         # the one weight whose rule reads a lattice vector
         value = self.rule(LatticeVector(x))
-        return value if type(value) in (int, Fraction) else Fraction(value)
+        return value if type(value) in (int, Fraction) else exact(value)
 
     def __repr__(self) -> str:
         return f"RuleWeight(arity={self.arity})"
@@ -453,20 +459,26 @@ def graded(points: Iterable, grading: Iterable[int]) -> list:
     return sorted(points, key=key)
 
 
+# the most points one block of `_orthant_columns` holds
+_BLOCK = 1 << 14
+
+
 def iter_orthant(weights: Sequence[int], budget: int) -> Iterator[LatticeVector]:
     """All nonnegative integer vectors x with sum(x[j] * weights[j]) <= budget.
 
-    Every weight must be a positive integer, which keeps the slice finite.
-    Vectors come out in lexicographic order.
+    Every weight must be a positive integer, which keeps the slice finite,
+    and there must be at least one.  Vectors come out in lexicographic order.
     """
-    return map(LatticeVector, _orthant(weights, budget))
+    for columns in _orthant_columns(weights, budget):
+        yield from map(LatticeVector, zip(*columns))
 
 
 def _orthant_keys(
     weights: Sequence[int], budget: int, units: Sequence[int], start: int = 0
 ) -> Iterator[int]:
-    """start + sum_j units[j] * x[j] for each x of `_orthant` (weights, budget), in
-    its order, ``units`` positive: a chain of int ranges, one per prefix of x."""
+    """start + sum_j units[j] * x[j] for each x of `iter_orthant` (weights,
+    budget), in its order, ``units`` positive: a chain of int ranges, one per
+    prefix of x."""
     prefixes = [(start, budget)] if budget >= 0 else []
     if not weights:  # the orthant of no steps is its origin
         return iter([k for k, _ in prefixes])
@@ -476,20 +488,17 @@ def _orthant_keys(
     return chain.from_iterable(range(k, k + (r // w + 1) * u, u) for k, r in prefixes)
 
 
-def _orthant(weights: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
-    """`iter_orthant` on plain int tuples, for the package's inner loops: an
-    odometer, whose last coordinate counts up while the budget allows."""
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive")
-    x, remaining, last = [0] * len(weights), budget, len(weights) - 1
-    while remaining >= 0:
-        yield tuple(x)
-        j = last
-        while j >= 0 and remaining < weights[j]:  # reset x[j], carry into x[j - 1]
-            remaining += x[j] * weights[j]
-            x[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        x[j] += 1
-        remaining -= weights[j]
+def _orthant_columns(weights: Sequence[int], budget: int) -> Iterator[list[list[int]]]:
+    """The points of `iter_orthant` (weights, budget) in its lex order, in
+    blocks of at most `_BLOCK` points, each block as coordinate columns
+    (column k holds coordinate k of every point of the block), the form
+    `_scaled_values` reads.  The one orthant walk: `_orthant_keys` in radix
+    budget + 1, above every coordinate, so that a key's digits are its point,
+    read back one column at a time."""
+    if not weights or any(w < 1 for w in weights):
+        raise ValueError("weights must be positive, and at least one")
+    radix = max(budget, 0) + 1
+    units = [radix**k for k in reversed(range(len(weights)))]
+    keys = _orthant_keys(weights, budget, units)
+    while block := list(islice(keys, _BLOCK)):
+        yield [[k // u % radix for k in block] for u in units]

@@ -2,12 +2,14 @@
 
 One exact lattice kernel, `_echelon`, serves every count and the integer-span
 test.  The fiber {x >= 0 : A x = t} is scanned over the N - rank free
-multiplicities only; for each, the pivot multiplicities are the unique rational
-solution of the rest, int numerators over one int scale from the inverse that
-`cone._eliminate` computes fraction-free, kept when they are nonnegative
-integers.  The scan is complete: under the cone certificate every solution has
-total step degree degree(t), each step costing at least one, so its free part
-lies in the slice sum_f degree_f * x_f <= degree(t).
+multiplicities only, read in blocks of coordinate columns
+(`core._orthant_columns`); for each block, the pivot multiplicities are the
+unique rational solution of the rest, one int column per pivot over one int
+scale from the inverse that `cone._eliminate` computes fraction-free, and the
+points whose pivots are nonnegative integers are kept.  The scan is complete:
+under the cone certificate every solution has total step degree degree(t),
+each step costing at least one, so its free part lies in the slice
+sum_f degree_f * x_f <= degree(t).
 
 Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order:
@@ -15,16 +17,18 @@ every builder returns its table by ascending key, so how a target is keyed
 and ordered is decided in `_Packing` alone.  Keys are read back one way, one
 coordinate column at a time (`_Packing.columns`), once per table where a
 public function returns points, which zip the columns, or where a report
-names its one point.  `_graded_table` hands a table on as columns:
-keys, values and one scale, the value at key k being its value over
-scale^degree(k).  The series and paths commands print those columns as they
-are (`series.render_table`); vectors and fractions (`_Packing.fractions`) are
-built only where a public function returns them.  There are two routes.  The
-orthant route, `_orthant_sums`, streams every x >= 0 of step cost <= bound
-and adds phi(x) at the key of A x: bound^N points for any weight, summed on
-ints, one numerator and denominator per target.  The step passes, `_sweep`,
-serve the `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps:
-`ConstantOne` and `GeometricWeights` multiply in one factor
+names its one point.  `_graded_table` hands a table on in one value form:
+keys, int values, a den and a scale, the value at key k being its int over
+den * scale^degree(k).  The series and paths commands print those columns as
+they are (`series.render_table`); vectors and fractions
+(`_Packing.fractions`) are built only where a public function returns them.
+There are two routes, each an int table by ascending key over one
+denominator.  The orthant route, `_orthant_sums`, walks every x >= 0 of step
+cost <= bound once, in blocks of coordinate columns, reads the weight once
+per block (`core._scaled_values`) and adds it at the key of A x: bound^N
+points for any weight, int numerators over one den.  The step passes,
+`_sweep`, serve the `STEP_PASS_WEIGHTS`, whose series has a closed form over
+the steps: `ConstantOne` and `GeometricWeights` multiply in one factor
 1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order, and
 `LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in one
 ascending pass: bound^rank targets, a few int operations each, all on int
@@ -51,8 +55,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import mul
+from itertools import compress, product
+from operator import add, mul, sub
 from typing import Collection, Iterator, Sequence
 
 from .cone import ConeCertificate, _eliminate, _facets
@@ -63,8 +67,7 @@ from .core import (
     LatticeVector,
     StepMatrix,
     WeightFunction,
-    _orthant,
-    _orthant_keys,
+    _orthant_columns,
     _scaled_values,
     check_arity,
 )
@@ -139,7 +142,9 @@ def _echelon(A: StepMatrix):
 
 
 def _fiber(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> list[tuple[int, ...]]:
-    """Every x >= 0 with column-combination x equal to ``target``, as sorted tuples."""
+    """Every x >= 0 with column-combination x equal to ``target``, as sorted
+    tuples: the free multiplicities come in blocks of columns, and each pivot
+    filters a block by one int column (m = its numerator over ``scale``)."""
     if target.dim != A.dim:
         raise ValueError(f"target has dimension {target.dim}, matrix has {A.dim}")
     basis, pivots, free, scale, solve, coupling = _echelon(A)
@@ -148,17 +153,20 @@ def _fiber(A: StepMatrix, cert: ConeCertificate, target: LatticeVector) -> list[
         return []
     pivot_rows = [(p, sum(map(mul, row, y)), c) for p, row, c in zip(pivots, solve, coupling)]
     found = []
-    x = [0] * A.nsteps
-    for xf in _orthant([cert.step_degrees[f] for f in free], cert.degree(target)):
-        for f, m in zip(free, xf):
-            x[f] = m
-        for p, value, c in pivot_rows:
-            m, rem = divmod(value - sum(map(mul, c, xf)), scale)
-            if rem or m < 0:
-                break
-            x[p] = m
-        else:
-            found.append(tuple(x))
+    # with no free multiplicity the one candidate is the pivots' own solution
+    degrees = [cert.step_degrees[f] for f in free]
+    for block in _orthant_columns(degrees, cert.degree(target)) if free else [[]]:
+        x, size = dict(zip(free, block)), len(block[0]) if free else 1
+        for p, value, c in pivot_rows:  # keep the points whose pivot m is a nonnegative int
+            m = [value] * size
+            for f, cf in zip(free, c):
+                if cf:
+                    m = list(map(sub, m, map(cf.__mul__, x[f])))
+            keep = [v >= 0 and not v % scale for v in m]
+            x = {j: list(compress(column, keep)) for j, column in x.items()}
+            x[p] = [v // scale for v in compress(m, keep)]
+            size = len(x[p])
+        found.extend(zip(*(x[j] for j in range(A.nsteps))))
     found.sort()
     return found
 
@@ -198,14 +206,6 @@ def integer_span_contains(A: StepMatrix, target: LatticeVector | Sequence[int]) 
     return _coordinates(_echelon(A)[0], t) is not None
 
 
-def _accumulate(num: int, den: int, value: int | Fraction) -> tuple[int, int]:
-    """num / den + value, over the lcm of the denominators added, never reduced."""
-    d = value.denominator
-    if den % d:
-        num, den = num * (math.lcm(den, d) // den), math.lcm(den, d)
-    return num + value.numerator * (den // d), den
-
-
 class _Packing:
     """Int keys for the int tuples t with |t_i| <= reach, of one matrix's dimension.
 
@@ -239,31 +239,42 @@ class _Packing:
         return [[k // p % base - reach for k in keys] for p in self.powers]
 
     def fractions(
-        self, keys: Sequence[int], values: Sequence[int | Fraction], scale: int
-    ) -> Sequence[int | Fraction]:
-        """values[i] / scale^degree(keys[i]), the exact values of a table of
-        `_graded_table`: one `Fraction` per key where ``scale`` > 1, else the
-        values as they are.  Built only where a public function returns them."""
-        if scale == 1:
-            return values
+        self, keys: Sequence[int], values: Sequence[int], den: int, scale: int
+    ) -> list[Fraction]:
+        """values[i] / (den * scale^degree(keys[i])), the exact values of a
+        table of `_graded_table`, one `Fraction` per key: built only where a
+        public function returns them."""
         top = self.top
-        return [Fraction(v, scale ** (k // top)) for k, v in zip(keys, values)]
+        return [Fraction(v, den * scale ** (k // top)) for k, v in zip(keys, values)]
 
 
 def _orthant_sums(
-    costs: Sequence[int], deltas: Sequence[int], origin: int, bound: int, value
-) -> dict[int, int | Fraction]:
-    """value(x) summed at origin + sum_j x_j deltas[j] over every x >= 0 of step
-    cost <= ``bound``, streamed from `_orthant` beside its keys from
-    `_orthant_keys`: each key keeps one int numerator and denominator
-    (`_accumulate`), a `Fraction` only at the end unless its sum is an int.
-    Complete for a table up to ``bound``: any representation of a target of
-    degree at most ``bound`` itself has step cost at most ``bound``."""
-    sums: dict[int, tuple[int, int]] = {}
-    for key, x in zip(_orthant_keys(costs, bound, deltas, origin), _orthant(costs, bound)):
-        num, den = sums.get(key, (0, 1))
-        sums[key] = _accumulate(num, den, value(x))
-    return {key: num if den == 1 else Fraction(num, den) for key, (num, den) in sums.items()}
+    cert: ConeCertificate, phi: WeightFunction, packing: _Packing, bound: int
+) -> tuple[dict[int, int], int]:
+    """phi summed at the key of A x in ``packing`` over every x >= 0 of step
+    cost <= ``bound``, as (sums, den): int numerators by ascending key over
+    one denominator, the shape of `_sweep`'s (table, scale).
+
+    The orthant comes in blocks of coordinate columns (`core._orthant_columns`),
+    each read once by `core._scaled_values` and keyed by one pass per step
+    over its columns; where a block's denominator does not divide den, den
+    grows to their lcm and the sums so far are scaled up with it.  Every key
+    reached is kept, zero sums included.  Complete for a table up to
+    ``bound``: any representation of a target of degree at most ``bound``
+    itself has step cost at most ``bound``."""
+    sums, den = {}, 1
+    for columns in _orthant_columns(cert.step_degrees, bound):
+        numerators, d = _scaled_values(phi, columns)
+        grown = math.lcm(den, d)
+        if grown > den:
+            sums = {k: v * (grown // den) for k, v in sums.items()}
+        numerators, den = map((grown // d).__mul__, numerators), grown
+        keys = [packing.origin] * len(columns[0])
+        for delta, column in zip(packing.deltas, columns):
+            keys = list(map(add, keys, map(delta.__mul__, column)))
+        for k, v in zip(keys, numerators):
+            sums[k] = sums.get(k, 0) + v
+    return {k: sums[k] for k in sorted(sums)}, den
 
 
 def _sweep(
@@ -331,30 +342,30 @@ def _sweep(
 
 def _graded_table(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int, zeros: bool = False
-) -> tuple[_Packing, list[int], list[int | Fraction], int]:
+) -> tuple[_Packing, list[int], list[int], int, int]:
     """phi-weighted counts of the targets of degree <= bound as columns:
-    (packing, keys ascending, values, scale), the value at keys[i] being
-    values[i] / scale^degree(keys[i]).
+    (packing, keys ascending, values, den, scale), the one value form, the
+    value at keys[i] being the int values[i] / (den * scale^degree(keys[i])).
 
     With ``zeros`` False the keys are the targets of nonzero value, the terms
     of `partition_series` and the series command; with ``zeros`` True every
     key of the slab (`_slab_keys`), its value 0 where no representation
     reaches it, the entries of `generalized_vp_table` and the paths command.
     The `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps,
-    take `_sweep`, int numerators over its scale; every other weight takes
-    the orthant route, its values ints or `Fraction`s over scale 1.
+    take `_sweep`, int numerators over its scale and den 1; every other
+    weight takes the orthant route, `_orthant_sums`, int numerators over its
+    den and scale 1.
     """
     check_arity(phi, A.nsteps)
     packing = _Packing(A, cert.functional.coords, bound)
     if type(phi) in STEP_PASS_WEIGHTS:
-        sums, scale = _sweep(A, cert, phi, packing, bound)
+        (sums, scale), den = _sweep(A, cert, phi, packing, bound), 1
     else:
-        sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-        sums, scale = {k: sums[k] for k in sorted(sums)}, 1
+        (sums, den), scale = _orthant_sums(cert, phi, packing, bound), 1
     if zeros:
         keys = sorted(_slab_keys(A, cert, packing, bound))
-        return packing, keys, [sums.get(k, 0) for k in keys], scale
-    return packing, [k for k, v in sums.items() if v], list(filter(None, sums.values())), scale
+        return packing, keys, [sums.get(k, 0) for k in keys], den, scale
+    return packing, [k for k, v in sums.items() if v], list(filter(None, sums.values())), den, scale
 
 
 def generalized_vp_table(
@@ -369,18 +380,19 @@ def generalized_vp_table(
     keys come from `_slab_keys`, which walks exactly these lattice points
     and no others, so no candidate is tested for span or cone membership.
     The counts come from the step passes for `ConstantOne`,
-    `GeometricWeights` and `LatticePathCount` and from the step orthant for
-    every other weight; `verify_path_series` reads its path-count table from
-    the orthant instead, to stay independent of the passes.  The table is
-    built on packed keys (`_graded_table`, which the paths command prints
+    `GeometricWeights` and `LatticePathCount` and from the step orthant, read
+    in blocks, for every other weight; `verify_path_series` reads its
+    path-count table from the orthant instead, to stay independent of the
+    passes.  The table is built on packed keys as int values over
+    den * scale^degree (`_graded_table`, which the paths command prints
     without building a `Fraction`) and decoded once, by column; vectors and
-    fractions are built only here.
+    fractions, one per entry, are built only here.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    packing, keys, values, scale = _graded_table(A, cert, phi, bound, zeros=True)
-    exact = packing.fractions(keys, values, scale)
-    return {LatticeVector(t): Fraction(v) for t, v in zip(zip(*packing.columns(keys)), exact)}
+    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound, zeros=True)
+    exact = packing.fractions(keys, values, den, scale)
+    return dict(zip(map(LatticeVector, zip(*packing.columns(keys))), exact))
 
 
 @lru_cache(maxsize=64)

@@ -4,10 +4,13 @@ Every verifier recomputes its two sides through independent code paths (the
 series pipeline on one side, direct enumeration or direct summation on the
 other) and reports exact coefficient-level equality over an explicitly named
 finite window.  Nothing here ever claims unbounded validity.  The weight's
-values are the two sides' shared input, not a route: `thm1`, `rec` and `cb`
-read them once per window, layer or axis as int numerators over one common
-denominator (`core._scaled_values`, one coordinate column at a time), run on
-ints, and build a `Fraction` only for a value a report names.  `thm1`'s two
+values are the two sides' shared input, not a route, and every verifier
+reads them one way, as int numerators over one common denominator
+(`core._scaled_values`, one coordinate column at a time): `thm1`, `rec` and
+`cb` once per window, layer or axis, and `prop1`, `prop2` and `prop3` once
+per block of the step orthant, which `enumeration._orthant_sums` walks once
+and sums on ints over one denominator.  All of them run on ints and build a
+`Fraction` only for a value a report names.  `thm1`'s two
 sides and each `rec` layer's right side read the shifted weights W(x - e_j)
 in one pass over the key column per step, not in a loop over the steps per
 point.  `thm1` and `rec` (on x, in one format, `_step_keys`), `thm1`,
@@ -37,7 +40,6 @@ from .core import (
     MultinomialMonomial,
     StepMatrix,
     WeightFunction,
-    _multinomial,
     _orthant_keys,
     _over_lcm,
     _scaled_values,
@@ -337,7 +339,7 @@ def verify_partition_recurrence(
 
     packing = _Packing(A, cert.functional.coords, bound)
     deltas = packing.deltas
-    sums = _orthant_sums(cert.step_degrees, deltas, packing.origin, bound, phi._value)
+    sums, den = _orthant_sums(cert, phi, packing, bound)
     # the window's targets are the corner plus every reachable target of
     # degree <= bound - base; keys in int order are in graded order
     corner_key, end = sum(deltas), (bound - base + 1) * packing.top
@@ -345,7 +347,7 @@ def verify_partition_recurrence(
     for t in [key + corner_key for key in sums if key < end]:
         lhs[t], rhs[t] = sums.get(t, 0), sum([sums.get(t - d, 0) for d in deltas])
     window = f"targets in column sum + step semigroup, functional degree <= {bound}"
-    return _report(window, *_mismatches(packing.columns, lhs, rhs))
+    return _report(window, *_mismatches(packing.columns, lhs, rhs, den=den))
 
 
 def _walk_counts(cert: ConeCertificate, packing: _Packing, bound: int) -> dict[int, int]:
@@ -397,8 +399,9 @@ def verify_path_series(A: StepMatrix, cert: ConeCertificate, bound: int) -> Veri
     if bound < 0:
         raise ValueError(f"bound: empty window, {bound} < 0")
     packing, paths = _Packing(A, cert.functional.coords, bound), LatticePathCount()
-    table = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, paths._value)
-    inverse, _ = _sweep(A, cert, paths, packing, bound)  # path counts are ints, over scale 1
+    # path counts are ints: the table's den and the inverse's scale are 1
+    table, _ = _orthant_sums(cert, paths, packing, bound)
+    inverse, _ = _sweep(A, cert, paths, packing, bound)
     walks = _walk_counts(cert, packing, bound)
     mismatches = _mismatches(packing.columns, table, inverse, walks)
     return _report(f"functional degree <= {bound}", *mismatches)
@@ -417,9 +420,13 @@ def verify_cb_vector_partition(
     of the sub-step-set with the counts weighted by the multinomial-monomial
     weight of axis j.  That weight is c_j times multinomial(x) * c ** x, so
     the left side reads one plain-count table of each sub-step-set and one
-    table of the shared weight, scaled by c_j, all on packed keys and ints
-    over scale^(degree(mu) + 1), scale the lcm of the coefficients'
-    denominators; the right side enumerates the representations of ``mu``.
+    table of the shared weight, scaled by c_j, all on packed keys and ints.
+    The coefficients are read once, as numerators b_j over their lcm; the
+    shared weight is read as the built-in weight of the first axis k with
+    c_k != 0, c_k times it, summed over the step orthant
+    (`enumeration._orthant_sums`) as ints over one D, and the term of column
+    j is scaled by b_j / b_k, so the left side is an int over b_k * D.  The
+    right side enumerates the representations of ``mu``.
     """
     cs = tuple(exact(c) for c in coeffs)
     if len(cs) != A.nsteps:
@@ -430,19 +437,15 @@ def verify_cb_vector_partition(
         raise ValueError(f"mu has dimension {mu.dim}, matrix has {A.dim}")
 
     budget = cert.degree(mu)
-    numerators, scale = _over_lcm(cs)
-    # the shared weight over scale^budget: multinomial(x) * numerators^x *
-    # scale^(budget - |x|), an int, as |x| <= step cost <= budget
-    powers = [scale ** (budget - k) for k in range(budget + 1)]
-
-    def shared(x: tuple[int, ...]) -> int:
-        return _multinomial(x) * math.prod(map(pow, numerators, x)) * powers[sum(x)]
-
+    numerators, scale = _over_lcm(cs)  # c_j = numerators[j] / scale, read once
+    # the shared weight times c_k, for the first c_k != 0 (the c sum to 1)
+    k = next(k for k, b in enumerate(numerators, start=1) if b)
+    phi = MultinomialMonomial([Fraction(b, scale) for b in numerators], axis=k)
     packing = _Packing(A, cert.functional.coords, budget, max(map(abs, mu.coords)))
     costs, deltas, origin = cert.step_degrees, packing.deltas, packing.origin
-    weighted = _orthant_sums(costs, deltas, origin, budget, shared)
+    weighted, den = _orthant_sums(cert, phi, packing, budget)
     mu_key = packing.pack(mu.coords) + origin  # the key of mu - nu is mu_key - key(nu)
-    total = 0  # the left side times scale^(budget + 1)
+    total = 0  # the left side times numerators[k - 1] * den
     for j, b in enumerate(numerators):
         # the plain counts without column j; dropping the only column leaves
         # the empty step set, whose sole representable target is the origin
@@ -450,7 +453,7 @@ def verify_cb_vector_partition(
         counts = Counter(keys)
         total += b * sum([count * weighted.get(mu_key - key, 0) for key, count in counts.items()])
     rhs = vector_partition(A, cert, mu)
-    den = scale ** max(budget + 1, 0)
+    den *= numerators[k - 1]
     return _report(f"mu = {mu}", int(total != rhs * den), (mu, Fraction(total, den), Fraction(rhs)))
 
 

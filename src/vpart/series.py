@@ -12,20 +12,22 @@ degree can be positive even on exponents with negative coordinates.
 
 Inside, a series keys its exact coefficients (ints or fractions) by int
 tuples; `terms`, `support` and `coefficient` are the boundary where vectors
-and fractions are built.  `weight_series` reads the weight on int tuples.
-`partition_series` wraps the graded table of `enumeration`, built on packed
-int keys in graded order and decoded to int tuples once, by column: with
+and fractions are built.  `weight_series` reads the weight over the orthant
+in blocks of coordinate columns (`core._orthant_columns`), one
+`core._scaled_values` call per block.  `partition_series` wraps the graded
+table of `enumeration`, built on packed int keys in graded order, its values
+ints over den * scale^degree, and decoded to int tuples once, by column: with
 `ConstantOne`, `GeometricWeights` or `LatticePathCount` the paper's closed
 forms fill the window in passes over the keys (one per step for the
-products), with any other weight it sums over the step orthant.
-`geometric_inverse` is its `LatticePathCount` series.
+products), with any other weight it sums over the step orthant, read in
+blocks.  `geometric_inverse` is its `LatticePathCount` series.
 One printer, `_render`, prints every term through one `%` format built from
 the dimension, applied to exponent, numerator and denominator columns:
 `render_terms` splits (exponent, coefficient) terms into columns, and
 `render_table`, what the series and paths commands print, reads them straight
-from that graded table's int numerators over scale^degree, so no `Fraction`
-is built for a printed term.  The verifiers of `identities` keep their own
-sums on packed keys, so the series they check is never compared with itself.
+from that graded table's one value form, so no `Fraction` is built for a
+printed term.  The verifiers of `identities` keep their own sums on packed
+keys, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,7 +45,8 @@ from .core import (
     LatticeVector,
     StepMatrix,
     WeightFunction,
-    _orthant,
+    _orthant_columns,
+    _scaled_values,
     check_arity,
     exact,
     graded,
@@ -96,19 +100,19 @@ def render_table(
     `_render`.
 
     The packed table of `enumeration` is printed column by column: the
-    coordinate columns of its keys (`_Packing.columns`), and, for int
-    numerators n over scale^degree, the denominators read from one power
-    table by degree and one `math.gcd` per term to reduce n / scale^degree;
-    over scale 1 the values' own numerators and denominators.  No `Fraction`
-    is built and no Python function is called per term.
+    coordinate columns of its keys (`_Packing.columns`), and, for its int
+    values n over den * scale^degree, whichever route built them, the
+    denominators read from one table by degree and one `math.gcd` per term
+    to reduce n / (den * scale^degree); where den * scale is 1 the ints print
+    over 1 as they are.  No `Fraction` is built and no Python function is
+    called per term.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    packing, keys, values, scale = _graded_table(A, cert, phi, bound, zeros)
-    if scale == 1:
-        nums, dens = [v.numerator for v in values], [v.denominator for v in values]
-    else:
-        powers, top = [scale**d for d in range(bound + 1)], packing.top
+    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound, zeros)
+    nums, dens = values, [1] * len(values)
+    if den * scale > 1:
+        powers, top = [den * scale**d for d in range(bound + 1)], packing.top
         dens = [powers[k // top] for k in keys]
         gcds = list(map(math.gcd, values, dens))
         nums, dens = list(map(floordiv, values, gcds)), list(map(floordiv, dens, gcds))
@@ -293,7 +297,8 @@ def weight_series(
     """Generating series of ``phi`` truncated at degree ``bound``.
 
     The degree is taken under ``grading``, positive integers one per variable,
-    and defaults to total degree.
+    and defaults to total degree.  The weight is read once per block of the
+    orthant's columns, as ints over the block's denominator.
     """
     check_arity(phi, nvars)
     if bound < 0:
@@ -301,7 +306,10 @@ def weight_series(
     weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")
-    table = {x: phi._value(x) for x in _orthant(weights.coords, bound)}
+    table: dict[tuple[int, ...], Fraction] = {}
+    for columns in _orthant_columns(weights.coords, bound):
+        numerators, den = _scaled_values(phi, columns)
+        table.update(zip(zip(*columns), map(Fraction, numerators, repeat(den))))
     return TruncatedSeries._wrap(nvars, weights, bound, table.items())
 
 
@@ -311,19 +319,20 @@ def partition_series(
     """Generating series of the phi-weighted counts over targets up to ``bound``.
 
     Wraps the graded table that the series command prints, its packed keys
-    decoded once, by column.  For `ConstantOne`, `GeometricWeights`
-    and `LatticePathCount` the series has a closed form over the steps, and
-    the step passes of `enumeration` fill the coefficients from it, a few int
-    operations per target; every other weight sums phi over the step orthant.
-    Either table is sorted once.  The verifiers read their tables from the
+    decoded once, by column, and its int values over den * scale^degree made
+    one `Fraction` per term.  For `ConstantOne`, `GeometricWeights` and
+    `LatticePathCount` the series has a closed form over the steps, and the
+    step passes of `enumeration` fill the coefficients from it, a few int
+    operations per target; every other weight sums phi over the step
+    orthant, read in blocks of columns.  Either table is sorted once.  The verifiers read their tables from the
     orthant (Propositions 1 and 3, Theorem 1's right side, Proposition 2's
     table side), so that none compares the recurrence with itself.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     # every key is a reachable target of degree in [0, bound], in graded order
-    packing, keys, values, scale = _graded_table(A, cert, phi, bound)
-    items = zip(zip(*packing.columns(keys)), packing.fractions(keys, values, scale))
+    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound)
+    items = zip(zip(*packing.columns(keys)), packing.fractions(keys, values, den, scale))
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, items, ordered=True)
 
 

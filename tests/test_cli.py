@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vpart import LatticeVector, certify_pointed, cli, generalized_vp_table, partition_series
 from vpart.cli import MAX_WORK, VERIFY_KINDS, _orthant_volume, _slab_volume, main
-from vpart.core import _orthant
+from vpart.core import _orthant_keys
 from vpart.enumeration import _Packing, _slab_keys
 from vpart.series import _render, render_terms
 
@@ -445,7 +445,9 @@ class TestRefusals:
 
     @given(st.lists(st.integers(1, 4), max_size=3), st.integers(-2, 12))
     def test_orthant_volume_is_a_lower_bound(self, weights, budget):
-        assert _orthant_volume(weights, budget) <= len(list(_orthant(weights, budget)))
+        # any positive units: the walk lists one key per orthant point
+        points = _orthant_keys(weights, budget, [1] * len(weights))
+        assert _orthant_volume(weights, budget) <= len(list(points))
 
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5), st.integers(0, 6))
     @settings(max_examples=60)

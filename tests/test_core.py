@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import chain, product
 from operator import mul
 
 import pytest
@@ -19,7 +20,8 @@ from vpart import (
     iter_orthant,
     multinomial,
 )
-from vpart.core import _multinomial, _orthant, _orthant_keys, _scaled_values
+from vpart import core
+from vpart.core import _multinomial, _orthant_columns, _orthant_keys, _scaled_values
 
 import cases
 import oracles
@@ -160,6 +162,14 @@ class TestWeights:
             GeometricWeights((0.5,))
         with pytest.raises(TypeError):
             exact(0.5)
+
+    def test_a_rule_that_returns_a_float_is_refused(self):
+        # 0.1 is no exact rational: it must not come back as 3602879701896397 / 2^55
+        phi = RuleWeight(lambda x: 0.1, 2)
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            evaluate_weight(phi, LatticeVector((1, 1)))
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            _scaled_values(phi, [[0, 1], [2, 0]])
 
     def test_path_count_satisfies_recurrence(self):
         # the defining recurrence with unit seed, checked over a window
@@ -308,6 +318,13 @@ class TestScaledValues:
         assert _scaled_values(table, [[1, 0, 2]]) == ([2, 3, 0], 6)
 
 
+def lex_orthant(weights, budget):
+    """The x >= 0 with sum_j weights[j] x_j <= budget in lex order, filtered
+    from the box of each coordinate's own reach."""
+    box = product(*(range(budget // w + 1) for w in weights))
+    return [x for x in box if sum(map(mul, weights, x)) <= budget]
+
+
 class TestIterOrthant:
     def test_unit_weights(self):
         points = list(iter_orthant((1, 1), 2))
@@ -328,9 +345,27 @@ class TestIterOrthant:
         with pytest.raises(ValueError):
             list(iter_orthant((0, 1), 3))
 
+    def test_no_weights_rejected(self):
+        with pytest.raises(ValueError):
+            list(iter_orthant((), 3))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(-2, 9))
+    @settings(max_examples=60)
+    def test_blocks_keep_the_lex_order(self, block, weights, budget):
+        # reads that span many blocks, and a last block that is not full
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            blocks = list(_orthant_columns(weights, budget))
+            points = [x.coords for x in iter_orthant(weights, budget)]
+        assert all(len(columns) == len(weights) for columns in blocks)
+        assert all(0 < len(columns[0]) <= block for columns in blocks)
+        assert list(chain.from_iterable(zip(*columns) for columns in blocks)) == points
+        assert points == lex_orthant(weights, budget)
+
 
 class TestOrthantKeys:
-    """`_orthant_keys` lists start + sum_j units_j x_j over `_orthant`, in its order."""
+    """`_orthant_keys` lists start + sum_j units_j x_j over the orthant, in lex order."""
 
     @given(
         st.lists(st.tuples(st.integers(1, 4), st.integers(1, 50)), max_size=4),
@@ -345,5 +380,5 @@ class TestOrthantKeys:
         weights, units = [w for w, _ in steps], [u for _, u in steps]
         keys = _orthant_keys(weights, budget, units, start)
         assert not isinstance(keys, list)  # streamed
-        expected = [start + sum(map(mul, units, x)) for x in _orthant(weights, budget)]
+        expected = [start + sum(map(mul, units, x)) for x in lex_orthant(weights, budget)]
         assert list(keys) == expected

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -23,9 +24,11 @@ from vpart import (
 )
 import vpart
 from vpart.cli import main as cli_main
-from vpart.core import graded
+from vpart import core
+from vpart.core import _scaled_values, graded
 from vpart.series import render_table, render_terms
 from vpart.enumeration import (
+    _fiber,
     _graded_table,
     _orthant_sums,
     _Packing,
@@ -47,23 +50,22 @@ def packing_for(A, cert, bound):
 
 
 def orthant_table(A, cert, phi, bound):
-    """The orthant route's table by ascending key, decoded: what `_graded_table`
-    reads for every weight that the step passes do not serve."""
+    """The orthant route's table, its keys checked ascending, decoded and over
+    its denominator: what `_graded_table` reads for every weight that the step
+    passes do not serve."""
     packing = packing_for(A, cert, bound)
-    sums = _orthant_sums(cert.step_degrees, packing.deltas, packing.origin, bound, phi._value)
-    keys = sorted(sums)
-    return dict(zip(zip(*packing.columns(keys)), map(sums.get, keys)))
+    sums, den = _orthant_sums(cert, phi, packing, bound)
+    assert list(sums) == sorted(sums)
+    return over_scale(packing, cert.functional.coords, list(sums), list(sums.values()), den, 1)
 
 
-def over_scale(packing, ell, keys, values, scale):
-    """Decoded int tuples, each with its int numerator divided by scale^degree,
-    the degree read from the tuple by the functional ``ell``."""
-    assert all(type(v) is int for v in values) or scale == 1
+def over_scale(packing, ell, keys, values, den, scale):
+    """Decoded int tuples, each with its int numerator divided by
+    den * scale^degree, the one value form; the degree is read from the tuple
+    by the functional ``ell``."""
+    assert all(type(v) is int for v in values) and type(den) is int
     points = list(zip(*packing.columns(keys)))
-    return {
-        t: v if scale == 1 else Fraction(v, scale ** sum(map(mul, ell, t)))
-        for t, v in zip(points, values)
-    }
+    return {t: Fraction(v, den * scale ** sum(map(mul, ell, t))) for t, v in zip(points, values)}
 
 
 def sweep_table(A, cert, phi, bound):
@@ -71,15 +73,15 @@ def sweep_table(A, cert, phi, bound):
     packing = packing_for(A, cert, bound)
     table, scale = _sweep(A, cert, phi, packing, bound)
     assert list(table) == sorted(table)
-    return over_scale(packing, cert.functional.coords, table, list(table.values()), scale)
+    return over_scale(packing, cert.functional.coords, table, list(table.values()), 1, scale)
 
 
 def graded_table(A, cert, phi, bound):
     """`_graded_table`'s terms, their keys checked ascending, decoded and over
-    scale^degree."""
-    packing, keys, values, scale = _graded_table(A, cert, phi, bound)
+    den * scale^degree."""
+    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound)
     assert keys == sorted(keys)
-    return over_scale(packing, cert.functional.coords, keys, values, scale)
+    return over_scale(packing, cert.functional.coords, keys, values, den, scale)
 
 
 def slab_points(A, cert, bound):
@@ -251,8 +253,9 @@ class TestWeightedCounts:
 
 
 class TestOrthantRouteOnInts:
-    """`_orthant_sums` and `generalized_vp` keep one int numerator and
-    denominator per target; the `Fraction` route is the oracle."""
+    """`_orthant_sums` keeps int numerators over one denominator, and
+    `generalized_vp` reads its fiber as ints; the `Fraction` route is the
+    oracle."""
 
     @given(
         st.integers(0, 10**6),
@@ -272,6 +275,90 @@ class TestOrthantRouteOnInts:
             value = generalized_vp(A, cert, LatticeVector(target), phi)
             assert type(value) is Fraction
             assert value == oracles.box_scan_weighted(A, cert, LatticeVector(target), phi)
+
+
+class TestOrthantBlocks:
+    """The orthant is read in blocks of at most `core._BLOCK` points; patched
+    down to 1, 2 and 7 points, every read spans many blocks and a fractional
+    weight's denominator grows from one block to the next."""
+
+    BLOCKS = [1, 2, 7]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=40)
+    def test_sums_across_blocks(self, block, seed, dim, nsteps, kind, bound):
+        A, cert = certified(cases.random_pointed_matrix(seed, dim, nsteps))
+        phi = cases.every_weight_kind(nsteps, seed)[kind]
+        expected = oracles.weighted_sums_by_fractions(A, cert, phi, bound)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            assert orthant_table(A, cert, phi, bound) == expected
+            assert graded_table(A, cert, phi, bound) == {t: v for t, v in expected.items() if v}
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_the_denominator_grows_between_blocks(self, monkeypatch, block):
+        A, cert = certified(cases.DELANNOY)
+        phi = GeometricWeights(("1/2", "-1/3", "1/5"))
+        dens = []
+
+        def spy(phi, columns):
+            numerators, den = _scaled_values(phi, columns)
+            dens.append(den)
+            return numerators, den
+
+        monkeypatch.setattr(core, "_BLOCK", block)
+        monkeypatch.setattr(vpart.enumeration, "_scaled_values", spy)
+        packing = packing_for(A, cert, 4)
+        sums, den = _orthant_sums(cert, phi, packing, 4)
+        assert len(set(dens)) > 1 and den == math.lcm(*dens)
+        values = [Fraction(v, den) for v in sums.values()]
+        expected = oracles.weighted_sums_by_fractions(A, cert, phi, 4)
+        assert dict(zip(zip(*packing.columns(sums)), values)) == expected
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize(
+        "matrix",
+        # rank = N, where no multiplicity is free, then free multiplicities
+        [cases.UNIT_1D, cases.BASIS_2D, cases.MIXED_SIGN, cases.DELANNOY, cases.R3, cases.EVEN_3D],
+    )
+    def test_fibers_across_blocks(self, monkeypatch, block, matrix):
+        A, cert = certified(matrix)
+        targets = [A.apply(x) for x in vpart.iter_orthant(cert.step_degrees, 3)]
+        expected = [[x.coords for x in oracles.box_scan_solutions(A, cert, t)] for t in targets]
+        monkeypatch.setattr(core, "_BLOCK", block)
+        assert [_fiber(A, cert, t) for t in targets] == expected
+
+    def test_no_read_exceeds_a_block(self, monkeypatch):
+        # every orthant-route read goes through `_scaled_values` a block at a time
+        block, sizes = 5, []
+
+        def spy(phi, columns):
+            sizes.append(len(columns[0]))
+            return _scaled_values(phi, columns)
+
+        monkeypatch.setattr(core, "_BLOCK", block)
+        for module in (vpart.enumeration, vpart.identities, vpart.series):
+            monkeypatch.setattr(module, "_scaled_values", spy)
+        A, cert = certified(cases.DELANNOY)
+        for phi in cases.every_weight_kind(A.nsteps, 3)[3:]:
+            render_table(A, cert, phi, 6)
+            render_table(A, cert, phi, 6, zeros=True)
+            vpart.weight_series(phi, A.nsteps, 6)
+        vpart.verify_path_series(A, cert, 6)
+        vpart.verify_cb_vector_partition(A, cert, ("1/2", "1/3", "1/6"), LatticeVector((3, 2)))
+        assert sizes and max(sizes) <= block
+
+    def test_a_rule_that_returns_a_float_is_refused(self):
+        A, cert = certified(cases.DELANNOY)
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            generalized_vp_table(A, cert, vpart.RuleWeight(lambda x: 0.5, 3), 2)
 
 
 class TestTable:
@@ -462,7 +549,7 @@ class TestStepRecurrence:
         packing = packing_for(A, cert, -1)
         assert _sweep(A, cert, ConstantOne(), packing, -1) == ({}, 1)
         assert _sweep(A, cert, LatticePathCount(), packing, -1) == ({}, 1)
-        assert _graded_table(A, cert, GeometricWeights((1, 2, 3, 4)), -1)[1:] == ([], [], 1)
+        assert _graded_table(A, cert, GeometricWeights((1, 2, 3, 4)), -1)[1:] == ([], [], 1, 1)
 
     def test_arity_checked(self):
         A, cert = certified(cases.DELANNOY)

@@ -227,15 +227,17 @@ class TestSummationIdentity:
 
     @staticmethod
     def without_the_orthant_walk(A, cert, phi, coeffs, bound):
-        """The report with `core._orthant` raising, and, where `identities`
-        binds it too, its own name for it."""
+        """The report with the orthant walks that decode points,
+        `core._orthant_columns` and `iter_orthant`, raising, and, where
+        `identities` binds them too, its own names for them."""
 
         def walk(*args):
             raise AssertionError("thm1 walked the step orthant point by point")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_orthant", walk)
-            mp.setattr(identities, "_orthant", walk, raising=False)
+            for name in ("_orthant_columns", "iter_orthant"):
+                mp.setattr(core, name, walk)
+                mp.setattr(identities, name, walk, raising=False)
             return verify_summation_identity(A, cert, phi, coeffs, bound)
 
     @pytest.mark.parametrize("kind", range(6))
@@ -452,9 +454,9 @@ class TestPartitionRecurrence:
         orthant_sums = identities._orthant_sums
 
         def one_off(*args):
-            sums = orthant_sums(*args)
-            sums[key] += 1
-            return sums
+            sums, den = orthant_sums(*args)
+            sums[key] += den  # one more, over the sums' denominator
+            return sums, den
 
         monkeypatch.setattr(identities, "_orthant_sums", one_off)
         report = verify_partition_recurrence(A, cert, LatticePathCount(), 5)
@@ -745,8 +747,9 @@ class TestOneComparison:
         orthant_sums, seen = identities._orthant_sums, []
 
         def perturbed(*args):
-            seen.append(self.perturb(orthant_sums(*args), rng))
-            return seen[-1]
+            sums, den = orthant_sums(*args)  # path counts: den is 1
+            seen.append(self.perturb(sums, rng))
+            return seen[-1], den
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(identities, "_orthant_sums", perturbed)
@@ -771,8 +774,10 @@ class TestOneComparison:
 
         def capture(name, build):
             def wrapped(*args):
-                # `_sweep` returns (table, scale), the other two the table
-                table, *scale = build(*args) if name == "_sweep" else (build(*args),)
+                # `_sweep` returns (table, scale) and `_orthant_sums` (table,
+                # den), each 1 for path counts; `_walk_counts` the table
+                pair = name != "_walk_counts"
+                table, *scale = build(*args) if pair else (build(*args),)
                 tables[name] = self.perturb(table, rng) if name == side else table
                 return (tables[name], *scale) if scale else tables[name]
 

@@ -1,5 +1,8 @@
 """The public surface of `vpart` is pinned, so a name is added or removed on purpose."""
 
+import ast
+from pathlib import Path
+
 import vpart
 
 PUBLIC = [
@@ -57,3 +60,19 @@ def test_every_public_name_imports():
     exec("from vpart import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC
+
+
+def test_weights_are_read_only_in_core():
+    # one weight read: `WeightFunction._value` is touched only by
+    # `evaluate_weight`, the public boundary, and `_scaled_values`' fallback
+    readers = []
+    for path in sorted(Path(vpart.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_value":
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                name = max(around, key=lambda f: f.lineno).name if around else None
+                readers.append((path.name, name, node.lineno))
+    found = {(module, name) for module, name, _ in readers}
+    assert found == {("core.py", "evaluate_weight"), ("core.py", "_scaled_values")}, readers
