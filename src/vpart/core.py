@@ -459,7 +459,8 @@ def graded(points: Iterable, grading: Iterable[int]) -> list:
     return sorted(points, key=key)
 
 
-# the most points one block of `_orthant_columns` holds
+# the most points one block of `_orthant_columns` holds: enough to spread a block's
+# fixed cost thin, few enough that its columns take a few MiB at most
 _BLOCK = 1 << 14
 
 
@@ -495,7 +496,7 @@ def _orthant_columns(weights: Sequence[int], budget: int) -> Iterator[list[list[
     `_scaled_values` reads.  The one orthant walk: `_orthant_keys` in radix
     budget + 1, above every coordinate, so that a key's digits are its point,
     read back one column at a time."""
-    if not weights or any(w < 1 for w in weights):
+    if min(weights, default=0) < 1:
         raise ValueError("weights must be positive, and at least one")
     radix = max(budget, 0) + 1
     units = [radix**k for k in reversed(range(len(weights)))]

@@ -58,6 +58,13 @@ from vpart.core import check_arity, graded
 from vpart.enumeration import _coordinates
 
 
+def orthant_by_box(weights, budget: int) -> list[tuple[int, ...]]:
+    """The x >= 0 with sum_j weights[j] x_j <= budget in lex order, filtered
+    from the box of each coordinate's own reach."""
+    box = itertools.product(*(range(budget // w + 1) for w in weights))
+    return [x for x in box if sum(map(mul, weights, x)) <= budget]
+
+
 def box_scan_solutions(
     A: StepMatrix, cert: ConeCertificate, target: LatticeVector
 ) -> list[LatticeVector]:

@@ -253,9 +253,10 @@ _RATIOS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6
 
 class TestTablePrinter:
     """The series and paths commands print `series.render_table`, column by
-    column from int numerators over scale^degree: their bytes, text and
-    ``--json``, are those of the `Fraction` route (`partition_series(...).terms()`
-    and `generalized_vp_table`) through the f-string and `json.dumps` oracles."""
+    column from int numerators over den * scale^degree, on the step passes
+    and on the orthant route: their bytes, text and ``--json``, are those of
+    the `Fraction` route (`partition_series(...).terms()` and
+    `generalized_vp_table`) through the f-string and `json.dumps` oracles."""
 
     @given(
         st.one_of(
@@ -267,7 +268,7 @@ class TestTablePrinter:
                 st.integers(1, 4),
             ),
         ),
-        st.sampled_from(["one", "paths", "geometric"]),
+        st.sampled_from(["one", "paths", "geometric", "monomial", "table"]),
         st.lists(_RATIOS, min_size=4, max_size=4),
         st.integers(0, 6),
     )
@@ -278,6 +279,10 @@ class TestTablePrinter:
         weight = {"kind": kind}
         if kind == "geometric":
             weight["q"] = [str(q) for q in ratios[: A.nsteps]]
+        if kind == "monomial":  # the orthant route, as is the table
+            weight.update(c=[str(q) for q in ratios[: A.nsteps]], j=A.nsteps)
+        if kind == "table":
+            weight.update(box=[1] * A.nsteps, values=[str(q) for q in (ratios * 4)[: 2**A.nsteps]])
         rows = [list(row) for row in zip(*(col.coords for col in A.columns))]
         doc = json.dumps({"matrix": rows, "weight": weight, "bound": bound})
         phi = cli.parse_problem(json.loads(doc)).weight

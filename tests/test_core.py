@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from operator import mul
 
 import pytest
@@ -318,13 +318,6 @@ class TestScaledValues:
         assert _scaled_values(table, [[1, 0, 2]]) == ([2, 3, 0], 6)
 
 
-def lex_orthant(weights, budget):
-    """The x >= 0 with sum_j weights[j] x_j <= budget in lex order, filtered
-    from the box of each coordinate's own reach."""
-    box = product(*(range(budget // w + 1) for w in weights))
-    return [x for x in box if sum(map(mul, weights, x)) <= budget]
-
-
 class TestIterOrthant:
     def test_unit_weights(self):
         points = list(iter_orthant((1, 1), 2))
@@ -361,7 +354,7 @@ class TestIterOrthant:
         assert all(len(columns) == len(weights) for columns in blocks)
         assert all(0 < len(columns[0]) <= block for columns in blocks)
         assert list(chain.from_iterable(zip(*columns) for columns in blocks)) == points
-        assert points == lex_orthant(weights, budget)
+        assert points == oracles.orthant_by_box(weights, budget)
 
 
 class TestOrthantKeys:
@@ -380,5 +373,6 @@ class TestOrthantKeys:
         weights, units = [w for w, _ in steps], [u for _, u in steps]
         keys = _orthant_keys(weights, budget, units, start)
         assert not isinstance(keys, list)  # streamed
-        expected = [start + sum(map(mul, units, x)) for x in lex_orthant(weights, budget)]
+        points = oracles.orthant_by_box(weights, budget)
+        expected = [start + sum(map(mul, units, x)) for x in points]
         assert list(keys) == expected
