@@ -13,31 +13,32 @@ sum_f degree_f * x_f <= degree(t).
 
 Weighted tables over every target of degree <= bound run on packed int keys
 (`_Packing`), so t +- a_j is one int addition and int order is graded order:
-every builder returns its table by ascending key, so how a target is keyed
-and ordered is decided in `_Packing` alone.  Keys are read back one way, one
-coordinate column at a time (`_Packing.columns`), once per table where a
-public function returns points, which zip the columns, or where a report
-names its one point.  `_graded_table` hands a table on in one value form:
-keys, int values, a den and a scale, the value at key k being its int over
-den * scale^degree(k).  The series and paths commands print those columns as
-they are (`series.render_table`); vectors and fractions
-(`_Packing.fractions`) are built only where a public function returns them.
-There are two routes, each an int table by ascending key over one
-denominator.  The orthant route, `_orthant_sums`, walks every x >= 0 of step
-cost <= bound once, in blocks of coordinate columns, reads the weight once
-per block (`core._scaled_values`) and adds it at the key of A x: bound^N
-points for any weight, int numerators over one den.  The step passes,
-`_sweep`, serve the `STEP_PASS_WEIGHTS`, whose series has a closed form over
-the steps: `ConstantOne` and `GeometricWeights` multiply in one factor
-1 / (1 - q_j y^{a_j}) per pass over the keys in ascending order, and
-`LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its reachable keys in one
-ascending pass: bound^rank targets, a few int operations each, all on int
-numerators over scale^degree, scale the lcm of the ratios' denominators.  The
-table and series commands take the passes.  The verifiers of Propositions 1
-and 3 and Proposition 2's table side stay on the orthant route (Theorem 1's
-right side sums over the step orthant too, in `identities`), so that each
-keeps a side that shares no code with the recurrence it checks (for path
-counts the passes are Proposition 2's series side).
+how a target is keyed and ordered is decided in `_Packing` alone.  Keys are
+read back one way, one coordinate column at a time (`_Packing.columns`), once
+per table where a public function returns points, which zip the columns, or
+where a report names its one point.  There are two routes, each an unordered
+int table by key over one denominator.  The orthant route, `_orthant_sums`,
+walks every x >= 0 of step cost <= bound once, in blocks of coordinate
+columns, reads the weight once per block (`core._scaled_values`) and adds it
+at the key of A x: bound^N points for any weight, int numerators over one
+den.  The step passes, `_sweep`, serve the `STEP_PASS_WEIGHTS`, whose series
+has a closed form over the steps: `ConstantOne` and `GeometricWeights`
+multiply in one factor 1 / (1 - q_j y^{a_j}) per pass over the keys in
+ascending order, and `LatticePathCount` (1 / (1 - sum_j y^{a_j})) fills its
+reachable keys in one ascending pass: bound^rank targets, a few int
+operations each, all on int numerators over scale^degree, scale the lcm of
+the ratios' denominators.  `_graded_table` is the one reader of either table
+that orders, reduces or decodes it: it sorts the keys it keeps once, puts
+each int over den * scale^degree in lowest terms and decodes the keys to
+coordinate columns, so a table leaves this module in one form, (columns,
+numerators, denominators).  The series and paths commands print those
+columns as they are (`series.render_table`); vectors and fractions are built
+from them only where a public function returns them.  The table and series
+commands take the passes.  The verifiers of Propositions 1 and 3 and
+Proposition 2's table side stay on the orthant route (Theorem 1's right side
+sums over the step orthant too, in `identities`), so that each keeps a side
+that shares no code with the recurrence it checks (for path counts the
+passes are Proposition 2's series side); they read the tables by key only.
 
 The count table of `generalized_vp_table` also lists, with value 0, the
 lattice points of the cone slab 0 <= degree <= bound that no representation
@@ -47,7 +48,7 @@ elimination, once per matrix and functional, refusing an elimination past
 `MAX_WORK` constraint pairs, and `_slab_keys` walks them on packed keys, one
 int addition per basis step: every point visited is a slab point, so nothing
 is tested for span or cone membership and the walk's size is the table's.
-The table is the sorted slab keys, each with its sum or 0.
+`_graded_table` sorts the slab keys, each with its sum or 0.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Collection, Iterator, Sequence
 
 from .cone import ConeCertificate, _eliminate, _facets
@@ -238,21 +239,12 @@ class _Packing:
         base, reach = self.base, self.reach
         return [[k // p % base - reach for k in keys] for p in self.powers]
 
-    def fractions(
-        self, keys: Sequence[int], values: Sequence[int], den: int, scale: int
-    ) -> list[Fraction]:
-        """values[i] / (den * scale^degree(keys[i])), the exact values of a
-        table of `_graded_table`, one `Fraction` per key: built only where a
-        public function returns them."""
-        top = self.top
-        return [Fraction(v, den * scale ** (k // top)) for k, v in zip(keys, values)]
-
 
 def _orthant_sums(
     cert: ConeCertificate, phi: WeightFunction, packing: _Packing, bound: int
 ) -> tuple[dict[int, int], int]:
     """phi summed at the key of A x in ``packing`` over every x >= 0 of step
-    cost <= ``bound``, as (sums, den): int numerators by ascending key over
+    cost <= ``bound``, as (sums, den): int numerators by key, unordered, over
     one denominator, the shape of `_sweep`'s (table, scale).
 
     The orthant comes in blocks of coordinate columns (`core._orthant_columns`),
@@ -274,7 +266,7 @@ def _orthant_sums(
             keys = list(map(add, keys, map(delta.__mul__, column)))
         for k, v in zip(keys, numerators):
             sums[k] = sums.get(k, 0) + v
-    return {k: sums[k] for k in sorted(sums)}, den
+    return sums, den
 
 
 def _sweep(
@@ -297,14 +289,12 @@ def _sweep(
       fills G(t) = sum_j G(t - a_j) from G(0) = 1.
 
     Returns (table, scale): every target that has a representation, zero
-    values included, by ascending key, each with its int numerator n over
+    values included, unordered, each with its int numerator n over
     scale^degree, so the value at key k is n / scale^(k // top); scale is 1
-    where the weight is integral.  No `Fraction` is built here: the printers
-    reduce n / scale^degree column by column, and `_Packing.fractions` builds
-    one per key where a public function returns the table.
+    where the weight is integral.  ``bound`` is nonnegative: each caller
+    checks it.  No `Fraction` is built here: `_graded_table` orders and
+    reduces the table where it is printed or returned.
     """
-    if bound < 0:
-        return {}, 1
     limit, deltas = (bound + 1) * packing.top, packing.deltas
     values, scale = {packing.origin: 1}, 1
     if type(phi) is LatticePathCount:
@@ -336,36 +326,48 @@ def _sweep(
                 while k < limit and k not in before:
                     values[k] = value = m * value
                     k += delta
-        values = {k: values[k] for k in sorted(values)}
     return values, scale
 
 
 def _graded_table(
     A: StepMatrix, cert: ConeCertificate, phi: WeightFunction, bound: int, zeros: bool = False
-) -> tuple[_Packing, list[int], list[int], int, int]:
-    """phi-weighted counts of the targets of degree <= bound as columns:
-    (packing, keys ascending, values, den, scale), the one value form, the
-    value at keys[i] being the int values[i] / (den * scale^degree(keys[i])).
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """phi-weighted counts of the targets of degree <= bound in the one table
+    form: (columns, numerators, denominators), term i at the point
+    (columns[0][i], ..., columns[dim-1][i]) with value numerators[i] /
+    denominators[i] in lowest terms, denominators positive, the terms in
+    graded order.
 
-    With ``zeros`` False the keys are the targets of nonzero value, the terms
-    of `partition_series` and the series command; with ``zeros`` True every
-    key of the slab (`_slab_keys`), its value 0 where no representation
-    reaches it, the entries of `generalized_vp_table` and the paths command.
+    With ``zeros`` False the terms are the targets of nonzero value, those of
+    `partition_series` and the series command; with ``zeros`` True every key
+    of the slab (`_slab_keys`), its value 0 where no representation reaches
+    it, the entries of `generalized_vp_table` and the paths command.
     The `STEP_PASS_WEIGHTS`, whose series has a closed form over the steps,
-    take `_sweep`, int numerators over its scale and den 1; every other
-    weight takes the orthant route, `_orthant_sums`, int numerators over its
-    den and scale 1.
+    take `_sweep`, int numerators over its scale^degree; every other weight
+    takes the orthant route, `_orthant_sums`, int numerators over its den.
+    Either table comes unordered and keyed by `_Packing`: here its kept keys
+    are sorted once, int order being graded order, each int n is put over
+    den * scale^degree in lowest terms by one `math.gcd` (none where
+    den * scale is 1, every denominator then 1), and the keys are decoded once,
+    by column.  No `Fraction` is built.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     check_arity(phi, A.nsteps)
     packing = _Packing(A, cert.functional.coords, bound)
     if type(phi) in STEP_PASS_WEIGHTS:
         (sums, scale), den = _sweep(A, cert, phi, packing, bound), 1
     else:
         (sums, den), scale = _orthant_sums(cert, phi, packing, bound), 1
-    if zeros:
-        keys = sorted(_slab_keys(A, cert, packing, bound))
-        return packing, keys, [sums.get(k, 0) for k in keys], den, scale
-    return packing, [k for k, v in sums.items() if v], list(filter(None, sums.values())), den, scale
+    kept = _slab_keys(A, cert, packing, bound) if zeros else [k for k, v in sums.items() if v]
+    keys = sorted(kept)
+    nums, dens = [sums.get(k, 0) for k in keys], [1] * len(keys)
+    if den * scale > 1:
+        powers, top = [den * scale**d for d in range(bound + 1)], packing.top
+        dens = [powers[k // top] for k in keys]
+        gcds = list(map(math.gcd, nums, dens))
+        nums, dens = list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
+    return packing.columns(keys), nums, dens
 
 
 def generalized_vp_table(
@@ -383,16 +385,12 @@ def generalized_vp_table(
     `GeometricWeights` and `LatticePathCount` and from the step orthant, read
     in blocks, for every other weight; `verify_path_series` reads its
     path-count table from the orthant instead, to stay independent of the
-    passes.  The table is built on packed keys as int values over
-    den * scale^degree (`_graded_table`, which the paths command prints
-    without building a `Fraction`) and decoded once, by column; vectors and
-    fractions, one per entry, are built only here.
+    passes.  The entries are the columns of `_graded_table`, the table the
+    paths command prints: one vector and one `Fraction` per entry, built only
+    here.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound, zeros=True)
-    exact = packing.fractions(keys, values, den, scale)
-    return dict(zip(map(LatticeVector, zip(*packing.columns(keys))), exact))
+    columns, nums, dens = _graded_table(A, cert, phi, bound, zeros=True)
+    return dict(zip(map(LatticeVector, zip(*columns)), map(Fraction, nums, dens)))
 
 
 @lru_cache(maxsize=64)

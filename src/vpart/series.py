@@ -15,28 +15,27 @@ tuples; `terms`, `support` and `coefficient` are the boundary where vectors
 and fractions are built.  `weight_series` reads the weight over the orthant
 in blocks of coordinate columns (`core._orthant_columns`), one
 `core._scaled_values` call per block.  `partition_series` wraps the graded
-table of `enumeration`, built on packed int keys in graded order, its values
-ints over den * scale^degree, and decoded to int tuples once, by column: with
-`ConstantOne`, `GeometricWeights` or `LatticePathCount` the paper's closed
-forms fill the window in passes over the keys (one per step for the
-products), with any other weight it sums over the step orthant, read in
-blocks.  `geometric_inverse` is its `LatticePathCount` series.
+table of `enumeration` (`_graded_table`), which comes in one form: coordinate
+columns in graded order, int numerators and positive int denominators in
+lowest terms.  With `ConstantOne`, `GeometricWeights` or `LatticePathCount`
+the paper's closed forms fill the window in passes over the keys (one per
+step for the products), with any other weight it sums over the step orthant,
+read in blocks.  `geometric_inverse` is its `LatticePathCount` series.
 One printer, `_render`, prints every term through one `%` format built from
 the dimension, applied to exponent, numerator and denominator columns:
 `render_terms` splits (exponent, coefficient) terms into columns, and
-`render_table`, what the series and paths commands print, reads them straight
-from that graded table's one value form, so no `Fraction` is built for a
-printed term.  The verifiers of `identities` keep their own sums on packed
+`render_table`, what the series and paths commands print, hands it the
+graded table's columns as they are, so no `Fraction` is built for a printed
+term and this module does no arithmetic on the table's values.  The verifiers of `identities` keep their own sums on packed
 keys, so the series they check is never compared with itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cone import ConeCertificate
@@ -97,26 +96,11 @@ def render_table(
     `partition_series`) and the paths command (``zeros`` True: the entries of
     `generalized_vp_table`) print, without building those terms: the lines
     `render_terms` prints for them, or with ``names`` the JSON document of
-    `_render`.
-
-    The packed table of `enumeration` is printed column by column: the
-    coordinate columns of its keys (`_Packing.columns`), and, for its int
-    values n over den * scale^degree, whichever route built them, the
-    denominators read from one table by degree and one `math.gcd` per term
-    to reduce n / (den * scale^degree); where den * scale is 1 the ints print
-    over 1 as they are.  No `Fraction` is built and no Python function is
-    called per term.
+    `_render`.  The columns of `enumeration._graded_table`, exponents and
+    numerators over denominators in lowest terms, go to `_render` as they
+    are, so no `Fraction` is built and no Python function is called per term.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound, zeros)
-    nums, dens = values, [1] * len(values)
-    if den * scale > 1:
-        powers, top = [den * scale**d for d in range(bound + 1)], packing.top
-        dens = [powers[k // top] for k in keys]
-        gcds = list(map(math.gcd, values, dens))
-        nums, dens = list(map(floordiv, values, gcds)), list(map(floordiv, dens, gcds))
-    return _render(packing.columns(keys), nums, dens, names)
+    return _render(*_graded_table(A, cert, phi, bound, zeros), names)
 
 
 def _check_dim(exp: tuple[int, ...], nvars: int) -> None:
@@ -318,21 +302,19 @@ def partition_series(
 ) -> TruncatedSeries:
     """Generating series of the phi-weighted counts over targets up to ``bound``.
 
-    Wraps the graded table that the series command prints, its packed keys
-    decoded once, by column, and its int values over den * scale^degree made
-    one `Fraction` per term.  For `ConstantOne`, `GeometricWeights` and
-    `LatticePathCount` the series has a closed form over the steps, and the
-    step passes of `enumeration` fill the coefficients from it, a few int
-    operations per target; every other weight sums phi over the step
-    orthant, read in blocks of columns.  Either table is sorted once.  The verifiers read their tables from the
-    orthant (Propositions 1 and 3, Theorem 1's right side, Proposition 2's
-    table side), so that none compares the recurrence with itself.
+    Wraps the graded table that the series command prints
+    (`enumeration._graded_table`): its coordinate columns zipped to int
+    tuples, one `Fraction` per term from its numerator and denominator
+    columns.  For `ConstantOne`, `GeometricWeights` and `LatticePathCount`
+    the series has a closed form over the steps, and the step passes of
+    `enumeration` fill the coefficients from it, a few int operations per
+    target; every other weight sums phi over the step orthant, read in blocks
+    of columns.  The verifiers read their tables from the orthant
+    (Propositions 1 and 3, Theorem 1's right side, Proposition 2's table
+    side), so that none compares the recurrence with itself.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    # every key is a reachable target of degree in [0, bound], in graded order
-    packing, keys, values, den, scale = _graded_table(A, cert, phi, bound)
-    items = zip(zip(*packing.columns(keys)), packing.fractions(keys, values, den, scale))
+    columns, nums, dens = _graded_table(A, cert, phi, bound)
+    items = zip(zip(*columns), map(Fraction, nums, dens))
     return TruncatedSeries._wrap(A.dim, cert.functional, bound, items, ordered=True)
 
 

@@ -252,11 +252,13 @@ _RATIOS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6
 
 
 class TestTablePrinter:
-    """The series and paths commands print `series.render_table`, column by
-    column from int numerators over den * scale^degree, on the step passes
-    and on the orthant route: their bytes, text and ``--json``, are those of
-    the `Fraction` route (`partition_series(...).terms()` and
-    `generalized_vp_table`) through the f-string and `json.dumps` oracles."""
+    """The series and paths commands print `series.render_table`, the columns
+    of `enumeration._graded_table` as they are, on the step passes and on the
+    orthant route: their bytes, text and ``--json``, are those of the
+    `Fraction` route (`partition_series(...).terms()` and
+    `generalized_vp_table`, one `Fraction` per term from the same columns)
+    through the f-string and `json.dumps` oracles, so the printed columns are
+    in lowest terms."""
 
     @given(
         st.one_of(
