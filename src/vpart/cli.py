@@ -2,11 +2,12 @@
 
 Reads one JSON problem document (file argument or stdin), runs a single
 command, and writes deterministic plain text (or ``--json`` structured
-output) to stdout.  Diagnostics go to stderr.  Exit codes: 0 for success or
-a verified identity, 1 for a violated identity or a non-pointed step set,
-2 for unusable input.  A command whose work, estimated from the document
-alone before any work starts, exceeds `MAX_WORK` is refused as unusable
-input, so that no document runs for hours without output; the count
+output) to stdout, through one writer that ends the output quietly once its
+reader has closed the pipe.  Diagnostics go to stderr.  Exit codes: 0 for
+success or a verified identity, 1 for a violated identity or a non-pointed
+step set, 2 for unusable input.  A command whose work, estimated from the
+document alone before any work starts, exceeds `MAX_WORK` is refused as
+unusable input, so that no document runs for hours without output; the count
 table's slab elimination, whose growth no closed form follows, counts its
 work as it goes and is refused against the same `enumeration.MAX_WORK`.
 The document is parsed under CPython's limit on int <-> str conversion, so
@@ -26,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -204,6 +206,20 @@ def _certified(spec: ProblemSpec) -> tuple[StepMatrix, ConeCertificate]:
     return matrix, certify_pointed(matrix)
 
 
+def _write(text: str) -> None:
+    """Print ``text`` and a newline to stdout, then flush: every stdout write
+    of a command.  Once the reader has closed the pipe, the rest of the output
+    has nowhere to go: fd 1 is pointed at `os.devnull`, so that the
+    interpreter's flush at exit cannot raise again, and the command goes on to
+    return its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _refuse_runaway(field: str, estimate: int) -> None:
     """Refuse a command whose work estimate, read from ``field``, exceeds `MAX_WORK`."""
     if estimate > MAX_WORK:
@@ -251,7 +267,7 @@ def _print_table(spec: ProblemSpec, as_json: bool, zeros: bool, names: tuple[str
         _refuse_runaway("matrix", math.comb(matrix.nsteps, rank - 1) ** 2)
     text = render_table(matrix, cert, weight, bound, zeros, names if as_json else None)
     if text:
-        print(text)
+        _write(text)
 
 
 def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
@@ -260,12 +276,12 @@ def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
         cert = certify_pointed(matrix)
     except NotPointedError as err:
         if as_json:
-            print(json.dumps({"pointed": False, "witness": list(err.witness.coords)}))
+            _write(json.dumps({"pointed": False, "witness": list(err.witness.coords)}))
         else:
-            print(f"not pointed: witness combination {err.witness}")
+            _write(f"not pointed: witness combination {err.witness}")
         return 1
     if as_json:
-        print(
+        _write(
             json.dumps(
                 {
                     "pointed": True,
@@ -275,7 +291,7 @@ def cmd_pointed(spec: ProblemSpec, as_json: bool) -> int:
             )
         )
     else:
-        print(f"ell = {cert.functional}")
+        _write(f"ell = {cert.functional}")
     return 0
 
 
@@ -290,7 +306,7 @@ def cmd_count(spec: ProblemSpec, as_json: bool) -> int:
         value = Fraction(vector_partition(matrix, cert, target))
     else:
         value = generalized_vp(matrix, cert, target, spec.weight)
-    print(json.dumps({"value": str(value)}) if as_json else str(value))
+    _write(json.dumps({"value": str(value)}) if as_json else str(value))
     return 0
 
 
@@ -347,9 +363,11 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
         target = _require(spec, "target")
         coeffs = _require(spec, "c")
         # axis j sums prod_{k != j} (mu_k + 1) terms, each a multinomial of at
-        # least mu_j items times c_j^(mu_j + 1): mu_j + 1 multiplications
+        # least mu_j items times c_j^(mu_j + 1): mu_j + 1 multiplications, on
+        # values of up to |mu| bits: count them in 30-bit digits, as cb1d does
         box = math.prod(max(m + 1, 0) for m in target.coords)
-        _refuse_runaway("target", len(coeffs) * box)
+        size = sum(max(m, 0) for m in target.coords)
+        _refuse_runaway("target", len(coeffs) * box * (1 + size // 30))
         return verify_cb_multidim(coeffs, target)
     if kind == "cb1d":
         coeffs = _require(spec, "c")
@@ -366,7 +384,7 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
 
 def cmd_verify(kind: str, spec: ProblemSpec, as_json: bool) -> int:
     report = _run_verifier(kind, spec)
-    print(json.dumps(report.to_json_dict()) if as_json else report.to_text())
+    _write(json.dumps(report.to_json_dict()) if as_json else report.to_text())
     return 0 if report.holds else 1
 
 

@@ -26,8 +26,9 @@ the dimension, applied to exponent, numerator and denominator columns:
 `render_terms` splits (exponent, coefficient) terms into columns, and
 `render_table`, what the series and paths commands print, hands it the
 graded table's columns as they are, so no `Fraction` is built for a printed
-term and this module does no arithmetic on the table's values.  The verifiers of `identities` keep their own sums on packed
-keys, so the series they check is never compared with itself.
+term and this module does no arithmetic on the table's values.  The
+verifiers of `identities` keep their own sums on packed keys, so the series
+they check is never compared with itself.
 """
 
 from __future__ import annotations

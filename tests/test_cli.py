@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -384,7 +385,7 @@ PATHS = {"kind": "paths"}
 # (command, a document at the limit 20, the same one step past it); the
 # estimates: BASIS slab and step orthant b^2 / 2, the Delannoy fiber's free
 # orthant k for target (k, k), C(b, 2) and nvars for rec, 2 (mu1 + 1) (mu2 + 1)
-# for cb, (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
+# (1 + (mu1 + mu2) // 30) for cb, (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
 AT_THE_LIMIT = [
     (["paths"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
     # rank 2: C(4, 1)^2 = 16 facet candidate pairs, then C(5, 1)^2 = 25
@@ -439,6 +440,23 @@ class TestRefusals:
         code, out, err = run_cli(command, stdin_text=json.dumps({**document, **past}))
         assert (code, out) == (2, "")
         assert "exceeds the limit 20" in err
+
+    def test_cb_counts_its_term_size(self):
+        # 3 * 1001^2 * 3 terms would pass; each is a multinomial of up to 2,002
+        # items, which multiplies the estimate by 1 + 2002 // 30 = 67
+        doc = {"c": ["1/2", "1/3", "1/6"], "target": [1000, 1000, 2]}
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "vpart", "verify", "cb"],
+            input=json.dumps(doc),
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            timeout=5,
+        )
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: target: work estimate ")
 
     def test_rec_window_counted_from_either_end(self):
         # C(41, 40) = 41 points, though C(41, 32) is far past the limit; and
@@ -910,6 +928,65 @@ class TestOneParserPerProcess:
         monkeypatch.setattr(argparse, "ArgumentParser", no_new_parser)
         assert run_cli(["pointed", path]) == (0, "ell = (1, 1)\n", "")
         assert run_cli(["verify", "bogus"])[0] == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command quietly: no
+    traceback, nothing on stderr, and the command's own exit code.  Each run
+    is a fresh process, since the interpreter's flush at exit is part of what
+    is checked."""
+
+    @staticmethod
+    def spawn(argv, document, stdout, stderr):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vpart", *argv],
+            stdin=subprocess.PIPE,
+            stdout=stdout,
+            stderr=stderr,
+            text=True,
+            cwd=REPO,
+        )
+        proc.stdin.write(json.dumps(document))
+        proc.stdin.close()
+        return proc
+
+    def test_reader_closes_after_one_line(self, tmp_path):
+        # R3 at bound 30 prints 115,712 bytes, past what a pipe holds
+        document = {"matrix": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], "bound": 30}
+        with open(tmp_path / "err", "w+") as err:
+            proc = self.spawn(["series"], document, subprocess.PIPE, err)
+            assert proc.stdout.readline() == "(0,0,0) : 1/1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            err.seek(0)
+            assert err.read() == ""
+
+    def test_failing_verify_with_stdout_closed_before_it_writes(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        document = {"weight": {"kind": "geometric", "q": ["1/2", "1/3"]}, "nvars": 2, "bound": 5}
+        with open(tmp_path / "err", "w+") as err:
+            proc = self.spawn(["verify", "rec"], document, write, err)
+            os.close(write)
+            assert proc.wait(timeout=60) == 1
+            err.seek(0)
+            assert err.read() == ""
+
+    def test_later_writes_go_nowhere(self):
+        # after the closed pipe, stdout takes what is left, as the flush at exit does
+        read, write = os.pipe()
+        os.close(read)
+        code = "from vpart.cli import _write; _write('first'); print('left'); _write('last')"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO,
+            timeout=60,
+        )
+        os.close(write)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_module_entry_point():
