@@ -7,12 +7,14 @@ place that reads them: `evaluate_weight` is their public boundary, and
 `_scaled_values` reads them for the inner loops as int numerators over one
 common denominator, from coordinate columns (column k holds coordinate k of
 every point), the one form in which the inner loops read points back from
-their packed keys.  The step orthant, the x >= 0 of weighted degree
-sum_j w_j x_j <= budget, is walked one way, `_orthant_keys`, a chain of int
-ranges; `_orthant_columns` reads that walk back in blocks of at most `_BLOCK`
-points, each block as coordinate columns, so that a weight read over the
-orthant is one `_scaled_values` call per block and memory follows the block,
-not the orthant.
+their packed keys.  Step multiplicities x are keyed one way, `_step_keys`,
+one digit per coordinate, so x +- e_j is one int addition; the verifiers of
+`identities` key their windows of x by it.  The step orthant, the x >= 0 of
+weighted degree sum_j w_j x_j <= budget, is walked one way, `_orthant_keys`,
+a chain of int ranges; `_orthant_columns` walks it on those x keys and reads
+them back in blocks of at most `_BLOCK` points, each block as coordinate
+columns, so that a weight read over the orthant is one `_scaled_values` call
+per block and memory follows the block, not the orthant.
 """
 
 from __future__ import annotations
@@ -489,17 +491,33 @@ def _orthant_keys(
     return chain.from_iterable(range(k, k + (r // w + 1) * u, u) for k, r in prefixes)
 
 
+def _step_keys(nvars: int, bound: int) -> tuple[list[int], Callable]:
+    """The one key format of step multiplicities x, as (units, columns): x's
+    key is sum_j units[j] x_j, one digit in radix bound + 2 per coordinate, so
+    x +- e_j is +- units[j] and int order is lex order; ``columns`` reads a
+    list of keys back one coordinate column at a time.
+
+    Every key decoded has coordinates <= bound.  The spare digit value
+    bound + 1 is for the one lookup that borrows: x - e_j at x_j = 0 (Theorem
+    1's left side reads it, and misses) lands on a digit bound + 1, which no
+    window key has, so the lookup reads 0 and every coefficient of the
+    product is exact.  In radix bound + 1 it could hit a window key, but only
+    for terms that the full-support filter drops, so no output changes."""
+    radix = bound + 2
+    units = [radix**j for j in reversed(range(nvars))]
+    return units, lambda keys: [[k // u % radix for k in keys] for u in units]
+
+
 def _orthant_columns(weights: Sequence[int], budget: int) -> Iterator[list[list[int]]]:
     """The points of `iter_orthant` (weights, budget) in its lex order, in
     blocks of at most `_BLOCK` points, each block as coordinate columns
     (column k holds coordinate k of every point of the block), the form
-    `_scaled_values` reads.  The one orthant walk: `_orthant_keys` in radix
-    budget + 1, above every coordinate, so that a key's digits are its point,
-    read back one column at a time."""
+    `_scaled_values` reads.  The one orthant walk: `_orthant_keys` on the
+    x keys of `_step_keys` (nvars, budget), each block decoded by its
+    ``columns``."""
     if min(weights, default=0) < 1:
         raise ValueError("weights must be positive, and at least one")
-    radix = max(budget, 0) + 1
-    units = [radix**k for k in reversed(range(len(weights)))]
+    units, columns = _step_keys(len(weights), budget)
     keys = _orthant_keys(weights, budget, units)
     while block := list(islice(keys, _BLOCK)):
-        yield [[k // u % radix for k in block] for u in units]
+        yield columns(block)

@@ -13,9 +13,10 @@ and sums on ints over one denominator.  All of them run on ints and build a
 `Fraction` only for a value a report names.  `thm1`'s two
 sides and each `rec` layer's right side read the shifted weights W(x - e_j)
 in one pass over the key column per step, not in a loop over the steps per
-point.  `thm1` and `rec` (on x, in one format, `_step_keys`), `thm1`,
-`prop1`, `prop2` and `prop3` (on targets, `enumeration._Packing`, whose int
-order is graded order) look points up by packed int keys, decoded one way, to
+point.  `thm1` and `rec` (on x, in `core._step_keys`, the one format of
+step multiplicities, which the orthant walk uses too), `thm1`, `prop1`,
+`prop2` and `prop3` (on targets, `enumeration._Packing`, whose int order is
+graded order) look points up by packed int keys, decoded one way, to
 coordinate columns, and only to read a weight or name a point.  `thm1`,
 `prop1` and `prop2` build each side as a table on target keys, and `rec`
 each layer on its x keys, over the two layers' denominators; every window
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cone import ConeCertificate
 from .core import (
@@ -43,6 +44,7 @@ from .core import (
     _orthant_keys,
     _over_lcm,
     _scaled_values,
+    _step_keys,
     check_arity,
     exact,
 )
@@ -140,17 +142,6 @@ def _mismatches(columns, *sides, den: int = 1) -> tuple[int, Mismatch | None]:
     a, b = next(pair for pair, d in zip(pairs, differ) if at in d)
     x = LatticeVector(c for [c] in columns([at]))
     return len(keys), (x, Fraction(a.get(at, 0), den), Fraction(b.get(at, 0), den))
-
-
-def _step_keys(nvars: int, bound: int) -> tuple[list[int], Callable]:
-    """The one key format of step multiplicities x, thm1's and rec's, as
-    (units, columns): x's key is sum_j units[j] x_j, one digit in radix
-    bound + 2 per coordinate, above every x_j + 1 either window reads, so
-    x +- e_j is +- units[j] and int order is lex order; ``columns`` reads a
-    list of keys back one coordinate column at a time."""
-    radix = bound + 2
-    units = [radix**j for j in reversed(range(nvars))]
-    return units, lambda keys: [[k // u % radix for k in keys] for u in units]
 
 
 def verify_summation_identity(

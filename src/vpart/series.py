@@ -12,9 +12,9 @@ degree can be positive even on exponents with negative coordinates.
 
 Inside, a series keys its exact coefficients (ints or fractions) by int
 tuples; `terms`, `support` and `coefficient` are the boundary where vectors
-and fractions are built.  `weight_series` reads the weight over the orthant
-in blocks of coordinate columns (`core._orthant_columns`), one
-`core._scaled_values` call per block.  `partition_series` wraps the graded
+and fractions are built.  `weight_series` is `partition_series` on the
+unit steps, where each x is its own target, so it reads the weight as every
+table does and keeps no loop of its own.  `partition_series` wraps the graded
 table of `enumeration` (`_graded_table`), which comes in one form: coordinate
 columns in graded order, int numerators and positive int denominators in
 lowest terms.  With `ConstantOne`, `GeometricWeights` or `LatticePathCount`
@@ -35,18 +35,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cone import ConeCertificate
+from .cone import ConeCertificate, certificate_from_functional
 from .core import (
     LatticePathCount,
     LatticeVector,
     StepMatrix,
     WeightFunction,
-    _orthant_columns,
-    _scaled_values,
     check_arity,
     exact,
     graded,
@@ -282,8 +279,11 @@ def weight_series(
     """Generating series of ``phi`` truncated at degree ``bound``.
 
     The degree is taken under ``grading``, positive integers one per variable,
-    and defaults to total degree.  The weight is read once per block of the
-    orthant's columns, as ints over the block's denominator.
+    and defaults to total degree.  The series of phi is the partition series
+    of the unit steps, each x its own target, graded by ``grading``: it is
+    `partition_series` on the identity matrix, so phi is read as every table
+    reads it, by the step passes for the `STEP_PASS_WEIGHTS` and over the
+    orthant otherwise.
     """
     check_arity(phi, nvars)
     if bound < 0:
@@ -291,11 +291,8 @@ def weight_series(
     weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")
-    table: dict[tuple[int, ...], Fraction] = {}
-    for columns in _orthant_columns(weights.coords, bound):
-        numerators, den = _scaled_values(phi, columns)
-        table.update(zip(zip(*columns), map(Fraction, numerators, repeat(den))))
-    return TruncatedSeries._wrap(nvars, weights, bound, table.items())
+    units = StepMatrix(LatticeVector.unit(nvars, k) for k in range(1, nvars + 1))
+    return partition_series(units, certificate_from_functional(units, weights), phi, bound)
 
 
 def partition_series(

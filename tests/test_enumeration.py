@@ -339,7 +339,8 @@ class TestOrthantBlocks:
         assert [_fiber(A, cert, t) for t in targets] == expected
 
     def test_no_read_exceeds_a_block(self, monkeypatch):
-        # every orthant-route read goes through `_scaled_values` a block at a time
+        # every orthant-route read goes through `_scaled_values` a block at a
+        # time; `weight_series` reads through `enumeration`'s, as a table
         block, sizes = 5, []
 
         def spy(phi, columns):
@@ -347,7 +348,7 @@ class TestOrthantBlocks:
             return _scaled_values(phi, columns)
 
         monkeypatch.setattr(core, "_BLOCK", block)
-        for module in (vpart.enumeration, vpart.identities, vpart.series):
+        for module in (vpart.enumeration, vpart.identities):
             monkeypatch.setattr(module, "_scaled_values", spy)
         A, cert = certified(cases.DELANNOY)
         for phi in cases.every_weight_kind(A.nsteps, 3)[3:]:
