@@ -29,7 +29,10 @@ print(inverse.render())
 print()
 
 # Route two: start from the series of plain path counts in step space and
-# substitute each variable by its step monomial.
+# substitute each variable by its step monomial.  That series is the
+# path-count table of the unit steps, so it comes from the same step pass as
+# route one; `vpart verify prop2` checks the closed form by sides that share
+# no code.
 substituted = substitute_monomial(
     weight_series(LatticePathCount(), steps.nsteps, bound), steps, cert, bound
 )

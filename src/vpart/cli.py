@@ -338,9 +338,11 @@ def _run_verifier(kind: str, spec: ProblemSpec) -> VerificationReport:
             raise ProblemError("missing required field 'nvars' (weight has no fixed arity)")
         bound = _require(spec, "bound")
         # the window x >= 1, |x| <= bound has C(bound, nvars) points; C(bound, k)
-        # grows with k up to bound / 2, so k <= 32 keeps a cheap lower bound
+        # grows with k up to bound / 2, so k <= 32 keeps a cheap lower bound.
+        # Each point reads values of up to about |x| bits: count them in
+        # 30-bit digits, as cb does
         k = min(nvars, bound - nvars, 32)
-        _refuse_runaway("bound", math.comb(bound, k) if k >= 0 else 0)
+        _refuse_runaway("bound", math.comb(bound, k) * (1 + bound // 30) if k >= 0 else 0)
         _refuse_runaway("nvars", nvars)  # the report names the corner (1, ..., 1)
         return verify_basic_recurrence(weight, nvars, bound)
     if kind == "prop1":

@@ -497,12 +497,14 @@ def _step_keys(nvars: int, bound: int) -> tuple[list[int], Callable]:
     x +- e_j is +- units[j] and int order is lex order; ``columns`` reads a
     list of keys back one coordinate column at a time.
 
-    Every key decoded has coordinates <= bound.  The spare digit value
-    bound + 1 is for the one lookup that borrows: x - e_j at x_j = 0 (Theorem
-    1's left side reads it, and misses) lands on a digit bound + 1, which no
-    window key has, so the lookup reads 0 and every coefficient of the
-    product is exact.  In radix bound + 1 it could hit a window key, but only
-    for terms that the full-support filter drops, so no output changes."""
+    Every key decoded, in the orthant walk, `thm1` or `rec`, has coordinates
+    <= bound, so radix bound + 1 would decode them all.  The spare digit is
+    for the one lookup that borrows, x - e_j at x_j = 0, which Theorem 1's
+    left side (`identities._series_side`) reads: its key has a digit
+    bound + 1, or is negative, so it is no window key, the lookup misses,
+    and every coefficient of the product is exact.  In radix bound + 1 it
+    could hit a window key, but only for terms with x_j = 0, which the
+    full-support filter drops, so no output would change."""
     radix = bound + 2
     units = [radix**j for j in reversed(range(nvars))]
     return units, lambda keys: [[k // u % radix for k in keys] for u in units]

@@ -286,8 +286,6 @@ def weight_series(
     orthant otherwise.
     """
     check_arity(phi, nvars)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     weights = LatticeVector(grading) if grading is not None else LatticeVector.ones(nvars)
     if weights.dim != nvars:
         raise ValueError("grading dimension must equal nvars")

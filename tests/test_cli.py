@@ -384,8 +384,9 @@ PATHS = {"kind": "paths"}
 
 # (command, a document at the limit 20, the same one step past it); the
 # estimates: BASIS slab and step orthant b^2 / 2, the Delannoy fiber's free
-# orthant k for target (k, k), C(b, 2) and nvars for rec, 2 (mu1 + 1) (mu2 + 1)
-# (1 + (mu1 + mu2) // 30) for cb, (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
+# orthant k for target (k, k), C(b, 2) (1 + b // 30) and nvars for rec,
+# 2 (mu1 + 1) (mu2 + 1) (1 + (mu1 + mu2) // 30) for cb, and
+# (mu1 + mu2 + 2) (1 + (mu1 + mu2) // 30) for cb1d
 AT_THE_LIMIT = [
     (["paths"], {"matrix": BASIS, "bound": 6}, {"bound": 7}),
     # rank 2: C(4, 1)^2 = 16 facet candidate pairs, then C(5, 1)^2 = 25
@@ -457,6 +458,24 @@ class TestRefusals:
         assert time.perf_counter() - start < 1
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: target: work estimate ")
+
+    def test_rec_counts_its_term_size(self):
+        # C(269, 3) = 3,208,094 points would pass, and run for about 16 s; each
+        # reads path counts of up to 269 * log2(3) bits, which multiplies the
+        # estimate by 1 + 269 // 30 = 9
+        doc = {"weight": PATHS, "nvars": 3, "bound": 269}
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "vpart", "verify", "rec"],
+            input=json.dumps(doc),
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            timeout=5,
+        )
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: bound: work estimate 28872846 exceeds the limit 10000000\n"
 
     def test_rec_window_counted_from_either_end(self):
         # C(41, 40) = 41 points, though C(41, 32) is far past the limit; and

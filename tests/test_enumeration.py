@@ -522,14 +522,25 @@ class TestStepRecurrence:
 
     @pytest.mark.parametrize(
         "columns,bound",
-        [([(1, 3), (1, -2)], 1), ([(1, -3), (1, 2)], 2), ([(1, 2), (1, -3), (2, 0), (2, -1)], 2)],
+        [
+            ([(1, 3), (1, -2)], 1),
+            ([(1, -3), (1, 2)], 2),
+            ([(1, 2), (1, -3), (2, 0), (2, -1)], 2),
+            # the chain of the one step runs to t = -bound - 1 of degree
+            # bound + 1, whose key must lie past the limit of degree bound
+            ([(-1,)], 4),
+        ],
     )
     def test_packed_keys_never_alias(self, columns, bound):
         # one step below a target of extreme coordinates lies past the reach of
-        # any target, where a too narrow digit would borrow into a real target
+        # any target, where a too narrow digit would borrow into a real target;
+        # both routes key targets by one `_Packing`, so each is compared with
+        # the oracle, which keys them by their tuples
         A, cert = certified(StepMatrix(columns))
         for phi in [ConstantOne(), LatticePathCount()]:
-            assert sweep_table(A, cert, phi, bound) == orthant_table(A, cert, phi, bound)
+            expected = oracles.weighted_sums_by_fractions(A, cert, phi, bound)
+            assert sweep_table(A, cert, phi, bound) == expected
+            assert orthant_table(A, cert, phi, bound) == expected
 
     @pytest.mark.parametrize("ratios", [(1, -1), (0, 1), (Fraction(1, 2), Fraction(-1, 2))])
     def test_cancelling_ratios_keep_their_keys(self, ratios):

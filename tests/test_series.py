@@ -14,6 +14,7 @@ from vpart import (
     StepMatrix,
     TruncatedSeries,
     certify_pointed,
+    evaluate_weight,
     full_support_part,
     generalized_vp,
     generalized_vp_table,
@@ -233,6 +234,23 @@ class TestWeightSeries:
             weight_series(ConstantOne(), 2, 3, (1, 2, 3))
         with pytest.raises(ValueError):
             weight_series(ConstantOne(), 2, 3, (1, 0))
+
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 5),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=80)
+    def test_every_kind_is_its_sum_over_the_orthant(self, seed, grading, kind, bound):
+        # the table of the unit steps, step passes or orthant sums, against
+        # phi read point by point at fresh vectors: the nonzero values, and
+        # the terms in graded order
+        phi = cases.every_weight_kind(len(grading), seed)[kind]
+        values = {x.coords: evaluate_weight(phi, x) for x in iter_orthant(grading, bound)}
+        nonzero = graded([x for x, v in values.items() if v], grading)
+        terms = list(weight_series(phi, len(grading), bound, grading).terms())
+        assert terms == [(LatticeVector(x), values[x]) for x in nonzero]
 
 
 class TestSubstitution:
