@@ -460,9 +460,9 @@ class TestRefusals:
         assert result.stderr.startswith("error: target: work estimate ")
 
     def test_rec_counts_its_term_size(self):
-        # C(269, 3) = 3,208,094 points would pass, and run for about 16 s; each
-        # reads path counts of up to 269 * log2(3) bits, which multiplies the
-        # estimate by 1 + 269 // 30 = 9
+        # C(269, 3) = 3,208,094 points would pass the limit; each reads path
+        # counts of up to 269 * log2(3) bits, which multiplies the estimate by
+        # 1 + 269 // 30 = 9
         doc = {"weight": PATHS, "nvars": 3, "bound": 269}
         start = time.perf_counter()
         result = subprocess.run(
